@@ -8,8 +8,21 @@ import json
 import sys
 from typing import Optional
 
+from .errors import CapacityError, LeaderContractionError, NonTerminationError, StructureError
 from .graphs import gen_cycles, gen_random_forest, gen_random_graph, write_graph
 from .harness import ALGORITHMS, ExperimentSpec, contention_sim, run_experiment
+from .runtime import BudgetViolationError, RecordSizeError
+
+# Failures of the simulated model (not of the command line): reported in one
+# line with exit status 2.
+_MODEL_ERRORS = (
+    CapacityError,
+    NonTerminationError,
+    LeaderContractionError,
+    StructureError,
+    BudgetViolationError,
+    RecordSizeError,
+)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -121,7 +134,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    report = run_experiment(spec)
+    try:
+        report = run_experiment(spec)
+    except _MODEL_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(report.summary, sort_keys=True))
     if not report.all_correct:
         failures = [r.trial for r in report.records if not r.correct]

@@ -1,28 +1,30 @@
 """Leader-contraction connectivity and minimum spanning forest.
 
-One phase: every vertex explores its neighborhood up to the current budget
-d (BFS for connectivity, a local Prim run for MSF), leaders are sampled
-with probability min(1, c_L * ln n / d), every vertex hooks onto its
-lowest-id incident leader (falling back to its lowest-id neighbor when its
-degree is below d), hook chains and cycles resolve to minimum-id roots,
-and the graph contracts. Budgets grow as d**1.4 up to n**(epsilon/3).
-
-Instances with m below n * ln(n)**2 first shrink their vertex count by the
-randomized pointer-merge procedure, which is bulk-synchronous and therefore
-charged like a primitive.
+MSF runs through the same shrink loop, main loop and hook rule as
+connectivity. Instances with m below n * ln(n)**2 first shrink their vertex
+count by randomized pointer merges (along minimum-id neighbors, or for MSF
+along minimum-weight edges, which join the forest); the merges are
+bulk-synchronous and therefore charged like a primitive. Then each phase
+explores every vertex's neighborhood up to the budget d (BFS, or for MSF a
+local Prim run whose edges join the forest), samples leaders with
+probability min(1, c_L * ln n / d), hooks every vertex onto the lowest-id
+leader in its reach (else onto its lowest-id reached vertex when the
+exploration ran out early), resolves hook chains and cycles to minimum-id
+roots, and contracts. Budgets grow as d**1.4 up to n**(epsilon/3).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .errors import LeaderContractionError, NonTerminationError
 from .graphs import ComponentLabeling, Graph
-from .primitives import mpc_sort
+from .primitives import contract_graph, mpc_sort
 from .runtime import ModelConfig, Simulator, item_coins, item_hash, partition_to_machines
 
 _MAIN_LOOP_CAP = 64
@@ -65,29 +67,16 @@ def resolve_pointers(hook: dict[int, int]) -> dict[int, int]:
     """
     result: dict[int, int] = {}
     for start in hook:
-        if start in result:
-            continue
         path: list[int] = []
         pos: dict[int, int] = {}
         x = start
-        while True:
-            if x in result:
-                root = result[x]
-                break
-            if x in pos:
-                cycle = path[pos[x] :]
-                root = min(cycle)
-                break
+        while x not in result and x not in pos:
             pos[x] = len(path)
             path.append(x)
-            nxt = hook[x]
-            if nxt == x:
-                root = x
-                break
-            x = nxt
+            x = hook[x]
+        root = result[x] if x in result else min(path[pos[x] :])
         for y in path:
             result[y] = root
-        result[start] = root
     return result
 
 
@@ -97,19 +86,12 @@ def _write_adjacency_round(sim: Simulator, graph: Graph, config: ModelConfig, we
     Records are spread across machines individually so no machine's write
     load depends on the degree distribution.
     """
+    adj = graph.weighted_adjacency() if weighted else graph.adjacency()
     records: list[tuple[tuple[int, int], tuple]] = []
-    if weighted:
-        adj_w = graph.weighted_adjacency()
-        for v in range(graph.n):
-            deg = len(adj_w[v])
-            for i, (w, u) in enumerate(adj_w[v]):
-                records.append(((v, i), (u, w, deg)))
-    else:
-        adj = graph.adjacency()
-        for v in range(graph.n):
-            deg = len(adj[v])
-            for i, u in enumerate(adj[v]):
-                records.append(((v, i), (u, deg)))
+    for v in range(graph.n):
+        deg = len(adj[v])
+        for i, x in enumerate(adj[v]):
+            records.append(((v, i), (x[1], x[0], deg) if weighted else (x, deg)))
     parts = partition_to_machines(range(len(records)), config, sim.round_index + 1)
 
     def program(ctx):
@@ -242,20 +224,15 @@ def _pointer_map(graph: Graph, seed: int) -> tuple[dict[int, int], list[tuple[in
     return mapping, merge_edges
 
 
-def shrink_vertices_step(graph: Graph, seed: int) -> tuple[Graph, dict[int, int]]:
+def shrink_vertices_step(graph: Graph, seed: int) -> tuple[Graph, list[int]]:
     """Apply one vertex-merging round and contract the graph accordingly.
 
     The mapping covers every vertex (identity where nothing merged) and
     only ever merges along edges, so components are preserved exactly.
     """
     partial, _ = _pointer_map(graph, seed)
-    mapping = {v: partial.get(v, v) for v in range(graph.n)}
-    edges = set()
-    for e in graph.edges:
-        a, b = mapping[e[0]], mapping[e[1]]
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return Graph(graph.n, sorted(edges)), mapping
+    mapping = [partial.get(v, v) for v in range(graph.n)]
+    return contract_graph(graph, mapping).value, mapping
 
 
 def _non_isolated(graph: Graph) -> int:
@@ -280,17 +257,21 @@ class ReduceResult:
     non_isolated_history: list[int]
 
 
-def reduce_small_space(
+def _is_sparse(graph: Graph) -> bool:
+    return graph.m < graph.n * math.log(max(graph.n, 2)) ** 2
+
+
+def _shrink(
     graph: Graph,
     config: ModelConfig,
-    sim: Optional[Simulator] = None,
+    sim: Optional[Simulator],
+    step: Callable[[Graph, int], tuple[Graph, list[int]]],
+    tag: int,
+    label: str,
 ) -> ReduceResult:
-    """Shrink the non-isolated vertex count by roughly log^2 n.
-
-    Repeats the pointer-merge step until the count falls to
-    n / ceil(log2 n)**2 or the step cap runs out. Bulk-synchronous, so
-    each step is charged rather than traversed.
-    """
+    """Repeat ``step`` (seeded by ``tag`` and the step index) until the
+    non-isolated vertex count falls to n / ceil(log2 n)**2 or the step cap
+    runs out. Each step is charged under ``label``."""
     n = graph.n
     mapping = list(range(n))
     current = graph
@@ -298,19 +279,26 @@ def reduce_small_space(
     target = max(1, math.ceil(n / max(1, math.ceil(math.log2(max(n, 2)))) ** 2))
     steps = 0
     cap = reduction_step_cap(n)
+    rounds = max(1, math.ceil(1.0 / config.epsilon))
     while steps < cap and history[-1] > max(target, _REDUCTION_FLOOR):
-        step_seed = item_hash(config.seed, 0xD0, steps)
-        current, f = shrink_vertices_step(current, step_seed)
+        current, f = step(current, item_hash(config.seed, tag, steps))
         mapping = [f[rep] for rep in mapping]
         steps += 1
         history.append(_non_isolated(current))
         if sim is not None:
-            sim.charge(
-                max(1, math.ceil(1.0 / config.epsilon)),
-                history[-2] + 2 * current.m,
-                "vertex-shrink",
-            )
+            sim.charge(rounds, history[-2] + 2 * current.m, label)
     return ReduceResult(graph=current, mapping=mapping, steps=steps, non_isolated_history=history)
+
+
+def reduce_small_space(
+    graph: Graph,
+    config: ModelConfig,
+    sim: Optional[Simulator] = None,
+) -> ReduceResult:
+    """Shrink the non-isolated vertex count by roughly log^2 n with
+    repeated pointer-merge steps. Bulk-synchronous, so each step is
+    charged rather than traversed."""
+    return _shrink(graph, config, sim, shrink_vertices_step, 0xD0, "vertex-shrink")
 
 
 def _sample_leaders(vertices, config: ModelConfig, d: float, tag: int) -> set[int]:
@@ -321,26 +309,58 @@ def _sample_leaders(vertices, config: ModelConfig, d: float, tag: int) -> set[in
 
 
 def _hook_to_leaders(
-    neighborhoods: dict[int, list[int]],
+    reach: dict[int, Iterable[int]],
     leaders: set[int],
-    d: int,
+    limit: int,
 ) -> dict[int, int]:
-    """The contraction rule: lowest-id incident leader, else lowest-id
-    neighbor when degree < d, else fail unless the vertex leads itself."""
+    """The contraction rule: the lowest-id leader in reach, else the
+    lowest-id vertex in reach when the exploration was exhausted (reached
+    fewer than ``limit`` others), else fail unless the vertex leads itself."""
     hook: dict[int, int] = {}
-    for v, nbrs in neighborhoods.items():
-        leader_nbrs = [u for u in nbrs if u in leaders]
-        if leader_nbrs:
-            hook[v] = min(leader_nbrs)
-        elif len(nbrs) < d:
-            hook[v] = min(nbrs) if nbrs else v
+    for v, others in reach.items():
+        reached_leaders = [u for u in others if u in leaders]
+        if reached_leaders:
+            hook[v] = min(reached_leaders)
+        elif len(others) < limit:
+            hook[v] = min(others) if others else v
         elif v in leaders:
             hook[v] = v
         else:
             raise LeaderContractionError(
-                f"vertex {v} has degree {len(nbrs)} >= d={d} and no incident leader"
+                f"vertex {v} reached {len(others)} >= {limit} vertices and no leader"
             )
     return hook
+
+
+def _leader_contract(
+    current: Graph,
+    mapping: list[int],
+    config: ModelConfig,
+    sim: Simulator,
+    explore: Callable[[Graph, int], tuple[Graph, dict[int, Iterable[int]], int]],
+    tag: int,
+) -> tuple[list[int], int, BudgetSchedule]:
+    """Explore, hook onto sampled leaders and contract until no edge is
+    left. ``explore(current, d)`` returns the graph to contract, each
+    active vertex's reach (the vertex itself not counted) and the
+    exhaustion limit for the hook rule."""
+    schedule = BudgetSchedule.start(max(1, _non_isolated(current)), config)
+    iterations = 0
+    while current.m > 0:
+        iterations += 1
+        if iterations > _MAIN_LOOP_CAP:
+            raise NonTerminationError("contraction loop exceeded its cap")
+        d = schedule.exploration_budget()
+        grown, reach, limit = explore(current, d)
+        leaders = _sample_leaders(reach.keys(), config, schedule.d, (sim.round_index << 8) | tag)
+        f = resolve_pointers(_hook_to_leaders(reach, leaders, limit))
+        sim.charge(1, 2 * grown.m, "leader-collect")
+        current = contract_graph(grown, [f.get(v, v) for v in range(grown.n)]).value
+        sim.charge(1, grown.n + 2 * grown.m + 2 * current.m, "contract")
+        mapping = [f.get(rep, rep) for rep in mapping]
+        sim.charge(1, len(mapping), "map-compose")
+        schedule.advance()
+    return mapping, iterations, schedule
 
 
 @dataclass
@@ -355,42 +375,17 @@ class ConnectivityResult:
 def connectivity(graph: Graph, config: ModelConfig) -> ConnectivityResult:
     """Component labels by iterated budgeted exploration and contraction."""
     sim = Simulator(config)
-    mapping = list(range(graph.n))
-    current = graph
-    reduction = None
-    if graph.m < graph.n * math.log(max(graph.n, 2)) ** 2:
+    current, mapping, reduction = graph, list(range(graph.n)), None
+    if _is_sparse(graph):
         reduction = reduce_small_space(graph, config, sim)
-        current = reduction.graph
-        mapping = reduction.mapping
+        current, mapping = reduction.graph, reduction.mapping
 
-    schedule = BudgetSchedule.start(max(1, _non_isolated(current)), config)
-    iterations = 0
-    while current.m > 0:
-        iterations += 1
-        if iterations > _MAIN_LOOP_CAP:
-            raise NonTerminationError("contraction loop exceeded its cap")
-        d = schedule.exploration_budget()
-        grown = increase_degree(current, d, config, sim)
+    def explore(g: Graph, d: int):
+        grown = increase_degree(g, d, config, sim)
         adj = grown.adjacency()
-        active = {v: adj[v] for v in range(grown.n) if adj[v]}
-        leaders = _sample_leaders(
-            active.keys(), config, schedule.d, (sim.round_index << 8) | 0x1D
-        )
-        hook = _hook_to_leaders(active, leaders, d)
-        f = resolve_pointers(hook)
-        sim.charge(1, 2 * grown.m, "leader-collect")
+        return grown, {v: adj[v] for v in range(grown.n) if adj[v]}, d
 
-        edges = set()
-        for u, v in grown.edges:
-            a, b = f.get(u, u), f.get(v, v)
-            if a != b:
-                edges.add((min(a, b), max(a, b)))
-        current = Graph(grown.n, sorted(edges))
-        sim.charge(1, grown.n + 2 * grown.m + 2 * current.m, "contract")
-        mapping = [f.get(rep, rep) for rep in mapping]
-        sim.charge(1, graph.n, "map-compose")
-        schedule.advance()
-
+    mapping, iterations, schedule = _leader_contract(current, mapping, config, sim, explore, 0x1D)
     return ConnectivityResult(
         labeling=ComponentLabeling(mapping),
         iterations=iterations,
@@ -417,8 +412,6 @@ def msf_increase_degree(
 ) -> dict[int, LocalForest]:
     """Per-vertex Prim runs over weight-sorted adjacency, stopping once the
     local forest reaches d vertices (or the component is exhausted)."""
-    import heapq
-
     if d < 1:
         raise ValueError("budget d must be >= 1")
     if sim is None:
@@ -429,11 +422,10 @@ def msf_increase_degree(
     parts = partition_to_machines(vertices, config, sim.round_index + 1)
     forests: dict[int, LocalForest] = {}
 
-    def read_slot(ctx, x, i, reads):
+    def read_slot(ctx, x, i):
         if i >= len(adj[x]):
             return None
-        record = ctx.query((x, i), generation=gen)
-        return record
+        return ctx.query((x, i), generation=gen)
 
     def program(ctx):
         for v in parts[ctx.machine_id]:
@@ -442,7 +434,7 @@ def msf_increase_degree(
             reads = 0
             cap = d * d
             heap: list[tuple[float, int, int, int]] = []
-            first = read_slot(ctx, v, 0, reads)
+            first = read_slot(ctx, v, 0)
             reads += 1
             if first is not None:
                 u, w, _deg = first
@@ -450,7 +442,7 @@ def msf_increase_degree(
             while heap and len(members) < d and reads < cap:
                 w, x, i, u = heapq.heappop(heap)
                 if i + 1 < len(adj[x]) and reads < cap:
-                    nxt = read_slot(ctx, x, i + 1, reads)
+                    nxt = read_slot(ctx, x, i + 1)
                     reads += 1
                     if nxt is not None:
                         u2, w2, _deg = nxt
@@ -461,7 +453,7 @@ def msf_increase_degree(
                 chosen.append((x, u, w))
                 if len(members) >= d or reads >= cap:
                     break
-                nxt = read_slot(ctx, u, 0, reads)
+                nxt = read_slot(ctx, u, 0)
                 reads += 1
                 if nxt is not None:
                     u2, w2, _deg = nxt
@@ -491,20 +483,6 @@ def _min_weight_subgraph(graph: Graph) -> tuple[Graph, dict[tuple[int, int], flo
     return Graph(graph.n, edges), pairs
 
 
-def _contract_weighted_min(graph: Graph, f: dict[int, int]) -> Graph:
-    """Contract keeping the lightest edge of every parallel class."""
-    best: dict[tuple[int, int], float] = {}
-    for u, v, w in graph.edges:
-        a, b = f.get(u, u), f.get(v, v)
-        if a == b:
-            continue
-        key = (min(a, b), max(a, b))
-        if key not in best or w < best[key]:
-            best[key] = w
-    edges = sorted((a, b, w) for (a, b), w in best.items())
-    return Graph(graph.n, edges, weighted=True)
-
-
 @dataclass
 class MsfResult:
     edges: set[tuple[int, int, float]]
@@ -526,78 +504,34 @@ def msf(graph: Graph, config: ModelConfig) -> MsfResult:
     weight_to_edge = {w: (u, v, w) for u, v, w in graph.edges}
     forest: set[tuple[int, int, float]] = set()
     committed: list[set[tuple[int, int, float]]] = []
-    mapping = list(range(graph.n))
-    current = graph
 
-    # Sparse instances: merge along per-vertex minimum-weight edges first.
-    if graph.m < graph.n * math.log(max(graph.n, 2)) ** 2:
-        steps = 0
-        cap = reduction_step_cap(graph.n)
-        target = max(
-            1, math.ceil(graph.n / max(1, math.ceil(math.log2(max(graph.n, 2)))) ** 2)
-        )
-        while steps < cap and _non_isolated(current) > max(target, _REDUCTION_FLOOR):
-            pointer_graph, pair_weights = _min_weight_subgraph(current)
-            step_seed = item_hash(config.seed, 0xB0, steps)
-            partial, merge_edges = _pointer_map(pointer_graph, step_seed)
-            if merge_edges:
-                batch = set()
-                for a, b in merge_edges:
-                    w = pair_weights[(min(a, b), max(a, b))]
-                    batch.add(weight_to_edge[w])
-                forest |= batch
-                committed.append(batch)
-            f = {v: partial.get(v, v) for v in range(current.n)}
-            current = _contract_weighted_min(current, f)
-            mapping = [f[rep] for rep in mapping]
-            steps += 1
-            sim.charge(
-                max(1, math.ceil(1.0 / config.epsilon)),
-                _non_isolated(current) + 2 * current.m,
-                "boruvka-shrink",
-            )
-
-    schedule = BudgetSchedule.start(max(1, _non_isolated(current)), config)
-    iterations = 0
-    while current.m > 0:
-        iterations += 1
-        if iterations > _MAIN_LOOP_CAP:
-            raise NonTerminationError("contraction loop exceeded its cap")
-        d = schedule.exploration_budget()
-        forests = msf_increase_degree(current, d, config, sim)
-        batch = set()
-        for local in forests.values():
-            for _, _, w in local.edges:
-                batch.add(weight_to_edge[w])
-        forest |= batch
+    def commit(weights) -> None:
+        batch = {weight_to_edge[w] for w in weights}
+        forest.update(batch)
         committed.append(batch)
 
-        active = {v: local for v, local in forests.items() if len(local.members) > 1}
-        leaders = _sample_leaders(
-            active.keys(), config, schedule.d, (sim.round_index << 8) | 0x2D
-        )
-        hook: dict[int, int] = {}
-        for v, local in active.items():
-            leader_members = [x for x in local.members if x in leaders]
-            if leader_members:
-                hook[v] = min(leader_members)
-            elif len(local.members) < d:
-                others = local.members - {v}
-                hook[v] = min(others) if others else v
-            elif v in leaders:
-                hook[v] = v
-            else:
-                raise LeaderContractionError(
-                    f"vertex {v} reached budget d={d} with no leader in reach"
-                )
-        f = resolve_pointers(hook)
-        sim.charge(1, 2 * current.m, "leader-collect")
-        current = _contract_weighted_min(current, f)
-        sim.charge(1, current.n + 2 * current.m, "contract")
-        mapping = [f.get(rep, rep) for rep in mapping]
-        sim.charge(1, graph.n, "map-compose")
-        schedule.advance()
+    # Sparse instances: merge along per-vertex minimum-weight edges first.
+    def boruvka_step(g: Graph, seed: int):
+        pointer_graph, pair_weights = _min_weight_subgraph(g)
+        partial, merge_edges = _pointer_map(pointer_graph, seed)
+        if merge_edges:
+            commit(pair_weights[(min(a, b), max(a, b))] for a, b in merge_edges)
+        f = [partial.get(v, v) for v in range(g.n)]
+        return contract_graph(g, f).value, f
 
+    current, mapping = graph, list(range(graph.n))
+    if _is_sparse(graph):
+        reduction = _shrink(graph, config, sim, boruvka_step, 0xB0, "boruvka-shrink")
+        current, mapping = reduction.graph, reduction.mapping
+
+    # Prim's budget counts the centre vertex, so the reach limit is d - 1.
+    def explore(g: Graph, d: int):
+        forests = msf_increase_degree(g, d, config, sim)
+        commit(w for local in forests.values() for _, _, w in local.edges)
+        reach = {v: local.members - {v} for v, local in forests.items() if len(local.members) > 1}
+        return g, reach, d - 1
+
+    mapping, iterations, schedule = _leader_contract(current, mapping, config, sim, explore, 0x2D)
     return MsfResult(
         edges=forest,
         iterations=iterations,

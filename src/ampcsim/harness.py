@@ -90,6 +90,7 @@ class ExperimentSpec:
             seed=seed,
             space_multiplier=self.space_multiplier,
             budget_slack=self.budget_slack,
+            strict_budget=self.strict_budget,
         )
 
 
@@ -123,6 +124,7 @@ def _run_two_cycle(spec: ExperimentSpec, seed: int):
     cfg = ModelConfig.for_graph(
         n=spec.n, m=spec.n, epsilon=spec.epsilon, seed=seed,
         space_multiplier=spec.space_multiplier, budget_slack=spec.budget_slack,
+        strict_budget=spec.strict_budget,
     )
     res = contr_mod.two_cycle(g, cfg)
     correct = res.cycles == spec.pieces

@@ -143,25 +143,37 @@ def rmq_query_max(index: RMQIndex, i: int, j: int) -> ChargedResult[float]:
 
 def contract_graph(
     graph: Graph,
-    mapping: dict[int, int],
-    *,
-    multigraph: bool = False,
+    mapping: Sequence[int] | dict[int, int],
 ) -> ChargedResult[Graph]:
-    """Contract each vertex to its representative; self-loops dropped,
-    duplicates removed unless multigraph mode is requested. One round."""
-    for v in range(graph.n):
-        if v not in mapping:
-            raise KeyError(f"contraction mapping undefined on vertex {v}")
-    edges = []
-    for edge in graph.edges:
-        u, v = mapping[edge[0]], mapping[edge[1]]
-        if u == v:
-            continue
-        if u > v:
-            u, v = v, u
-        edges.append((u, v) + tuple(edge[2:]))
-    if not multigraph:
-        edges = list(dict.fromkeys(edges))
-    out = Graph(graph.n, edges, weighted=graph.weighted, multigraph=multigraph)
-    comm = graph.n + 2 * len(graph.edges) + len(edges)
-    return ChargedResult(out, 1, comm)
+    """Contract each vertex to its representative. One round.
+
+    ``mapping`` must cover every vertex, as a list or a dict. Self-loops
+    are dropped and each class of parallel edges keeps one edge; on a
+    weighted graph that is the lightest edge of the class. Edges come back
+    sorted.
+    """
+    if isinstance(mapping, dict):
+        missing = next((v for v in range(graph.n) if v not in mapping), None)
+    else:
+        missing = len(mapping) if len(mapping) < graph.n else None
+    if missing is not None:
+        raise KeyError(f"contraction mapping undefined on vertex {missing}")
+    if graph.weighted:
+        lightest: dict[tuple[int, int], Any] = {}
+        for u, v, w in graph.edges:
+            a, b = mapping[u], mapping[v]
+            if a == b:
+                continue
+            key = (a, b) if a < b else (b, a)
+            if key not in lightest or w < lightest[key]:
+                lightest[key] = w
+        edges = sorted((a, b, w) for (a, b), w in lightest.items())
+    else:
+        pairs: set[tuple[int, int]] = set()
+        for u, v in graph.edges:
+            a, b = mapping[u], mapping[v]
+            if a != b:
+                pairs.add((a, b) if a < b else (b, a))
+        edges = sorted(pairs)
+    out = Graph(graph.n, edges, weighted=graph.weighted)
+    return ChargedResult(out, 1, graph.n + 2 * graph.m + len(edges))

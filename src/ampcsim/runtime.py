@@ -92,7 +92,9 @@ class ModelConfig:
     """Problem sizes and model parameters for one simulated computation.
 
     ``space_S`` defaults to ceil(n**epsilon); ``total_T`` is always
-    ``space_S * machines_P`` and must cover the input size.
+    ``space_S * machines_P`` and must cover the input size. With
+    ``strict_budget`` a simulator raises on the first budget violation
+    instead of only recording it.
     """
 
     n: int
@@ -106,7 +108,7 @@ class ModelConfig:
     budget_slack: float = 16.0
     seed: int = 0
     leader_constant: float = 4.0
-    count_primitive_rounds: bool = True
+    strict_budget: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -136,7 +138,7 @@ class ModelConfig:
         space_multiplier: float = 1.0,
         budget_slack: float = 16.0,
         leader_constant: float = 4.0,
-        count_primitive_rounds: bool = True,
+        strict_budget: bool = False,
     ) -> "ModelConfig":
         """Config for a graph input: N = n + m, S = ceil(n**epsilon)."""
         big_n = max(1, n + m)
@@ -154,7 +156,7 @@ class ModelConfig:
             budget_slack=budget_slack,
             seed=seed,
             leader_constant=leader_constant,
-            count_primitive_rounds=count_primitive_rounds,
+            strict_budget=strict_budget,
         )
 
     @property
@@ -318,10 +320,8 @@ class Simulator:
         self,
         config: ModelConfig,
         initial: Iterable[tuple[Hashable, Any]] = (),
-        strict_budget: bool = False,
     ):
         self.config = config
-        self.strict_budget = strict_budget
         self.stores: list[GenerationalStore] = [GenerationalStore.initial(initial)]
         self.metrics: list[RoundMetrics] = []
         self.round_index = 0
@@ -368,7 +368,7 @@ class Simulator:
             violations=violations,
         )
         self.metrics.append(metrics)
-        if violations and self.strict_budget:
+        if violations and self.config.strict_budget:
             raise BudgetViolationError(
                 round_index,
                 [(mid, queries[mid], writes[mid]) for mid in violations],
@@ -404,7 +404,7 @@ class Simulator:
                     label=label,
                 )
             )
-            if violations and self.strict_budget:
+            if violations and self.config.strict_budget:
                 raise BudgetViolationError(
                     self.round_index, [(mid, counts[mid], 0) for mid in violations]
                 )
@@ -413,9 +413,7 @@ class Simulator:
         return sum(1 for m in self.metrics if not m.charged)
 
     def total_rounds(self) -> int:
-        if self.config.count_primitive_rounds:
-            return len(self.metrics)
-        return self.adaptive_rounds()
+        return len(self.metrics)
 
     def max_queries_per_machine(self) -> int:
         return max((m.max_queries for m in self.metrics), default=0)

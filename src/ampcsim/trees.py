@@ -98,6 +98,7 @@ def forest_connectivity(
         space_multiplier=config.space_multiplier,
         budget_slack=config.budget_slack,
         leader_constant=config.leader_constant,
+        strict_budget=config.strict_budget,
     )
     res = cycle_conn(cycle_graph, sub_config)
     # Reduce each edge component to its minimum incident vertex id.

@@ -162,3 +162,31 @@ def test_contention_mean_load_is_space():
     single = contention_sim(total, bins, "single", trials=10, seed=3)
     assert bins <= single.space
     assert min(single.max_loads) >= bins
+
+
+# Model costs of a connectivity spec in which both the vertex-shrink
+# reduction and the exploration loop run; a refactor must not move them.
+CONNECTIVITY_GOLDEN = [
+    '{"algorithm": "connectivity", "correct": true, "detail": {"iterations": 1}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 32, "n": 2000, "rounds": 11, "seed": 6218622741583987683, "total_communication": 21227, "trial": 0, "violations": 0}',
+    '{"algorithm": "connectivity", "correct": true, "detail": {"iterations": 1}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 32, "n": 2000, "rounds": 11, "seed": 4232062854197151812, "total_communication": 20622, "trial": 1, "violations": 0}',
+    '{"algorithm": "connectivity", "correct": true, "detail": {"iterations": 1}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 32, "n": 2000, "rounds": 11, "seed": 6257916401269190689, "total_communication": 21500, "trial": 2, "violations": 0}',
+]
+
+
+def test_connectivity_model_costs_golden():
+    spec = ExperimentSpec(algorithm="connectivity", n=2000, m=6000, trials=3, seed=7)
+    assert run_experiment(spec).json_lines().splitlines() == CONNECTIVITY_GOLDEN
+
+
+def test_cli_strict_budget_fails_on_violation(capsys):
+    rc = main(["2ecc", "--n", "256", "--m", "500", "--budget-slack", "2", "--strict-budget"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: budget violation")
+
+
+def test_cli_model_error_is_one_line(capsys):
+    rc = main(["2ecc", "--n", "256", "--m", "500", "--budget-slack", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

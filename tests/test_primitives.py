@@ -148,10 +148,22 @@ def test_contract_missing_vertex_is_domain_error():
 
 def test_contract_multigraph_keeps_parallels():
     g = Graph(4, [(0, 1), (2, 3), (0, 3)])
-    out = contract_graph(g, {0: 0, 1: 1, 2: 0, 3: 1}, multigraph=True).value
-    assert sorted(out.edges) == [(0, 1), (0, 1), (0, 1)]
     deduped = contract_graph(g, {0: 0, 1: 1, 2: 0, 3: 1}).value
     assert deduped.edges == [(0, 1)]
+
+
+def test_contract_weighted_keeps_lightest_parallel_edge():
+    g = Graph(4, [(0, 1, 5), (2, 3, 2), (0, 3, 9)], weighted=True)
+    out = contract_graph(g, {0: 0, 1: 1, 2: 0, 3: 1}).value
+    assert out.weighted
+    assert out.edges == [(0, 1, 2)]
+
+
+def test_contract_accepts_list_mapping():
+    g = Graph(4, [(0, 1), (2, 3), (1, 2)])
+    assert contract_graph(g, [0, 0, 2, 2]).value.edges == [(0, 2)]
+    with pytest.raises(KeyError):
+        contract_graph(g, [0, 0, 2])
 
 
 @settings(max_examples=40)

@@ -116,8 +116,8 @@ def test_identity_program_metrics():
 
 
 def test_budget_violation_names_machine():
-    cfg = small_config(budget_slack=1.0)
-    sim = Simulator(cfg, strict_budget=True)
+    cfg = small_config(budget_slack=1.0, strict_budget=True)
+    sim = Simulator(cfg)
 
     def greedy(ctx):
         if ctx.machine_id == 0:
@@ -131,8 +131,8 @@ def test_budget_violation_names_machine():
 
 
 def test_budget_violation_recorded_when_not_strict():
-    cfg = small_config(budget_slack=1.0)
-    sim = Simulator(cfg, strict_budget=False)
+    cfg = small_config(budget_slack=1.0, strict_budget=False)
+    sim = Simulator(cfg)
 
     def greedy(ctx):
         if ctx.machine_id == 0:
