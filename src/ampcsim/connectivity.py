@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import LeaderContractionError, NonTerminationError
-from .graphs import ComponentLabeling, Graph
+from .graphs import ComponentLabeling, Graph, pair_keys, simple_graph
 from .primitives import contract_graph, mpc_sort
 from .runtime import ModelConfig, Simulator, item_coins, item_hash, partition_to_machines
 
@@ -119,9 +119,7 @@ def increase_degree(
     if sim is None:
         sim = Simulator(config)
     gen = _write_adjacency_round(sim, graph, config, weighted=False)
-    adj = graph.adjacency()
-    vertices = [v for v in range(graph.n) if adj[v]]
-    parts = partition_to_machines(vertices, config, sim.round_index + 1)
+    parts = partition_to_machines(_non_isolated_vertices(graph).tolist(), config, sim.round_index + 1)
     found_sets: dict[int, list[int]] = {}
 
     def program(ctx):
@@ -156,24 +154,23 @@ def increase_degree(
             found_sets[v] = found
 
     sim.run_round(program)
-    edges = {(min(e[0], e[1]), max(e[0], e[1])) for e in graph.edges}
-    for v, found in found_sets.items():
-        for u in found:
-            edges.add((min(v, u), max(v, u)))
-    return Graph(graph.n, sorted(edges))
+    tails = np.fromiter((v for v, found in found_sets.items() for _ in found), dtype=np.int64)
+    heads = np.fromiter((u for found in found_sets.values() for u in found), dtype=np.int64)
+    return simple_graph(graph.n, np.concatenate((graph.src, tails)), np.concatenate((graph.dst, heads)))
 
 
-def _pointer_map(graph: Graph, seed: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
+def _pointer_map(graph: Graph, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One round of the six-line vertex-merging procedure.
 
-    Returns the merge map over the non-isolated vertices and the pointer
-    edges along which merges happened (each is a graph edge).
+    Returns the merge map over all vertices (identity where nothing
+    merged) and the pointer edges ``tails[i] -> heads[i]`` along which
+    merges happened (each is a graph edge).
     """
     n = graph.n
+    mapping = np.arange(n)
     if graph.m == 0:
-        return {}, []
-    us = np.fromiter((e[0] for e in graph.edges), dtype=np.int64, count=graph.m)
-    vs = np.fromiter((e[1] for e in graph.edges), dtype=np.int64, count=graph.m)
+        return mapping, mapping[:0], mapping[:0]
+    us, vs = graph.src, graph.dst
 
     # Line 1: point every vertex at its minimum-id neighbor.
     out = np.full(n, n, dtype=np.int64)
@@ -196,15 +193,8 @@ def _pointer_map(graph: Graph, seed: int) -> tuple[dict[int, int], list[tuple[in
     # vertices lose their other incoming arrows too.
     indeg3 = np.bincount(out[has_out], minlength=n + 1)[:n]
     centers = indeg3 >= 2
-    merged_into_center = has_out & centers[np.where(has_out, out, 0)] & active
-    mapping: dict[int, int] = {}
-    merge_edges: list[tuple[int, int]] = []
-    for v in np.flatnonzero(merged_into_center):
-        mapping[int(v)] = int(out[v])
-        merge_edges.append((int(v), int(out[v])))
+    absorbed = has_out & centers[np.where(has_out, out, 0)] & active
     # Remove arrows into absorbed vertices, and the absorbed vertices' own.
-    absorbed = np.zeros(n, dtype=bool)
-    absorbed[np.flatnonzero(merged_into_center)] = True
     points_at_absorbed = has_out & absorbed[np.where(has_out, out, 0)]
     has_out &= ~points_at_absorbed
     has_out &= ~absorbed
@@ -218,10 +208,10 @@ def _pointer_map(graph: Graph, seed: int) -> tuple[dict[int, int], list[tuple[in
     heads = out[tails]
     deg = np.bincount(tails, minlength=n) + np.bincount(heads, minlength=n)
     lonely = (deg[tails] == 1) & (deg[heads] == 1)
-    for t, h in zip(tails[lonely], heads[lonely]):
-        mapping[int(t)] = int(h)
-        merge_edges.append((int(t), int(h)))
-    return mapping, merge_edges
+    tails = np.concatenate((np.flatnonzero(absorbed), tails[lonely]))
+    heads = out[tails]
+    mapping[tails] = heads
+    return mapping, tails, heads
 
 
 def shrink_vertices_step(graph: Graph, seed: int) -> tuple[Graph, list[int]]:
@@ -230,17 +220,17 @@ def shrink_vertices_step(graph: Graph, seed: int) -> tuple[Graph, list[int]]:
     The mapping covers every vertex (identity where nothing merged) and
     only ever merges along edges, so components are preserved exactly.
     """
-    partial, _ = _pointer_map(graph, seed)
-    mapping = [partial.get(v, v) for v in range(graph.n)]
-    return contract_graph(graph, mapping).value, mapping
+    mapping, _, _ = _pointer_map(graph, seed)
+    return contract_graph(graph, mapping).value, mapping.tolist()
+
+
+def _non_isolated_vertices(graph: Graph) -> np.ndarray:
+    degree = np.bincount(graph.src, minlength=graph.n) + np.bincount(graph.dst, minlength=graph.n)
+    return np.flatnonzero(degree)
 
 
 def _non_isolated(graph: Graph) -> int:
-    seen: set[int] = set()
-    for e in graph.edges:
-        seen.add(e[0])
-        seen.add(e[1])
-    return len(seen)
+    return len(_non_isolated_vertices(graph))
 
 
 def reduction_step_cap(n: int) -> int:
@@ -265,7 +255,7 @@ def _shrink(
     graph: Graph,
     config: ModelConfig,
     sim: Optional[Simulator],
-    step: Callable[[Graph, int], tuple[Graph, list[int]]],
+    step: Callable[[Graph, int], tuple[Graph, list[int] | np.ndarray]],
     tag: int,
     label: str,
 ) -> ReduceResult:
@@ -273,7 +263,7 @@ def _shrink(
     non-isolated vertex count falls to n / ceil(log2 n)**2 or the step cap
     runs out. Each step is charged under ``label``."""
     n = graph.n
-    mapping = list(range(n))
+    mapping = np.arange(n)
     current = graph
     history = [_non_isolated(current)]
     target = max(1, math.ceil(n / max(1, math.ceil(math.log2(max(n, 2)))) ** 2))
@@ -282,12 +272,12 @@ def _shrink(
     rounds = max(1, math.ceil(1.0 / config.epsilon))
     while steps < cap and history[-1] > max(target, _REDUCTION_FLOOR):
         current, f = step(current, item_hash(config.seed, tag, steps))
-        mapping = [f[rep] for rep in mapping]
+        mapping = np.asarray(f)[mapping]
         steps += 1
         history.append(_non_isolated(current))
         if sim is not None:
             sim.charge(rounds, history[-2] + 2 * current.m, label)
-    return ReduceResult(graph=current, mapping=mapping, steps=steps, non_isolated_history=history)
+    return ReduceResult(graph=current, mapping=mapping.tolist(), steps=steps, non_isolated_history=history)
 
 
 def reduce_small_space(
@@ -417,47 +407,34 @@ def msf_increase_degree(
     if sim is None:
         sim = Simulator(config)
     gen = _write_adjacency_round(sim, graph, config, weighted=True)
-    adj = graph.weighted_adjacency()
-    vertices = [v for v in range(graph.n) if adj[v]]
-    parts = partition_to_machines(vertices, config, sim.round_index + 1)
+    parts = partition_to_machines(_non_isolated_vertices(graph).tolist(), config, sim.round_index + 1)
     forests: dict[int, LocalForest] = {}
 
-    def read_slot(ctx, x, i):
-        if i >= len(adj[x]):
-            return None
-        return ctx.query((x, i), generation=gen)
-
     def program(ctx):
+        # Heap entries are (weight, x, slot, neighbor, degree of x); every
+        # slot decision uses the degree carried by x's records.
         for v in parts[ctx.machine_id]:
             members = {v}
             chosen: list[tuple[int, int, float]] = []
-            reads = 0
             cap = d * d
-            heap: list[tuple[float, int, int, int]] = []
-            first = read_slot(ctx, v, 0)
-            reads += 1
-            if first is not None:
-                u, w, _deg = first
-                heapq.heappush(heap, (w, v, 0, u))
+            u, w, deg = ctx.query((v, 0), generation=gen)
+            reads = 1
+            heap = [(w, v, 0, u, deg)]
             while heap and len(members) < d and reads < cap:
-                w, x, i, u = heapq.heappop(heap)
-                if i + 1 < len(adj[x]) and reads < cap:
-                    nxt = read_slot(ctx, x, i + 1)
+                w, x, i, u, deg = heapq.heappop(heap)
+                if i + 1 < deg and reads < cap:
+                    u2, w2, _ = ctx.query((x, i + 1), generation=gen)
                     reads += 1
-                    if nxt is not None:
-                        u2, w2, _deg = nxt
-                        heapq.heappush(heap, (w2, x, i + 1, u2))
+                    heapq.heappush(heap, (w2, x, i + 1, u2, deg))
                 if u in members:
                     continue
                 members.add(u)
                 chosen.append((x, u, w))
                 if len(members) >= d or reads >= cap:
                     break
-                nxt = read_slot(ctx, u, 0)
+                u2, w2, deg2 = ctx.query((u, 0), generation=gen)
                 reads += 1
-                if nxt is not None:
-                    u2, w2, _deg = nxt
-                    heapq.heappush(heap, (w2, u, 0, u2))
+                heapq.heappush(heap, (w2, u, 0, u2, deg2))
             forests[v] = LocalForest(center=v, members=members, edges=chosen)
 
     sim.run_round(program)
@@ -467,20 +444,17 @@ def msf_increase_degree(
     return forests
 
 
-def _min_weight_subgraph(graph: Graph) -> tuple[Graph, dict[tuple[int, int], float]]:
-    """Each vertex's minimum-weight incident edge; all of these belong to
-    the minimum spanning forest."""
-    best: dict[int, tuple[float, int]] = {}
-    for u, v, w in graph.edges:
-        if u not in best or (w, v) < best[u]:
-            best[u] = (w, v)
-        if v not in best or (w, u) < best[v]:
-            best[v] = (w, u)
-    pairs: dict[tuple[int, int], float] = {}
-    for v, (w, u) in best.items():
-        pairs[(min(u, v), max(u, v))] = w
-    edges = sorted(pairs)
-    return Graph(graph.n, edges), pairs
+def _min_weight_subgraph(graph: Graph) -> Graph:
+    """Each vertex's minimum-weight incident edge, with its weight (weights
+    are distinct, so it is unique); all of these belong to the minimum
+    spanning forest. Edges come back sorted."""
+    heads = np.concatenate((graph.src, graph.dst))
+    tails = np.concatenate((graph.dst, graph.src))
+    weights = np.concatenate((graph.weight, graph.weight))
+    lightest = np.full(graph.n, weights.max(initial=0) + 1, dtype=weights.dtype)
+    np.minimum.at(lightest, heads, weights)
+    best = weights == lightest[heads]
+    return simple_graph(graph.n, heads[best], tails[best], weights[best])
 
 
 @dataclass
@@ -498,25 +472,28 @@ def msf(graph: Graph, config: ModelConfig) -> MsfResult:
     if not graph.weighted:
         raise ValueError("msf needs a weighted graph")
     sim = Simulator(config)
-    sort_charge = mpc_sort(graph.edges, key=lambda e: e[2], epsilon=config.epsilon)
+    sort_charge = mpc_sort(range(graph.m), key=graph.weight.tolist().__getitem__, epsilon=config.epsilon)
     sim.charge(sort_charge.rounds_charged, sort_charge.communication_charged, "weight-sort")
 
-    weight_to_edge = {w: (u, v, w) for u, v, w in graph.edges}
+    # Committed edges are named by weight and looked up in weight order.
+    by_weight = np.array(sort_charge.value, dtype=np.int64)
+    sorted_weights = graph.weight[by_weight]
     forest: set[tuple[int, int, float]] = set()
     committed: list[set[tuple[int, int, float]]] = []
 
     def commit(weights) -> None:
-        batch = {weight_to_edge[w] for w in weights}
+        idx = by_weight[np.searchsorted(sorted_weights, np.fromiter(weights, dtype=graph.weight.dtype))]
+        batch = set(zip(graph.src[idx].tolist(), graph.dst[idx].tolist(), graph.weight[idx].tolist()))
         forest.update(batch)
         committed.append(batch)
 
     # Sparse instances: merge along per-vertex minimum-weight edges first.
     def boruvka_step(g: Graph, seed: int):
-        pointer_graph, pair_weights = _min_weight_subgraph(g)
-        partial, merge_edges = _pointer_map(pointer_graph, seed)
-        if merge_edges:
-            commit(pair_weights[(min(a, b), max(a, b))] for a, b in merge_edges)
-        f = [partial.get(v, v) for v in range(g.n)]
+        pointer_graph = _min_weight_subgraph(g)
+        f, tails, heads = _pointer_map(pointer_graph, seed)
+        if len(tails):
+            keys = pair_keys(g.n, pointer_graph.src, pointer_graph.dst)
+            commit(pointer_graph.weight[np.searchsorted(keys, pair_keys(g.n, tails, heads))])
         return contract_graph(g, f).value, f
 
     current, mapping = graph, list(range(graph.n))
@@ -550,12 +527,7 @@ def spanning_forest(
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed & ((1 << 64) - 1), spawn_key=(0x5F,))
     )
-    weights = rng.permutation(graph.m) + 1
-    weighted = Graph(
-        graph.n,
-        [(u, v, int(w)) for (u, v), w in zip(graph.edges, weights)],
-        weighted=True,
-    )
+    weighted = Graph.from_arrays(graph.n, graph.src, graph.dst, rng.permutation(graph.m) + 1)
     result = msf(weighted, config)
     edges = {(u, v) for u, v, _ in result.edges}
     return edges, result.labeling, result

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -16,12 +15,22 @@ class GraphFormatError(ValueError):
 class Graph:
     """Undirected graph on dense vertex ids 0..n-1, optionally weighted.
 
-    Simple graphs admit no self-loops and no duplicate edges; weighted
-    graphs must have pairwise-distinct weights. Multigraph mode lifts the
-    self-loop and duplicate restrictions (contraction outputs need both).
+    Edges are stored as int64 arrays ``src`` and ``dst`` with
+    ``src <= dst``, in input order, plus a ``weight`` array on weighted
+    graphs (int64 when every weight is an int, float64 otherwise; ``None``
+    when unweighted). Simple graphs admit no self-loops and no duplicate
+    edges; weighted graphs must have pairwise-distinct weights. Multigraph
+    mode lifts the self-loop and duplicate restrictions (contraction
+    outputs need both).
+
+    ``Graph(n, edges)`` takes ``(u, v)`` or ``(u, v, w)`` tuples and
+    ``Graph.from_arrays`` takes the columns; both run the same validation.
+    ``edges`` is a read-only tuple of ``(u, v[, w])`` Python tuples, built
+    on first use and cached; code that works on whole graphs reads the
+    arrays instead.
     """
 
-    __slots__ = ("n", "edges", "weighted", "multigraph", "_adjacency", "_wadjacency")
+    __slots__ = ("n", "src", "dst", "weight", "multigraph", "_edges", "_adjacency", "_wadjacency")
 
     def __init__(
         self,
@@ -30,56 +39,110 @@ class Graph:
         weighted: bool = False,
         multigraph: bool = False,
     ):
+        rows = list(edges)
+        short = next((row for row in rows if len(row) < (3 if weighted else 2)), None)
+        if short is not None:
+            raise GraphFormatError(f"edge {tuple(short)!r} needs {'(u, v, w)' if weighted else '(u, v)'}")
+        src = np.array([row[0] for row in rows])
+        dst = np.array([row[1] for row in rows])
+        weight = np.array([row[2] for row in rows]) if weighted else None
+        self._store(n, src, dst, weight, multigraph)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        n: int,
+        src,
+        dst,
+        weight=None,
+        multigraph: bool = False,
+    ) -> "Graph":
+        """The graph whose i-th edge joins ``src[i]`` and ``dst[i]`` (with
+        weight ``weight[i]`` when given). Validated like the constructor."""
+        graph = cls.__new__(cls)
+        graph._store(
+            n,
+            np.asarray(src),
+            np.asarray(dst),
+            None if weight is None else np.asarray(weight),
+            multigraph,
+        )
+        return graph
+
+    def _store(
+        self, n: int, src: np.ndarray, dst: np.ndarray, weight: Optional[np.ndarray], multigraph: bool
+    ) -> None:
         if n < 0:
             raise GraphFormatError("vertex count must be nonnegative")
+        m = len(src)
+        if len(dst) != m or (weight is not None and len(weight) != m):
+            raise GraphFormatError("edge columns must have equal lengths")
+        src, dst = _vertex_ids(src), _vertex_ids(dst)
+        if weight is not None:
+            if weight.dtype.kind in "iu" or m == 0:
+                weight = weight.astype(np.int64)
+            elif weight.dtype.kind == "f":
+                weight = weight.astype(np.float64)
+            else:
+                raise GraphFormatError("edge weights must be numbers")
+        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+        # The first offending edge in input order is reported; at one edge
+        # the checks rank range, self-loop, duplicate edge, duplicate weight.
+        errors: list[tuple[int, int, str]] = []
+        outside = (lo < 0) | (hi >= n)
+        if outside.any():
+            i = int(np.argmax(outside))
+            errors.append((i, 0, f"edge ({src[i]}, {dst[i]}) out of range for n={n}"))
+        if not multigraph:
+            loops = lo == hi
+            if loops.any():
+                i = int(np.argmax(loops))
+                errors.append((i, 1, f"self-loop at vertex {lo[i]}"))
+            i = _first_repeat(pair_keys(n, lo, hi))
+            if i is not None:
+                errors.append((i, 2, f"duplicate edge ({lo[i]}, {hi[i]})"))
+        if weight is not None:
+            i = _first_repeat(weight)
+            if i is not None:
+                errors.append((i, 3, f"duplicate edge weight {weight[i]}"))
+        if errors:
+            raise GraphFormatError(min(errors)[2])
         self.n = n
-        self.weighted = weighted
+        self.src = lo
+        self.dst = hi
+        self.weight = weight
         self.multigraph = multigraph
-        normalized = []
-        seen: set[tuple[int, int]] = set()
-        weights: set = set()
-        for edge in edges:
-            if weighted:
-                u, v, w = edge
-            else:
-                u, v = edge[0], edge[1]
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v and not multigraph:
-                raise GraphFormatError(f"self-loop at vertex {u}")
-            if u > v:
-                u, v = v, u
-            if not multigraph:
-                if (u, v) in seen:
-                    raise GraphFormatError(f"duplicate edge ({u}, {v})")
-                seen.add((u, v))
-            if weighted:
-                if w in weights:
-                    raise GraphFormatError(f"duplicate edge weight {w}")
-                weights.add(w)
-                normalized.append((u, v, w))
-            else:
-                normalized.append((u, v))
-        self.edges: list[tuple] = normalized
+        self._edges: Optional[tuple[tuple, ...]] = None
         self._adjacency: Optional[list[list[int]]] = None
-        self._wadjacency = None
+        self._wadjacency: Optional[list[list[tuple]]] = None
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.src)
+
+    @property
+    def weighted(self) -> bool:
+        return self.weight is not None
+
+    @property
+    def edges(self) -> tuple[tuple, ...]:
+        """``(u, v)`` or ``(u, v, w)`` tuples with ``u <= v``, in input order."""
+        if self._edges is None:
+            columns = [self.src.tolist(), self.dst.tolist()]
+            if self.weight is not None:
+                columns.append(self.weight.tolist())
+            self._edges = tuple(zip(*columns))
+        return self._edges
 
     def adjacency(self) -> list[list[int]]:
-        """Neighbor lists sorted ascending (the fixed rotation order)."""
+        """Neighbor lists sorted ascending (the fixed rotation order). A
+        self-loop lists its vertex once; parallel edges repeat."""
         if self._adjacency is None:
-            adj: list[list[int]] = [[] for _ in range(self.n)]
-            for edge in self.edges:
-                u, v = edge[0], edge[1]
-                adj[u].append(v)
-                if u != v:
-                    adj[v].append(u)
-            for lst in adj:
-                lst.sort()
-            self._adjacency = adj
+            proper = self.src != self.dst
+            heads = np.concatenate((self.src, self.dst[proper]))
+            tails = np.concatenate((self.dst, self.src[proper]))
+            order = np.lexsort((tails, heads))
+            self._adjacency = _split(tails[order].tolist(), np.bincount(heads, minlength=self.n))
         return self._adjacency
 
     def weighted_adjacency(self) -> list[list[tuple[float, int]]]:
@@ -87,21 +150,84 @@ class Graph:
         if not self.weighted:
             raise GraphFormatError("graph is unweighted")
         if self._wadjacency is None:
-            adj: list[list[tuple[float, int]]] = [[] for _ in range(self.n)]
-            for u, v, w in self.edges:
-                adj[u].append((w, v))
-                adj[v].append((w, u))
-            for lst in adj:
-                lst.sort()
-            self._wadjacency = adj
+            heads = np.concatenate((self.src, self.dst))
+            tails = np.concatenate((self.dst, self.src))
+            weights = np.concatenate((self.weight, self.weight))
+            order = np.lexsort((tails, weights, heads))
+            pairs = list(zip(weights[order].tolist(), tails[order].tolist()))
+            self._wadjacency = _split(pairs, np.bincount(heads, minlength=self.n))
         return self._wadjacency
 
     def degrees(self) -> list[int]:
-        return [len(lst) for lst in self.adjacency()]
+        proper = self.src != self.dst
+        degree = np.bincount(self.src, minlength=self.n) + np.bincount(self.dst[proper], minlength=self.n)
+        return degree.tolist()
 
     def __repr__(self) -> str:
         kind = "multigraph" if self.multigraph else "graph"
         return f"<{kind} n={self.n} m={self.m} weighted={self.weighted}>"
+
+
+def _vertex_ids(ids: np.ndarray) -> np.ndarray:
+    if len(ids) == 0:
+        return np.zeros(0, dtype=np.int64)
+    if ids.dtype.kind not in "iu":
+        raise GraphFormatError("vertex ids must be integers")
+    return ids.astype(np.int64, copy=False)
+
+
+def pair_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One int64 per unordered vertex pair, ``min * n + max``; the keys
+    sort like the ``(min, max)`` pairs."""
+    return np.minimum(u, v) * n + np.maximum(u, v)
+
+
+def simple_graph(n: int, src: np.ndarray, dst: np.ndarray, weight: Optional[np.ndarray] = None) -> Graph:
+    """The simple graph of the given edges, which may contain self-loops and
+    parallel edges: self-loops are dropped and each vertex pair keeps one
+    edge, the lightest on weighted input (one sort of the pair keys, then
+    the minimum weight of each run of equal keys). Edges come back sorted."""
+    proper = src != dst
+    src, dst = src[proper], dst[proper]
+    if weight is not None:
+        weight = weight[proper]
+    outside = (np.minimum(src, dst) < 0) | (np.maximum(src, dst) >= n)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise GraphFormatError(f"edge ({src[i]}, {dst[i]}) out of range for n={n}")
+    keys = pair_keys(n, src, dst)
+    if weight is None:
+        keys = np.sort(keys)
+    else:
+        order = np.argsort(keys)
+        keys = keys[order]
+    first = _first_of_runs(keys)
+    if weight is not None and len(keys):
+        weight = np.minimum.reduceat(weight[order], np.flatnonzero(first))
+    keys = keys[first]
+    return Graph.from_arrays(n, keys // n, keys % n, weight)
+
+
+def _first_of_runs(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the elements of a sorted array that differ from their
+    predecessor: the first of each run of equal values."""
+    mask = np.ones(len(ordered), dtype=bool)
+    mask[1:] = ordered[1:] != ordered[:-1]
+    return mask
+
+
+def _first_repeat(values: np.ndarray) -> Optional[int]:
+    """The lowest index whose value occurs at an earlier index, if any."""
+    if len(values) < 2 or (values[1:] > values[:-1]).all() or _first_of_runs(np.sort(values)).all():
+        return None
+    order = np.argsort(values, kind="stable")
+    return int(order[~_first_of_runs(values[order])].min())
+
+
+def _split(flat: list, counts: np.ndarray) -> list[list]:
+    """Cut ``flat`` into consecutive runs of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [flat[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
 @dataclass
@@ -177,40 +303,44 @@ def gen_cycles(n: int, pieces: int, seed: int) -> Graph:
         if n < 6:
             raise ValueError("two simple cycles need n >= 6")
     order = _rng(seed, 0xC1).permutation(n)
-    edges = []
     bounds = [(0, n)] if pieces == 1 else [(0, n // 2), (n // 2, n)]
-    for lo, hi in bounds:
-        for i in range(lo, hi):
-            j = lo + (i - lo + 1) % (hi - lo)
-            edges.append((int(order[i]), int(order[j])))
-    return Graph(n, edges)
+    nxt = np.concatenate([lo + (np.arange(lo, hi) - lo + 1) % (hi - lo) for lo, hi in bounds])
+    return Graph.from_arrays(n, order, order[nxt])
 
 
 def gen_random_graph(n: int, m: int, seed: int, weighted: bool = False) -> Graph:
     """Uniform simple graph with m edges; weights are a seeded permutation
-    of 1..m when requested, so they are distinct by construction."""
+    of 1..m when requested, so they are distinct by construction.
+
+    Codes in 0..n(n-1)/2 - 1 are drawn in batches and the first m distinct
+    ones, in draw order, are kept; edges come out sorted by code."""
     limit = n * (n - 1) // 2
     if m > limit:
         raise ValueError(f"m={m} infeasible for n={n} (max {limit})")
     rng = _rng(seed, 0x47)
-    chosen: set[int] = set()
+    chosen = np.zeros(0, dtype=np.int64)  # sorted
     while len(chosen) < m:
         need = m - len(chosen)
         draw = rng.integers(0, limit, size=max(64, int(need * 1.3)))
-        for code in draw:
-            if len(chosen) >= m:
-                break
-            chosen.add(int(code))
-    edges = []
-    for code in sorted(chosen):
-        # Decode a linear index into the (u < v) pair grid.
-        u = int((1 + math.isqrt(1 + 8 * code)) // 2)
-        v = code - u * (u - 1) // 2
-        edges.append((int(v), int(u)))
-    if weighted:
-        weights = rng.permutation(m) + 1
-        edges = [(u, v, int(w)) for (u, v), w in zip(edges, weights)]
-    return Graph(n, edges, weighted=weighted)
+        # Distinct codes of the batch with the index of their first draw.
+        order = np.argsort(draw)
+        starts = np.flatnonzero(_first_of_runs(draw[order]))
+        codes, first = draw[order[starts]], np.minimum.reduceat(order, starts)
+        if len(chosen):
+            fresh = chosen[np.searchsorted(chosen, codes).clip(max=len(chosen) - 1)] != codes
+            codes, first = codes[fresh], first[fresh]
+        if len(codes) > need:
+            codes = codes[first <= np.partition(first, need - 1)[need - 1]]
+        chosen = np.sort(np.concatenate((chosen, codes)))
+    # Decode code c into the pair v < u with c = u(u-1)/2 + v: u is the
+    # largest integer with u(u-1)/2 <= c. The float estimate is corrected
+    # exactly in integers.
+    u = ((1 + np.sqrt(1 + 8 * chosen.astype(np.float64))) // 2).astype(np.int64)
+    u -= u * (u - 1) // 2 > chosen
+    u += (u + 1) * u // 2 <= chosen
+    v = chosen - u * (u - 1) // 2
+    weights = rng.permutation(m) + 1 if weighted else None
+    return Graph.from_arrays(n, v, u, weights)
 
 
 def gen_random_forest(n: int, trees: int, seed: int) -> Graph:
@@ -219,11 +349,11 @@ def gen_random_forest(n: int, trees: int, seed: int) -> Graph:
         raise ValueError("need 1 <= trees <= n")
     rng = _rng(seed, 0xF0)
     order = rng.permutation(n)
-    edges = []
-    for i in range(trees, n):
-        j = int(rng.integers(0, i))
-        edges.append((int(order[i]), int(order[j])))
-    return Graph(n, edges)
+    # Vertex i attaches to a uniform earlier vertex; one draw per i, as
+    # rng.integers(0, i) would make them one at a time.
+    attach = np.arange(trees, n)
+    parents = rng.integers(0, attach) if len(attach) else attach
+    return Graph.from_arrays(n, order[attach], order[parents])
 
 
 def write_graph(graph: Graph, fileobj) -> None:

@@ -52,8 +52,8 @@ class UnionFind:
 
 def uf_components(graph: Graph) -> ComponentLabeling:
     uf = UnionFind(graph.n)
-    for edge in graph.edges:
-        uf.union(edge[0], edge[1])
+    for u, v in zip(graph.src.tolist(), graph.dst.tolist()):
+        uf.union(u, v)
     return ComponentLabeling([uf.find(v) for v in range(graph.n)])
 
 

@@ -15,7 +15,7 @@ from typing import Any, Callable, Generic, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, simple_graph
 
 T = TypeVar("T")
 
@@ -147,33 +147,20 @@ def contract_graph(
 ) -> ChargedResult[Graph]:
     """Contract each vertex to its representative. One round.
 
-    ``mapping`` must cover every vertex, as a list or a dict. Self-loops
-    are dropped and each class of parallel edges keeps one edge; on a
-    weighted graph that is the lightest edge of the class. Edges come back
-    sorted.
+    ``mapping`` must cover every vertex, as a list, an array or a dict.
+    The result is ``simple_graph`` of the mapped edges: self-loops are
+    dropped and each class of parallel edges keeps one edge, the lightest
+    on a weighted graph. Edges come back sorted.
     """
+    n = graph.n
     if isinstance(mapping, dict):
-        missing = next((v for v in range(graph.n) if v not in mapping), None)
+        missing = next((v for v in range(n) if v not in mapping), None)
+        if missing is None:
+            mapping = [mapping[v] for v in range(n)]
     else:
-        missing = len(mapping) if len(mapping) < graph.n else None
+        missing = len(mapping) if len(mapping) < n else None
     if missing is not None:
         raise KeyError(f"contraction mapping undefined on vertex {missing}")
-    if graph.weighted:
-        lightest: dict[tuple[int, int], Any] = {}
-        for u, v, w in graph.edges:
-            a, b = mapping[u], mapping[v]
-            if a == b:
-                continue
-            key = (a, b) if a < b else (b, a)
-            if key not in lightest or w < lightest[key]:
-                lightest[key] = w
-        edges = sorted((a, b, w) for (a, b), w in lightest.items())
-    else:
-        pairs: set[tuple[int, int]] = set()
-        for u, v in graph.edges:
-            a, b = mapping[u], mapping[v]
-            if a != b:
-                pairs.add((a, b) if a < b else (b, a))
-        edges = sorted(pairs)
-    out = Graph(graph.n, edges, weighted=graph.weighted)
-    return ChargedResult(out, 1, graph.n + 2 * graph.m + len(edges))
+    rep = np.asarray(mapping, dtype=np.int64)[:n]
+    out = simple_graph(n, rep[graph.src], rep[graph.dst], graph.weight)
+    return ChargedResult(out, 1, graph.n + 2 * graph.m + out.m)

@@ -275,3 +275,22 @@ def test_spanning_forest_is_acyclic_subgraph():
     # Acyclic: edge count equals vertex count minus component count.
     forest = Graph(g.n, sorted(edges))
     assert forest.m == g.n - uf_components(forest).component_count()
+
+
+def test_connectivity_and_msf_never_build_edge_tuples(monkeypatch):
+    # Both phases run: the charged shrink, then exploration and contraction.
+    g = gen_random_graph(2000, 6000, seed=7)
+    w = gen_random_graph(2000, 6000, seed=7, weighted=True)
+
+    def refuse(graph):
+        raise AssertionError("the tuple view of the edges was built")
+
+    monkeypatch.setattr(Graph, "edges", property(refuse))
+    conn = connectivity(g, config_for(g, seed=7))
+    tree = msf(w, config_for(w, seed=7))
+    _, _, span = spanning_forest(g, config_for(g, seed=7))
+    assert conn.reduction.steps > 0 and conn.iterations > 0
+    assert tree.iterations > 0 and span.iterations > 0
+    monkeypatch.undo()
+    assert compare_labelings(conn.labeling, uf_components(g)).match
+    assert tree.edges == kruskal_msf(w)

@@ -1,5 +1,7 @@
+import hashlib
 import io
 
+import numpy as np
 import pytest
 
 from ampcsim.graphs import (
@@ -121,3 +123,92 @@ def test_reader_rejections():
     # Multigraph mode admits what simple mode rejects.
     g = read_graph(io.StringIO("3 2\n0 1\n1 0\n"), multigraph=True)
     assert g.m == 2
+
+
+@pytest.mark.parametrize(
+    "n, edges, weighted, message",
+    [
+        (3, [(0, 1), (1, 3)], False, "edge (1, 3) out of range for n=3"),
+        (3, [(0, 1), (-1, 2)], False, "edge (-1, 2) out of range for n=3"),
+        (3, [(0, 1), (2, 2)], False, "self-loop at vertex 2"),
+        (3, [(0, 1), (1, 2), (1, 0)], False, "duplicate edge (0, 1)"),
+        (3, [(0, 1, 4), (1, 2, 7), (0, 2, 4)], True, "duplicate edge weight 4"),
+        # The first offending edge in input order is the one reported.
+        (3, [(0, 1), (0, 1), (1, 1), (0, 9)], False, "duplicate edge (0, 1)"),
+    ],
+)
+def test_validator_names_the_offending_item(n, edges, weighted, message):
+    with pytest.raises(GraphFormatError) as tuple_error:
+        Graph(n, edges, weighted=weighted)
+    assert str(tuple_error.value) == message
+    columns = list(zip(*edges))
+    with pytest.raises(GraphFormatError) as array_error:
+        Graph.from_arrays(n, columns[0], columns[1], columns[2] if weighted else None)
+    assert str(array_error.value) == message
+
+
+def test_validator_empty_graph():
+    for g in (Graph(0, []), Graph.from_arrays(0, [], [])):
+        assert g.n == 0 and g.m == 0
+        assert g.edges == () and g.adjacency() == [] and g.degrees() == []
+    with pytest.raises(GraphFormatError):
+        Graph(-1, [])
+
+
+def test_edges_keep_input_order_with_min_max_normalisation():
+    g = Graph(5, [(4, 1), (0, 2), (3, 0)])
+    assert g.edges == ((1, 4), (0, 2), (0, 3))
+    assert g.src.tolist() == [1, 0, 0] and g.dst.tolist() == [4, 2, 3]
+    same = Graph.from_arrays(5, [4, 0, 3], [1, 2, 0])
+    assert same.edges == g.edges
+    assert g.adjacency() == [[2, 3], [4], [0], [0], [1]]
+
+
+def test_integer_weights_round_trip_as_python_ints():
+    g = Graph(4, [(0, 1, 7), (3, 2, 1), (1, 2, 4)], weighted=True)
+    assert g.weight.dtype == np.int64
+    assert all(type(w) is int for _, _, w in g.edges)
+    assert g.weighted_adjacency()[2] == [(1, 3), (4, 1)]
+    first = io.StringIO()
+    write_graph(g, first)
+    second = io.StringIO()
+    write_graph(read_graph(io.StringIO(first.getvalue())), second)
+    assert first.getvalue() == second.getvalue() == "4 3 w\n0 1 7\n2 3 1\n1 2 4\n"
+
+
+def test_float_weights():
+    g = Graph(3, [(0, 1, 0.5), (1, 2, 2)], weighted=True)
+    assert g.weight.dtype == np.float64
+    assert g.edges == ((0, 1, 0.5), (1, 2, 2.0))
+    assert g.weighted_adjacency()[1] == [(0.5, 0), (2.0, 2)]
+    with pytest.raises(GraphFormatError, match="duplicate edge weight 0.5"):
+        Graph.from_arrays(3, [0, 1], [1, 2], [0.5, 0.5])
+
+
+def test_multigraph_admits_loops_and_parallels_in_both_constructors():
+    for g in (
+        Graph(2, [(1, 0), (0, 1), (1, 1)], multigraph=True),
+        Graph.from_arrays(2, [1, 0, 1], [0, 1, 1], multigraph=True),
+    ):
+        assert g.edges == ((0, 1), (0, 1), (1, 1))
+        assert g.adjacency() == [[1, 1], [0, 0, 1]]
+        assert g.degrees() == [2, 3]
+
+
+# sha256 of repr(list(edges)) for instances drawn before the generators
+# were vectorised; equal digests mean the same RNG draws, the same edges in
+# the same order and the same Python types. (50, 1225) is the complete
+# graph, where the redraw loop runs more than once.
+GENERATOR_DIGESTS = [
+    (lambda: gen_random_graph(1000, 5000, 7, False), "57475a3b4f98459b150e0ca6ce6c3378a150ce540d5f89ec2d419728fd298364"),
+    (lambda: gen_random_graph(2000, 6000, 5, True), "66e68dd514fa572ed30bad2134e674777d776d66b6acd1cef3fb619e4dbd7115"),
+    (lambda: gen_random_graph(50, 1225, 2, True), "e18878fcaa6af60d720082bb03e76b85d1798c3aa8f959f9f5e5b7c446ed078c"),
+    (lambda: gen_cycles(64, 2, 5), "3eeeface18184c5431302b74cbaaa21074cd3407badf463b303811cbc68f0172"),
+    (lambda: gen_random_forest(500, 3, 9), "e16bcfe93058fbcecd73c2ab7c98aa0ddb6d614323f30b4967a3af10b2f93179"),
+]
+
+
+@pytest.mark.parametrize("make, digest", GENERATOR_DIGESTS)
+def test_generators_draw_the_golden_graphs(make, digest):
+    edges = make().edges
+    assert hashlib.sha256(repr(list(edges)).encode()).hexdigest() == digest

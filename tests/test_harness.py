@@ -178,6 +178,28 @@ def test_connectivity_model_costs_golden():
     assert run_experiment(spec).json_lines().splitlines() == CONNECTIVITY_GOLDEN
 
 
+# The weighted contraction (Boruvka shrink and Prim exploration) and the
+# bc pipeline (spanning forest, tree annotations, connectivity) at the same
+# spec, pinned as tightly as connectivity.
+MSF_GOLDEN = [
+    '{"algorithm": "msf", "correct": true, "detail": {"iterations": 2}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 36, "n": 2000, "rounds": 38, "seed": 6218622741583987683, "total_communication": 90059, "trial": 0, "violations": 0}',
+    '{"algorithm": "msf", "correct": true, "detail": {"iterations": 2}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 36, "n": 2000, "rounds": 36, "seed": 4232062854197151812, "total_communication": 91985, "trial": 1, "violations": 0}',
+    '{"algorithm": "msf", "correct": true, "detail": {"iterations": 2}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 36, "n": 2000, "rounds": 38, "seed": 6257916401269190689, "total_communication": 94381, "trial": 2, "violations": 0}',
+]
+
+TWO_ECC_GOLDEN = [
+    '{"algorithm": "2ecc", "correct": true, "detail": {"bridges": 19}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 93, "n": 2000, "rounds": 4120, "seed": 6218622741583987683, "total_communication": 217353, "trial": 0, "violations": 0}',
+    '{"algorithm": "2ecc", "correct": true, "detail": {"bridges": 40}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 94, "n": 2000, "rounds": 4140, "seed": 4232062854197151812, "total_communication": 212827, "trial": 1, "violations": 0}',
+    '{"algorithm": "2ecc", "correct": true, "detail": {"bridges": 23}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 97, "n": 2000, "rounds": 4139, "seed": 6257916401269190689, "total_communication": 209433, "trial": 2, "violations": 0}',
+]
+
+
+@pytest.mark.parametrize("algorithm, golden", [("msf", MSF_GOLDEN), ("2ecc", TWO_ECC_GOLDEN)])
+def test_weighted_and_bc_model_costs_golden(algorithm, golden):
+    spec = ExperimentSpec(algorithm=algorithm, n=2000, m=6000, trials=3, seed=7)
+    assert run_experiment(spec).json_lines().splitlines() == golden
+
+
 def test_cli_strict_budget_fails_on_violation(capsys):
     rc = main(["2ecc", "--n", "256", "--m", "500", "--budget-slack", "2", "--strict-budget"])
     assert rc == 2

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ampcsim.graphs import Graph
+from ampcsim.graphs import Graph, GraphFormatError
 from ampcsim.primitives import (
     contract_graph,
     mpc_dedup,
@@ -146,22 +146,30 @@ def test_contract_missing_vertex_is_domain_error():
         contract_graph(g, {0: 0, 1: 1})
 
 
+def test_contract_rejects_representative_out_of_range():
+    g = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(GraphFormatError, match=r"edge \(1, 3\) out of range for n=3"):
+        contract_graph(g, [0, 1, 3])
+    # Only representatives that end up on an edge matter, as before.
+    assert contract_graph(g, [0, 0, 0, 7]).value.m == 0
+
+
 def test_contract_multigraph_keeps_parallels():
     g = Graph(4, [(0, 1), (2, 3), (0, 3)])
     deduped = contract_graph(g, {0: 0, 1: 1, 2: 0, 3: 1}).value
-    assert deduped.edges == [(0, 1)]
+    assert deduped.edges == ((0, 1),)
 
 
 def test_contract_weighted_keeps_lightest_parallel_edge():
     g = Graph(4, [(0, 1, 5), (2, 3, 2), (0, 3, 9)], weighted=True)
     out = contract_graph(g, {0: 0, 1: 1, 2: 0, 3: 1}).value
     assert out.weighted
-    assert out.edges == [(0, 1, 2)]
+    assert out.edges == ((0, 1, 2),)
 
 
 def test_contract_accepts_list_mapping():
     g = Graph(4, [(0, 1), (2, 3), (1, 2)])
-    assert contract_graph(g, [0, 0, 2, 2]).value.edges == [(0, 2)]
+    assert contract_graph(g, [0, 0, 2, 2]).value.edges == ((0, 2),)
     with pytest.raises(KeyError):
         contract_graph(g, [0, 0, 2])
 
