@@ -26,7 +26,7 @@ from typing import Optional
 from .connectivity import connectivity, spanning_forest
 from .graphs import ComponentLabeling, Graph
 from .runtime import ModelConfig
-from .trees import RootedTour, preorder_number, root_forest, subtree_min_max
+from .trees import RootedTour, SubtreeMinMax, preorder_and_sizes, root_forest
 
 
 @dataclass
@@ -86,7 +86,7 @@ def bc_labeling(
     forest_edges, _, sf_result = spanning_forest(graph, config)
     forest = Graph(graph.n, sorted(forest_edges))
     rooted = root_forest(forest, config=config)
-    pn = preorder_number(rooted, config)
+    pn, sizes = preorder_and_sizes(rooted)
 
     tree_set = {_normalize(u, v) for u, v in forest_edges}
     non_tree = [
@@ -103,14 +103,10 @@ def bc_labeling(
         bas_min[v] = min(bas_min[v], pn[u])
         bas_max[v] = max(bas_max[v], pn[u])
 
-    mins = subtree_min_max(rooted, bas_min, config)
-    maxs = subtree_min_max(rooted, bas_max, config)
-    low: dict[int, int] = {}
-    high: dict[int, int] = {}
-    for v in range(graph.n):
-        low[v] = int(mins.query(v)[0])
-        high[v] = int(maxs.query(v)[1])
-    sizes = dict(mins.sizes)
+    subtree = SubtreeMinMax(rooted, pn, sizes, bas_min, bas_max)
+    ranges = subtree.query(range(graph.n))
+    low = {v: int(lo) for v, (lo, _) in enumerate(ranges)}
+    high = {v: int(hi) for v, (_, hi) in enumerate(ranges)}
 
     critical = critical_set(
         rooted, pn, sizes, low, high,
@@ -135,7 +131,7 @@ def bc_labeling(
         low=low,
         high=high,
         critical=critical,
-        simulators=[sf_result.simulator, rooted.simulator, label_result.simulator],
+        simulators=[sf_result.simulator, *rooted.simulators, label_result.simulator],
     )
 
 

@@ -216,11 +216,10 @@ def _run_tree_ops(spec: ExperimentSpec, seed: int):
     g = gen_random_forest(spec.n, spec.trees, seed)
     cfg = spec.config(seed, m=max(1, g.m))
     rooted = trees_mod.root_forest(g, config=cfg)
-    pn = trees_mod.preorder_number(rooted, cfg)
-    sizes = trees_mod.subtree_sizes(rooted, cfg)
+    pn, sizes = trees_mod.preorder_and_sizes(rooted)
     rng = np.random.default_rng(np.random.SeedSequence(seed & ((1 << 64) - 1), spawn_key=(0x1B,)))
     values = {v: int(rng.integers(-(10**6), 10**6)) for v in range(g.n)}
-    smm = trees_mod.subtree_min_max(rooted, values, cfg)
+    smm = trees_mod.SubtreeMinMax(rooted, pn, sizes, values, values)
 
     correct = True
     for root in rooted.forest.roots:
@@ -235,16 +234,16 @@ def _run_tree_ops(spec: ExperimentSpec, seed: int):
         p = rooted.forest.parent[v]
         if p != v:
             children[p].append(v)
-    sample = rng.choice(g.n, size=min(g.n, 64), replace=False)
-    for v in map(int, sample):
+    sample = [int(v) for v in rng.choice(g.n, size=min(g.n, 64), replace=False)]
+    for v, got in zip(sample, smm.query(sample)):
         stack, vals = [v], []
         while stack:
             x = stack.pop()
             vals.append(values[x])
             stack.extend(children[x])
-        if smm.query(v) != (min(vals), max(vals)):
+        if got != (min(vals), max(vals)):
             correct = False
-    return correct, [rooted.simulator], {"trees": len(rooted.forest.roots)}
+    return correct, rooted.simulators, {"trees": len(rooted.forest.roots)}
 
 
 def _run_bridges(spec: ExperimentSpec, seed: int):

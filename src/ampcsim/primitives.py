@@ -91,14 +91,19 @@ def mpc_dedup(items: Sequence[T], *, epsilon: float) -> ChargedResult[list[T]]:
 
 
 class RMQIndex:
-    """Sparse table answering range-minimum and range-maximum queries."""
+    """Sparse table answering range-minimum and range-maximum queries.
 
-    def __init__(self, values: Sequence[float]):
+    The max table is built over ``max_values`` when given (of equal length),
+    so one index can answer minima of one array and maxima of another.
+    """
+
+    def __init__(self, values: Sequence[float], max_values: Optional[Sequence[float]] = None):
         arr = np.asarray(values, dtype=np.float64)
+        max_arr = arr if max_values is None else np.asarray(max_values, dtype=np.float64)
         self.length = len(arr)
         levels = max(1, self.length.bit_length())
         self._mins = [arr]
-        self._maxs = [arr]
+        self._maxs = [max_arr]
         for depth in range(1, levels):
             half = 1 << (depth - 1)
             prev_min, prev_max = self._mins[-1], self._maxs[-1]

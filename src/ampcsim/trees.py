@@ -5,17 +5,24 @@ Every tree edge appears as two directed twins; successor pointers chain
 each tree's twins into one closed tour. Rooting breaks the tour at an edge
 incident to the root, ranks the resulting list, and classifies each twin
 pair by rank order (the parent-to-child occurrence ranks lower).
+
+Annotations work on the whole forest at once and are charged per batch,
+not per tree or per vertex: in the AMPC model every machine of a round
+reads the previous generation concurrently, so one prefix sum covers all
+tours and any batch of independent subtree queries costs one round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import operator
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .contraction import CycleConnResult, cycle_conn, rank_lists
 from .errors import StructureError
 from .graphs import ComponentLabeling, Graph, RootedForest
-from .primitives import mpc_prefix_sum, rmq_build
+from .primitives import RMQIndex, mpc_prefix_sum
 from .runtime import ModelConfig, Simulator
 
 
@@ -84,9 +91,14 @@ def forest_connectivity(
 ) -> tuple[ComponentLabeling, Optional[CycleConnResult]]:
     """Component labels of a forest by running cycle connectivity over its
     tours; each component is labeled by its lowest vertex id."""
-    tour = euler_tour(forest)
+    return _tour_connectivity(euler_tour(forest), config)
+
+
+def _tour_connectivity(
+    tour: EulerTour, config: ModelConfig
+) -> tuple[ComponentLabeling, Optional[CycleConnResult]]:
     if tour.size == 0:
-        return ComponentLabeling(list(range(forest.n))), None
+        return ComponentLabeling(list(range(tour.n))), None
     cycle_graph = Graph(
         tour.size, [(e, tour.succ[e]) for e in range(tour.size)], multigraph=True
     )
@@ -109,7 +121,7 @@ def forest_connectivity(
         if lab not in rep_vertex or low < rep_vertex[lab]:
             rep_vertex[lab] = low
     res.simulator.charge(1, tour.size, "component-min")
-    label = list(range(forest.n))
+    label = list(range(tour.n))
     for e in range(tour.size):
         label[tour.src[e]] = rep_vertex[res.labeling.label[e]]
     return ComponentLabeling(label), res
@@ -117,7 +129,12 @@ def forest_connectivity(
 
 @dataclass
 class RootedTour:
-    """Ranked, oriented Euler sequence plus the parent map it induces."""
+    """Ranked, oriented Euler sequence plus the parent map it induces.
+
+    ``simulators`` holds every simulator rooting ran, in order: forest
+    connectivity when it picked the roots, then list ranking. Annotations
+    charge into the last one, so a forest without edges is charged nothing.
+    """
 
     tour: EulerTour
     forest: RootedForest
@@ -125,7 +142,8 @@ class RootedTour:
     forward: list[bool]
     tree_of: list[int]                      # vertex -> its root
     edges_in_order: dict[int, list[int]]    # root -> edge ids by rank
-    simulator: Simulator = field(repr=False, default=None)
+    config: ModelConfig
+    simulators: list[Simulator]
 
     def __post_init__(self):
         self._enter: dict[int, int] = {}
@@ -136,6 +154,10 @@ class RootedTour:
     def enter_edge(self, v: int) -> Optional[int]:
         """The forward edge (parent(v) -> v); None for roots."""
         return self._enter.get(v)
+
+    def charge(self, rounds: int, communication: int, label: str) -> None:
+        if self.simulators:
+            self.simulators[-1].charge(rounds, communication, label)
 
 
 def root_forest(
@@ -152,8 +174,11 @@ def root_forest(
     if config is None:
         config = ModelConfig.for_graph(n=forest.n, m=max(1, forest.m))
     tour = euler_tour(forest)
+    simulators: list[Simulator] = []
     if roots is None:
-        components, _ = forest_connectivity(forest, config)
+        components, res = _tour_connectivity(tour, config)
+        if res is not None:
+            simulators.append(res.simulator)
         rep_to_root: dict[int, int] = {}
         for v in range(forest.n):
             rep = components.label[v]
@@ -195,8 +220,11 @@ def root_forest(
     if len(succ_map) != tour.size:
         raise ValueError("roots must include one vertex of every tree")
 
-    ranked = rank_lists(succ_map, head_edges, config) if succ_map else None
-    rank = ranked.ranks if ranked else {}
+    rank: dict[int, int] = {}
+    if succ_map:
+        ranked = rank_lists(succ_map, head_edges, config)
+        rank = ranked.ranks
+        simulators.append(ranked.simulator)
 
     forward = [False] * tour.size
     for e in range(0, tour.size, 2):
@@ -231,129 +259,87 @@ def root_forest(
         forward=forward,
         tree_of=tree_of,
         edges_in_order=edges_in_order,
-        simulator=ranked.simulator if ranked else None,
+        config=config,
+        simulators=simulators,
     )
 
 
-def _tree_prefixes(rooted: RootedTour, config: ModelConfig) -> dict[int, list[int]]:
-    """Per tree: exclusive prefix counts of forward edges along the tour."""
-    prefixes: dict[int, list[int]] = {}
-    for root, order in rooted.edges_in_order.items():
-        weights = [1 if rooted.forward[e] else 0 for e in order]
-        charged = mpc_prefix_sum(weights, lambda a, b: a + b, 0, epsilon=config.epsilon)
-        if rooted.simulator is not None:
-            rooted.simulator.charge(
-                charged.rounds_charged, charged.communication_charged, "tour-prefix"
-            )
-        prefixes[root] = [p for _, p in charged.value]
-    return prefixes
+def preorder_and_sizes(rooted: RootedTour) -> tuple[dict[int, int], dict[int, int]]:
+    """Preorder numbers and subtree sizes (counting the vertex itself) of
+    every tree, from one exclusive prefix sum P of forward-edge counts over
+    all trees' ranked tours laid end to end.
 
-
-def preorder_number(rooted: RootedTour, config: Optional[ModelConfig] = None) -> dict[int, int]:
-    """Preorder numbers per tree: the root gets 0, any other vertex the
-    count of forward edges up to and including its entering edge."""
-    if config is None:
-        config = ModelConfig.for_graph(n=rooted.tour.n, m=max(1, rooted.tour.size))
-    prefixes = _tree_prefixes(rooted, config)
-    pos_in_tree: dict[int, int] = {}
-    for order in rooted.edges_in_order.values():
-        for i, e in enumerate(order):
-            pos_in_tree[e] = i
-    pn: dict[int, int] = {}
-    for v in range(rooted.tour.n):
-        root = rooted.tree_of[v]
-        if v == root:
-            pn[v] = 0
-            continue
-        enter = rooted.enter_edge(v)
-        pn[v] = prefixes[root][pos_in_tree[enter]] + 1
-    if rooted.simulator is not None:
-        rooted.simulator.charge(1, rooted.tour.n, "preorder-read")
-    return pn
-
-
-def subtree_sizes(rooted: RootedTour, config: Optional[ModelConfig] = None) -> dict[int, int]:
-    """Subtree sizes including the vertex itself.
-
-    With exclusive forward-edge prefixes P over a tree's ranked tour,
-    size(v) = P[exit] - P[enter], where enter is the forward edge into v
-    and exit is its reverse twin: the difference counts v's entering edge
-    plus every forward edge strictly inside v's visit span.
+    The scan is segmented by subtraction: PN(v) = P[enter] - P[tree start]
+    + 1, where enter is the forward edge into v, and size(v) = P[exit] -
+    P[enter], where exit is its reverse twin; the difference counts v's
+    entering edge plus every forward edge strictly inside v's visit span,
+    so it needs no offset. A root gets PN 0 and its tree's vertex count.
     """
-    if config is None:
-        config = ModelConfig.for_graph(n=rooted.tour.n, m=max(1, rooted.tour.size))
-    prefixes = _tree_prefixes(rooted, config)
-    pos_in_tree: dict[int, int] = {}
-    tree_sizes: dict[int, int] = {}
-    for root, order in rooted.edges_in_order.items():
-        for i, e in enumerate(order):
-            pos_in_tree[e] = i
-        tree_sizes[root] = len(order) // 2 + 1
+    order = [e for edges in rooted.edges_in_order.values() for e in edges]
+    scan = mpc_prefix_sum(
+        [int(rooted.forward[e]) for e in order], operator.add, 0,
+        epsilon=rooted.config.epsilon,
+    )
+    rooted.charge(scan.rounds_charged, scan.communication_charged, "tour-prefix")
+    prefix = dict(zip(order, (p for _, p in scan.value)))
+    pn: dict[int, int] = {}
     sizes: dict[int, int] = {}
     for v in range(rooted.tour.n):
         root = rooted.tree_of[v]
         if v == root:
-            sizes[v] = tree_sizes.get(root, 1)
+            pn[v] = 0
+            sizes[v] = len(rooted.edges_in_order[root]) // 2 + 1
             continue
         enter = rooted.enter_edge(v)
-        exit_edge = rooted.tour.twin[enter]
-        p = prefixes[root]
-        sizes[v] = p[pos_in_tree[exit_edge]] - p[pos_in_tree[enter]]
-    if rooted.simulator is not None:
-        rooted.simulator.charge(1, 2 * rooted.tour.n, "size-read")
-    return sizes
+        pn[v] = prefix[enter] - prefix[rooted.edges_in_order[root][0]] + 1
+        sizes[v] = prefix[rooted.tour.twin[enter]] - prefix[enter]
+    # Each vertex reads P at its entering edge, its exit edge and its
+    # tree's first edge.
+    rooted.charge(1, 3 * rooted.tour.n, "preorder-size-read")
+    return pn, sizes
 
 
 class SubtreeMinMax:
-    """Range-query structure over per-vertex values: query(v) returns the
-    minimum and maximum over v's whole subtree."""
+    """Minimum of ``min_values`` and maximum of ``max_values`` over each
+    vertex's whole subtree, for every tree of a rooted forest at once.
+
+    One RMQ index covers the forest laid out in (tree, preorder) order, in
+    which every subtree is one contiguous range; its min table is built over
+    ``min_values`` and its max table over ``max_values``. The index is sealed
+    once built, so every machine can read it in the same round: ``query``
+    answers a whole batch of vertices in one round, with communication 2
+    per query (one min read and one max read).
+    """
 
     def __init__(
         self,
         rooted: RootedTour,
-        values: dict[int, float],
-        config: Optional[ModelConfig] = None,
+        pn: dict[int, int],
+        sizes: dict[int, int],
+        min_values: Sequence[float] | dict[int, float],
+        max_values: Sequence[float] | dict[int, float],
     ):
-        if config is None:
-            config = ModelConfig.for_graph(n=rooted.tour.n, m=max(1, rooted.tour.size))
+        n = rooted.tour.n
+        start: dict[int, int] = {}
+        offset = 0
+        for root in rooted.edges_in_order:
+            start[root] = offset
+            offset += sizes[root]
         self._rooted = rooted
-        self._pn = preorder_number(rooted, config)
-        self._sizes = subtree_sizes(rooted, config)
-        order_by_tree: dict[int, list[int]] = {}
-        for v in range(rooted.tour.n):
-            order_by_tree.setdefault(rooted.tree_of[v], []).append(v)
-        self._index = {}
-        for root, members in order_by_tree.items():
-            members.sort(key=lambda v: self._pn[v])
-            arr = [values[v] for v in members]
-            built = rmq_build(arr, epsilon=config.epsilon)
-            if rooted.simulator is not None:
-                rooted.simulator.charge(
-                    built.rounds_charged, built.communication_charged, "rmq-build"
-                )
-            self._index[root] = built.value
+        self._first = [start[rooted.tree_of[v]] + pn[v] for v in range(n)]
+        self._last = [self._first[v] + sizes[v] - 1 for v in range(n)]
+        lows = [0.0] * n
+        highs = [0.0] * n
+        for v, i in enumerate(self._first):
+            lows[i] = min_values[v]
+            highs[i] = max_values[v]
+        self._index = RMQIndex(lows, highs)
+        # rmq_build's cost, charged once for both tables.
+        rounds = max(1, math.ceil(1.0 / rooted.config.epsilon))
+        rooted.charge(rounds, max(1, n), "rmq-build")
 
-    @property
-    def preorder(self) -> dict[int, int]:
-        return self._pn
-
-    @property
-    def sizes(self) -> dict[int, int]:
-        return self._sizes
-
-    def query(self, v: int) -> tuple[float, float]:
-        root = self._rooted.tree_of[v]
-        idx = self._index[root]
-        lo = self._pn[v]
-        hi = lo + self._sizes[v] - 1
-        if self._rooted.simulator is not None:
-            self._rooted.simulator.charge(1, 2, "rmq-query")
-        return idx.query_min(lo, hi), idx.query_max(lo, hi)
-
-
-def subtree_min_max(
-    rooted: RootedTour,
-    values: dict[int, float],
-    config: Optional[ModelConfig] = None,
-) -> SubtreeMinMax:
-    return SubtreeMinMax(rooted, values, config)
+    def query(self, vertices: Sequence[int]) -> list[tuple[float, float]]:
+        """(subtree minimum, subtree maximum) of each vertex, in order."""
+        self._rooted.charge(1, 2 * len(vertices), "rmq-query")
+        idx, first, last = self._index, self._first, self._last
+        return [(idx.query_min(first[v], last[v]), idx.query_max(first[v], last[v])) for v in vertices]

@@ -55,11 +55,10 @@ from ampcsim.primitives import (
 )
 from ampcsim.runtime import ModelConfig
 from ampcsim.trees import (
+    SubtreeMinMax,
     forest_connectivity,
-    preorder_number,
+    preorder_and_sizes,
     root_forest,
-    subtree_min_max,
-    subtree_sizes,
 )
 
 _VIOLATIONS: list[tuple[str, int]] = []
@@ -203,8 +202,7 @@ def test_criterion_07_list_ranking_and_tree_ops():
             g = gen_random_forest(n, trees, seed=rng.randrange(1 << 30))
             cfg = ModelConfig.for_graph(n=n, m=max(1, g.m), epsilon=0.5, seed=trial)
             rooted = root_forest(g, config=cfg)
-            pn = preorder_number(rooted, cfg)
-            sizes = subtree_sizes(rooted, cfg)
+            pn, sizes = preorder_and_sizes(rooted)
             for root in rooted.forest.roots:
                 parent, want_pn, want_sizes = seq_dfs_tree(g, root)
                 members = [v for v in range(n) if rooted.tree_of[v] == root]
@@ -215,20 +213,21 @@ def test_criterion_07_list_ranking_and_tree_ops():
                     assert pn[v] == want_pn[v] and sizes[v] == want_sizes[v]
             # Subtree min/max on sampled vertices.
             values = {v: rng.randint(-(10**6), 10**6) for v in range(n)}
-            smm = subtree_min_max(rooted, values, cfg)
+            smm = SubtreeMinMax(rooted, pn, sizes, values, values)
             children = {v: [] for v in range(n)}
             for v in range(n):
                 p = rooted.forest.parent[v]
                 if p != v:
                     children[p].append(v)
-            for v in rng.sample(range(n), min(n, 32)):
+            sample = rng.sample(range(n), min(n, 32))
+            for v, got in zip(sample, smm.query(sample)):
                 stack, vals = [v], []
                 while stack:
                     x = stack.pop()
                     vals.append(values[x])
                     stack.extend(children[x])
-                assert smm.query(v) == (min(vals), max(vals))
-            _note_violations("tree-ops", rooted.simulator)
+                assert got == (min(vals), max(vals))
+            _note_violations("tree-ops", *rooted.simulators)
             # Plain list ranking against the sequential scan.
             if trial % 10 == 0:
                 size = rng.randint(2, 2**13)

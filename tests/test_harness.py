@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ampcsim import runtime
 from ampcsim.cli import main
 from ampcsim.harness import (
     ContentionReport,
@@ -47,23 +48,47 @@ def test_reports_byte_identical(tmp_path):
     assert out1.read_bytes()  # non-empty
 
 
+SMALL_CASES = [
+    ExperimentSpec(algorithm="two-cycle", n=64, pieces=1, trials=2, seed=1),
+    ExperimentSpec(algorithm="mis", n=80, m=200, trials=2, seed=1),
+    ExperimentSpec(algorithm="connectivity", n=100, m=200, trials=2, seed=1),
+    ExperimentSpec(algorithm="msf", n=80, m=200, trials=2, seed=1),
+    ExperimentSpec(algorithm="spanning-forest", n=80, m=150, trials=2, seed=1),
+    ExperimentSpec(algorithm="forest-conn", n=90, trees=3, trials=2, seed=1),
+    ExperimentSpec(algorithm="list-rank", n=120, trials=2, seed=1),
+    ExperimentSpec(algorithm="tree-ops", n=90, trees=2, trials=2, seed=1),
+    ExperimentSpec(algorithm="bridges", n=60, m=90, trials=2, seed=1),
+    ExperimentSpec(algorithm="2ecc", n=60, m=90, trials=2, seed=1),
+]
+
+
 def test_each_algorithm_small_run():
-    cases = [
-        ExperimentSpec(algorithm="two-cycle", n=64, pieces=1, trials=2, seed=1),
-        ExperimentSpec(algorithm="mis", n=80, m=200, trials=2, seed=1),
-        ExperimentSpec(algorithm="connectivity", n=100, m=200, trials=2, seed=1),
-        ExperimentSpec(algorithm="msf", n=80, m=200, trials=2, seed=1),
-        ExperimentSpec(algorithm="spanning-forest", n=80, m=150, trials=2, seed=1),
-        ExperimentSpec(algorithm="forest-conn", n=90, trees=3, trials=2, seed=1),
-        ExperimentSpec(algorithm="list-rank", n=120, trials=2, seed=1),
-        ExperimentSpec(algorithm="tree-ops", n=90, trees=2, trials=2, seed=1),
-        ExperimentSpec(algorithm="bridges", n=60, m=90, trials=2, seed=1),
-        ExperimentSpec(algorithm="2ecc", n=60, m=90, trials=2, seed=1),
-    ]
-    for spec in cases:
+    for spec in SMALL_CASES:
         report = run_experiment(spec)
         assert report.all_correct, spec.algorithm
         assert report.summary["violations"] == 0, spec.algorithm
+
+
+@pytest.mark.parametrize("spec", SMALL_CASES, ids=lambda spec: spec.algorithm)
+def test_reported_costs_cover_every_simulator(spec, monkeypatch):
+    # Count outside-in: every Simulator a run constructs must be reported.
+    built = []
+    init = runtime.Simulator.__init__
+
+    def register(sim, *args, **kwargs):
+        init(sim, *args, **kwargs)
+        built.append(sim)
+
+    monkeypatch.setattr(runtime.Simulator, "__init__", register)
+    records = run_experiment(spec).records
+    assert built
+    assert sum(r.rounds for r in records) == sum(s.total_rounds() for s in built)
+    assert sum(r.total_communication for r in records) == sum(
+        s.total_communication() for s in built
+    )
+    assert max(r.max_queries_per_machine for r in records) == max(
+        s.max_queries_per_machine() for s in built
+    )
 
 
 def test_contention_uniform_expectation():
@@ -188,9 +213,9 @@ MSF_GOLDEN = [
 ]
 
 TWO_ECC_GOLDEN = [
-    '{"algorithm": "2ecc", "correct": true, "detail": {"bridges": 19}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 93, "n": 2000, "rounds": 4120, "seed": 6218622741583987683, "total_communication": 217353, "trial": 0, "violations": 0}',
-    '{"algorithm": "2ecc", "correct": true, "detail": {"bridges": 40}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 94, "n": 2000, "rounds": 4140, "seed": 4232062854197151812, "total_communication": 212827, "trial": 1, "violations": 0}',
-    '{"algorithm": "2ecc", "correct": true, "detail": {"bridges": 23}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 97, "n": 2000, "rounds": 4139, "seed": 6257916401269190689, "total_communication": 209433, "trial": 2, "violations": 0}',
+    '{"algorithm": "2ecc", "correct": true, "detail": {"bridges": 19}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 221, "n": 2000, "rounds": 87, "seed": 6218622741583987683, "total_communication": 193052, "trial": 0, "violations": 0}',
+    '{"algorithm": "2ecc", "correct": true, "detail": {"bridges": 40}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 159, "n": 2000, "rounds": 79, "seed": 4232062854197151812, "total_communication": 188574, "trial": 1, "violations": 0}',
+    '{"algorithm": "2ecc", "correct": true, "detail": {"bridges": 23}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 148, "n": 2000, "rounds": 78, "seed": 6257916401269190689, "total_communication": 185287, "trial": 2, "violations": 0}',
 ]
 
 

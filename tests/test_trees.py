@@ -1,18 +1,20 @@
+import math
 import random
 
 import pytest
 
+from ampcsim.biconnectivity import bc_labeling
 from ampcsim.errors import StructureError
-from ampcsim.graphs import Graph, gen_random_forest
+from ampcsim.graphs import Graph, gen_random_forest, gen_random_graph
+from ampcsim.harness import with_leader_retries
 from ampcsim.oracles import compare_labelings, seq_dfs_tree, uf_components
 from ampcsim.runtime import ModelConfig
 from ampcsim.trees import (
+    SubtreeMinMax,
     euler_tour,
     forest_connectivity,
-    preorder_number,
+    preorder_and_sizes,
     root_forest,
-    subtree_min_max,
-    subtree_sizes,
 )
 
 
@@ -112,19 +114,19 @@ def test_root_forest_matches_dfs_oracle():
 def test_subtree_sizes_path_and_star():
     path = Graph(3, [(0, 1), (1, 2)])
     rooted = root_forest(path, roots=[0], config=cfg_for(path))
-    assert subtree_sizes(rooted) == {0: 3, 1: 2, 2: 1}
+    assert preorder_and_sizes(rooted)[1] == {0: 3, 1: 2, 2: 1}
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     rooted = root_forest(star, roots=[0], config=cfg_for(star))
-    assert subtree_sizes(rooted) == {0: 4, 1: 1, 2: 1, 3: 1}
+    assert preorder_and_sizes(rooted)[1] == {0: 4, 1: 1, 2: 1, 3: 1}
 
 
 def test_preorder_path_and_singleton():
     single = Graph(1, [])
     rooted = root_forest(single, roots=[0], config=cfg_for(single))
-    assert preorder_number(rooted) == {0: 0}
+    assert preorder_and_sizes(rooted)[0] == {0: 0}
     path = Graph(3, [(0, 1), (1, 2)])
     rooted = root_forest(path, roots=[0], config=cfg_for(path))
-    assert preorder_number(rooted) == {0: 0, 1: 1, 2: 2}
+    assert preorder_and_sizes(rooted)[0] == {0: 0, 1: 1, 2: 2}
 
 
 def test_annotations_match_dfs_oracle_random():
@@ -132,8 +134,7 @@ def test_annotations_match_dfs_oracle_random():
         g = gen_random_forest(200, 1 + seed % 2, seed=seed + 50)
         cfg = cfg_for(g, seed=seed)
         rooted = root_forest(g, config=cfg)
-        pn = preorder_number(rooted, cfg)
-        sizes = subtree_sizes(rooted, cfg)
+        pn, sizes = preorder_and_sizes(rooted)
         for root in rooted.forest.roots:
             parent, want_pn, want_sizes = seq_dfs_tree(g, root)
             members = [v for v in range(g.n) if rooted.tree_of[v] == root]
@@ -148,8 +149,7 @@ def test_preorder_interval_identity():
     g = gen_random_forest(150, 1, seed=9)
     cfg = cfg_for(g, seed=9)
     rooted = root_forest(g, config=cfg)
-    pn = preorder_number(rooted, cfg)
-    sizes = subtree_sizes(rooted, cfg)
+    pn, sizes = preorder_and_sizes(rooted)
     children: dict[int, list[int]] = {v: [] for v in range(g.n)}
     for v in range(g.n):
         p = rooted.forest.parent[v]
@@ -177,7 +177,7 @@ def test_subtree_min_max_queries():
     rooted = root_forest(g, config=cfg)
     rng = random.Random(0)
     values = {v: rng.randint(-1000, 1000) for v in range(g.n)}
-    smm = subtree_min_max(rooted, values, cfg)
+    smm = SubtreeMinMax(rooted, *preorder_and_sizes(rooted), values, values)
     children: dict[int, list[int]] = {v: [] for v in range(g.n)}
     for v in range(g.n):
         p = rooted.forest.parent[v]
@@ -194,12 +194,12 @@ def test_subtree_min_max_queries():
                 stack.append(c)
         return out
 
-    for v in range(g.n):
+    for v, got in zip(range(g.n), smm.query(range(g.n))):
         vals = subtree_values(v)
-        assert smm.query(v) == (min(vals), max(vals))
+        assert got == (min(vals), max(vals))
     # Singleton and root specials.
     leaves = [v for v in range(g.n) if not children[v]]
-    assert smm.query(leaves[0]) == (values[leaves[0]], values[leaves[0]])
+    assert smm.query([leaves[0]])[0] == (values[leaves[0]], values[leaves[0]])
 
 
 def test_forest_connectivity_matches_oracle():
@@ -214,3 +214,42 @@ def test_forest_connectivity_matches_oracle():
     g = Graph(5, [])
     labeling, _ = forest_connectivity(g, cfg_for(g))
     assert labeling.label == list(range(5))
+
+
+def _charged(simulators, label):
+    metrics = [m for s in simulators for m in s.metrics if m.charged and m.label == label]
+    return len(metrics), sum(m.total_communication for m in metrics)
+
+
+def test_tour_prefix_charged_once_per_forest():
+    # 24 trees, several of them isolated vertices.
+    g = gen_random_forest(60, 24, seed=4)
+    assert sum(1 for v in g.adjacency() if not v) >= 2
+    cfg = cfg_for(g, seed=4, epsilon=0.4)
+    rooted = root_forest(g, config=cfg)
+    assert len(rooted.forest.roots) == 24
+    preorder_and_sizes(rooted)
+    assert _charged(rooted.simulators, "tour-prefix") == (math.ceil(1 / 0.4), 2 * rooted.tour.size)
+
+
+def test_subtree_batch_query_is_one_round():
+    g = gen_random_forest(200, 5, seed=8)
+    rooted = root_forest(g, config=cfg_for(g, seed=8))
+    values = list(range(g.n))
+    smm = SubtreeMinMax(rooted, *preorder_and_sizes(rooted), values, values)
+    before = _charged(rooted.simulators, "rmq-query")
+    smm.query(range(37))
+    after = _charged(rooted.simulators, "rmq-query")
+    assert (after[0] - before[0], after[1] - before[1]) == (1, 2 * 37)
+
+
+def test_bc_annotation_rounds_do_not_grow_with_n():
+    counts = []
+    for n in (500, 4000):
+        g = gen_random_graph(n, 3 * n, seed=n)
+        bc = with_leader_retries(
+            lambda s: bc_labeling(g, ModelConfig.for_graph(n=n, m=3 * n, epsilon=0.5, seed=s)), n
+        )
+        labels = ("rmq-query", "rmq-build", "tour-prefix")
+        counts.append([_charged(bc.simulators, label)[0] for label in labels])
+    assert counts[0] == counts[1] == [1, 2, 2]
