@@ -10,7 +10,7 @@ from typing import Optional
 
 from .errors import CapacityError, LeaderContractionError, NonTerminationError, StructureError
 from .graphs import gen_cycles, gen_random_forest, gen_random_graph, write_graph
-from .harness import ALGORITHMS, ExperimentSpec, contention_sim, run_experiment
+from .harness import ALGORITHMS, GRAPH_ALGORITHMS, ExperimentSpec, contention_sim, run_experiment
 from .runtime import BudgetViolationError, RecordSizeError
 
 # Failures of the simulated model (not of the command line): reported in one
@@ -27,7 +27,6 @@ _MODEL_ERRORS = (
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=1024)
-    parser.add_argument("--m", type=int, default=0)
     parser.add_argument("--epsilon", type=float, default=0.5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trials", type=int, default=1)
@@ -48,6 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ALGORITHMS:
         p = sub.add_parser(name, help=f"run {name} trials")
         _add_common(p)
+        if name in GRAPH_ALGORITHMS:
+            p.add_argument("--m", type=int, default=0)
         if name == "two-cycle":
             p.add_argument("--pieces", type=int, choices=(1, 2), default=2)
         if name in ("forest-conn", "tree-ops"):
@@ -112,7 +113,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     kwargs = dict(
         algorithm=args.command,
         n=args.n,
-        m=args.m,
         epsilon=args.epsilon,
         seed=args.seed,
         trials=args.trials,
@@ -125,7 +125,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         kwargs["pieces"] = args.pieces
     if args.command in ("forest-conn", "tree-ops"):
         kwargs["trees"] = args.trees
-    if args.command in ("mis", "connectivity", "msf", "spanning-forest", "bridges", "2ecc"):
+    if args.command in GRAPH_ALGORITHMS:
         kwargs["m"] = _default_m(args)
 
     try:

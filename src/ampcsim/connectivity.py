@@ -200,7 +200,7 @@ def _pointer_map(graph: Graph, seed: int) -> tuple[np.ndarray, np.ndarray, np.nd
     has_out &= ~absorbed
 
     # Line 5: drop each surviving arrow with probability 2/3.
-    coins = item_coins(seed, 0xE5, n)
+    coins = item_coins(seed, 0xE5, np.arange(n, dtype=np.uint64))
     has_out &= coins >= 2.0 / 3.0
 
     # Line 6: merge the arrows that ended up isolated on both sides.
@@ -295,7 +295,8 @@ def _sample_leaders(vertices, config: ModelConfig, d: float, tag: int) -> set[in
     p = min(1.0, config.leader_constant * math.log(max(config.n, 2)) / max(d, 1.0))
     if p >= 1.0:
         return set(vertices)
-    return {v for v in vertices if item_hash(config.seed, tag, v) / 2.0**64 < p}
+    ids = np.fromiter(vertices, dtype=np.int64)
+    return set(ids[item_coins(config.seed, tag, ids) < p].tolist())
 
 
 def _hook_to_leaders(

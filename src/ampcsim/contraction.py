@@ -1,32 +1,54 @@
-"""Sample-and-traverse algorithms on cycles and linked lists: shrink,
-cycle counting, cycle connectivity, and list ranking.
+"""Sample-and-traverse algorithms on disjoint chains: shrink, cycle
+counting, cycle connectivity and list ranking, all run by one engine.
 
-All traversals run through the simulator: one round per contraction level,
-one metered query per pointer followed. Sampling decisions are hash-based
-and item-keyed, so they do not depend on machine assignment and cost no
-extra queries during traversal.
+A chain is closed (a cycle) or open (a linked list whose last successor is
+None). The engine, ``_Chains``, keeps one record per element in the store:
+``(successor, weight)`` on open chains and ``(successor, weight,
+predecessor)`` on closed ones, where a weight counts the input elements the
+record stands for. It runs three operations:
+
+- level: sample elements with item-keyed coins (every open chain keeps its
+  head, and a closed chain that drew no sample keeps its lowest id, so no
+  chain vanishes); each sample walks forward to the next sample, adding up
+  weights, and writes its new record. On a closed chain each sample also
+  walks back to the previous sample: the paper's 2-Cycle contracts
+  undirected cycles, where a vertex searches both sides, so contracted
+  cycles stay doubly linked. List ranking needs only the forward walk.
+- residual read: machine 0 reads each survivor's record once.
+- unwind: from the top level down, each survivor reads its record at the
+  level below and writes a value to every element of the gap it covered.
+  The value passes through a step function: adding weights gives ranks,
+  keeping the value spreads a component label.
+
+Each level is one round and stays queryable as its own store generation.
+Sampling is hash-based and item-keyed, so it does not depend on machine
+assignment and costs no queries during traversal.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .errors import CapacityError, NonTerminationError, StructureError
 from .graphs import ComponentLabeling, Graph
-from .runtime import ModelConfig, Simulator, item_coin, partition_to_machines
+from .runtime import ModelConfig, Simulator, item_coins, partition_to_machines
 
 
 def orient_cycles(graph: Graph) -> tuple[dict[int, int], dict[int, int]]:
     """Fix a traversal orientation (succ, pred) on a disjoint union of cycles.
 
     Every vertex must have degree exactly 2 counting multiplicity; parallel
-    edges form 2-cycles and a self-loop is a legal 1-cycle.
+    edges form 2-cycles and a self-loop is a legal 1-cycle. Each cycle is
+    walked from its first vertex in edge order, leaving every vertex by the
+    incident edge it did not arrive on.
     """
     incidence: dict[int, list[tuple[int, int]]] = {}
-    for idx, edge in enumerate(graph.edges):
-        u, v = edge[0], edge[1]
+    for idx, (u, v) in enumerate(zip(graph.src.tolist(), graph.dst.tolist())):
         incidence.setdefault(u, []).append((idx, v))
         incidence.setdefault(v, []).append((idx, u))
     for v, inc in incidence.items():
@@ -34,26 +56,16 @@ def orient_cycles(graph: Graph) -> tuple[dict[int, int], dict[int, int]]:
             raise StructureError(f"vertex {v} has degree {len(inc)}, expected 2")
     succ: dict[int, int] = {}
     pred: dict[int, int] = {}
-    used = [False] * graph.m
     for start in incidence:
         if start in succ:
             continue
-        v = start
-        while True:
-            edge_idx = next(
-                (i for i, _ in incidence[v] if not used[i]),
-                None,
-            )
-            if edge_idx is None:
-                raise StructureError("edge incidences do not close into cycles")
-            used[edge_idx] = True
-            e = graph.edges[edge_idx]
-            w = e[1] if e[0] == v else e[0]
+        v, arrived = start, None
+        while v not in succ:
+            first, second = incidence[v]
+            arrived, w = second if first[0] == arrived else first
             succ[v] = w
             pred[w] = v
             v = w
-            if v == start:
-                break
     return succ, pred
 
 
@@ -65,12 +77,11 @@ def cycles_of(succ: dict[int, int]) -> list[list[int]]:
         if start in seen:
             continue
         cyc = [start]
-        seen.add(start)
         v = succ[start]
         while v != start:
             cyc.append(v)
-            seen.add(v)
             v = succ[v]
+        seen.update(cyc)
         pivot = cyc.index(min(cyc))
         out.append(cyc[pivot:] + cyc[:pivot])
     return out
@@ -81,84 +92,131 @@ def orientation_graph(succ: dict[int, int], n: int) -> Graph:
     return Graph(n, [(v, w) for v, w in succ.items()], multigraph=True)
 
 
+class _Chains:
+    """Disjoint chains contracted level by level (see the module docstring).
+
+    ``levels[i]`` maps every element alive at level i to its record, which
+    is also its value in store generation i: the engine's simulator runs its
+    levels before any other round. The chains are closed when ``pred`` is
+    given; ``heads`` are the first elements of open chains.
+    """
+
+    def __init__(
+        self,
+        config: ModelConfig,
+        succ: dict[int, Optional[int]],
+        pred: Optional[Sequence[int] | dict[int, int]] = None,
+        heads: Sequence[int] = (),
+    ):
+        self.config = config
+        self.closed = pred is not None
+        self.heads = set(heads)
+        if self.closed:
+            records = {v: (s, 1, pred[v]) for v, s in succ.items()}
+        else:
+            records = {v: (s, 1) for v, s in succ.items()}
+        self.sim = Simulator(config, initial=records.items())
+        self.levels = [records]
+
+    @property
+    def top(self) -> dict[int, tuple]:
+        return self.levels[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.levels) - 1
+
+    def _sample(self, delta: float) -> set[int]:
+        top = self.top
+        probability = min(1.0, max(len(self.levels[0]), 2) ** (-delta / 2.0))
+        ids = np.fromiter(top, dtype=np.int64, count=len(top))
+        tag = (self.sim.round_index << 8) | (0x5A if self.closed else 0x1E)
+        samples = set(ids[item_coins(self.config.seed, tag, ids) < probability].tolist())
+        samples |= self.heads
+        if self.closed:
+            for cycle in cycles_of({v: record[0] for v, record in top.items()}):
+                if samples.isdisjoint(cycle):
+                    samples.add(cycle[0])
+        return samples
+
+    def level(self, delta: float, samples: Optional[set[int]] = None) -> None:
+        """Contract onto ``samples`` in one round. Unless given, each element
+        is sampled with probability n**(-delta/2), n the input size."""
+        if samples is None:
+            samples = self._sample(delta)
+        parts = partition_to_machines(sorted(samples), self.config, self.sim.round_index + 1)
+        closed = self.closed
+        records: dict[int, tuple] = {}
+
+        def walk(ctx):
+            for v in parts[ctx.machine_id]:
+                record = ctx.query(v)
+                right, weight = record[0], record[1]
+                while right is not None and right not in samples:
+                    step = ctx.query(right)
+                    right = step[0]
+                    weight += step[1]
+                if closed:
+                    left = record[2]
+                    while left not in samples:
+                        left = ctx.query(left)[2]
+                    records[v] = (right, weight, left)
+                else:
+                    records[v] = (right, weight)
+                ctx.write(v, records[v])
+
+        self.sim.run_round(walk)
+        self.levels.append(records)
+
+    def residual(self) -> dict[int, tuple]:
+        """Machine 0 reads every survivor's top-level record once."""
+        survivors = sorted(self.top)
+        capacity = self.config.budget_limit
+        if len(survivors) > capacity:
+            raise CapacityError(
+                f"residual of {len(survivors)} elements exceeds single-machine "
+                f"capacity {capacity}; the iteration count is mis-set"
+            )
+        generation = self.iterations
+        records: dict[int, tuple] = {}
+
+        def read(ctx):
+            if ctx.machine_id == 0:
+                for v in survivors:
+                    records[v] = ctx.query(v, generation=generation)
+
+        self.sim.run_round(read)
+        return records
+
+    def unwind(self, values: dict[int, int], step: Callable[[int, int], int]) -> dict[int, int]:
+        """Extend ``values`` from the top level's elements to every element,
+        one round per level: the element after x gets step(value of x,
+        weight of x)."""
+        for generation in range(self.iterations - 1, -1, -1):
+            upper = self.levels[generation + 1]
+            parts = partition_to_machines(sorted(upper), self.config, self.sim.round_index + 1)
+
+            def fill(ctx):
+                for v in parts[ctx.machine_id]:
+                    record = ctx.query(v, generation=generation)
+                    x, value = record[0], step(values[v], record[1])
+                    while x is not None and x not in upper:
+                        values[x] = value
+                        ctx.write(x, value)
+                        record = ctx.query(x, generation=generation)
+                        x, value = record[0], step(value, record[1])
+
+            self.sim.run_round(fill)
+        return values
+
+
 @dataclass
 class ShrinkResult:
     graph: Graph
-    sample_map: dict[int, tuple[int, int]]
+    sample_map: dict[int, tuple[int, int]]  # last level: sample -> (left, right)
     iteration_sizes: list[int]
     levels: list[dict[int, int]]          # succ map per level, level 0 = input
-    level_generations: list[int]          # store generation holding each level
     simulator: Simulator = field(repr=False, default=None)
-
-
-class _CycleState:
-    """Mutable traversal state shared by shrink-based algorithms."""
-
-    def __init__(self, graph: Graph, config: ModelConfig, sim: Optional[Simulator] = None):
-        self.config = config
-        succ, pred = orient_cycles(graph)
-        self.n0 = len(succ)
-        self.succ = succ
-        self.pred = pred
-        if sim is None:
-            self.sim = Simulator(
-                config, initial=[(v, (pred[v], s)) for v, s in succ.items()]
-            )
-        else:
-            # A shared simulator does not hold our records yet; write them.
-            self.sim = sim
-            parts = partition_to_machines(sorted(succ), config, sim.round_index + 1)
-
-            def setup(ctx):
-                for v in parts[ctx.machine_id]:
-                    ctx.write(v, (pred[v], succ[v]))
-
-            sim.run_round(setup)
-        self.levels = [dict(succ)]
-        self.level_generations = [self.sim.round_index]
-        self.sample_map: dict[int, tuple[int, int]] = {}
-
-    def size(self) -> int:
-        return len(self.succ)
-
-    def sample(self, probability: float) -> set[int]:
-        tag = (self.sim.round_index << 8) | 0x5A
-        seed = self.config.seed
-        chosen = {v for v in self.succ if item_coin(seed, tag, v) < probability}
-        # A cycle that loses every vertex would vanish; force its lowest id
-        # back in so desk-scale runs stay total.
-        for cyc in cycles_of(self.succ):
-            if not any(v in chosen for v in cyc):
-                chosen.add(min(cyc))
-        return chosen
-
-    def iterate(self, probability: float, forced: Optional[set[int]] = None) -> None:
-        """One sample-and-traverse level: contract onto the sampled set."""
-        samples = self.sample(probability) if forced is None else set(forced)
-        parts = partition_to_machines(sorted(samples), self.config, self.sim.round_index + 1)
-        new_succ: dict[int, int] = {}
-        new_pred: dict[int, int] = {}
-        sample_map = {}
-
-        def program(ctx):
-            for v in parts[ctx.machine_id]:
-                record = ctx.query(v)
-                left, right = record
-                while right not in samples:
-                    right = ctx.query(right)[1]
-                while left not in samples:
-                    left = ctx.query(left)[0]
-                sample_map[v] = (left, right)
-                new_succ[v] = right
-                new_pred[v] = left
-                ctx.write(v, (left, right))
-
-        self.sim.run_round(program)
-        self.succ = new_succ
-        self.pred = new_pred
-        self.sample_map = sample_map
-        self.levels.append(dict(new_succ))
-        self.level_generations.append(self.sim.round_index)
 
 
 def shrink(
@@ -166,8 +224,6 @@ def shrink(
     delta: float,
     t: int,
     config: ModelConfig,
-    sim: Optional[Simulator] = None,
-    initial_n: Optional[int] = None,
     sample_sets: Optional[Sequence[set[int]]] = None,
 ) -> ShrinkResult:
     """Contract a union of cycles onto vertex samples for t iterations.
@@ -177,21 +233,17 @@ def shrink(
     vertex in each direction. ``sample_sets`` overrides the per-iteration
     samples, which makes hand traces reproducible.
     """
-    state = _CycleState(graph, config, sim)
-    base = initial_n if initial_n is not None else state.n0
-    probability = min(1.0, max(base, 2) ** (-delta / 2.0))
-    sizes = [state.size()]
+    succ, pred = orient_cycles(graph)
+    chains = _Chains(config, succ, pred)
     for i in range(t):
-        forced = sample_sets[i] if sample_sets is not None else None
-        state.iterate(probability, forced=forced)
-        sizes.append(state.size())
+        chains.level(delta, None if sample_sets is None else set(sample_sets[i]))
+    levels = [{v: record[0] for v, record in level.items()} for level in chains.levels]
     return ShrinkResult(
-        graph=orientation_graph(state.succ, graph.n),
-        sample_map=dict(state.sample_map),
-        iteration_sizes=sizes,
-        levels=state.levels,
-        level_generations=state.level_generations,
-        simulator=state.sim,
+        graph=orientation_graph(levels[-1], graph.n),
+        sample_map={v: (record[2], record[0]) for v, record in chains.top.items()} if t else {},
+        iteration_sizes=[len(level) for level in levels],
+        levels=levels,
+        simulator=chains.sim,
     )
 
 
@@ -213,39 +265,18 @@ def two_cycle(graph: Graph, config: ModelConfig) -> TwoCycleResult:
     Shrinks for ceil(2(1-eps)/eps) iterations, allows one catch-up
     iteration, then solves the residual on a single designated machine.
     """
-    state = _CycleState(graph, config)
-    probability = min(1.0, max(state.n0, 2) ** (-config.epsilon / 2.0))
-    t = shrink_iteration_budget(config.epsilon)
-    iterations = 0
-    for _ in range(t):
-        state.iterate(probability)
-        iterations += 1
-    capacity = config.budget_limit
-    if state.size() > capacity:
-        state.iterate(probability)
-        iterations += 1
-    if state.size() > capacity:
-        raise CapacityError(
-            f"residual of {state.size()} vertices exceeds single-machine "
-            f"capacity {capacity}; the iteration count is mis-set"
-        )
-
-    survivors = sorted(state.succ)
-    residual: dict[int, int] = {}
-
-    def solve(ctx):
-        if ctx.machine_id != 0:
-            return
-        for v in survivors:
-            residual[v] = ctx.query(v)[1]
-
-    state.sim.run_round(solve)
-    count = len(cycles_of(residual))
+    succ, pred = orient_cycles(graph)
+    chains = _Chains(config, succ, pred)
+    for _ in range(shrink_iteration_budget(config.epsilon)):
+        chains.level(config.epsilon)
+    if len(chains.top) > config.budget_limit:
+        chains.level(config.epsilon)
+    residual = chains.residual()
     return TwoCycleResult(
-        cycles=count,
-        iterations=iterations,
-        residual_vertices=len(survivors),
-        simulator=state.sim,
+        cycles=len(cycles_of({v: record[0] for v, record in residual.items()})),
+        iterations=chains.iterations,
+        residual_vertices=len(residual),
+        simulator=chains.sim,
     )
 
 
@@ -262,25 +293,38 @@ def cycle_conn(
     config: ModelConfig,
     shrink_iterations: Optional[int] = None,
 ) -> CycleConnResult:
-    """Label the components of a disjoint union of cycles.
+    """Label the components of a disjoint union of cycles (see
+    ``label_cycles``)."""
+    succ, pred = orient_cycles(graph)
+    return label_cycles(succ, pred, graph.n, config, shrink_iterations)
+
+
+def label_cycles(
+    succ: dict[int, int],
+    pred: Sequence[int] | dict[int, int],
+    n: int,
+    config: ModelConfig,
+    shrink_iterations: Optional[int] = None,
+) -> CycleConnResult:
+    """Label the components of oriented cycles on elements below ``n``.
 
     After shrinking, every surviving vertex searches one direction (its
     successor pointers) until it meets a lower-priority-rank vertex or
     completes the loop; the priority minimum of each cycle becomes the
     representative. Labels are then unwound level by level onto all input
-    vertices.
+    vertices; an element on no cycle labels itself.
     """
-    state = _CycleState(graph, config)
-    probability = min(1.0, max(state.n0, 2) ** (-config.epsilon / 2.0))
+    chains = _Chains(config, succ, pred)
     if shrink_iterations is None:
         shrink_iterations = math.ceil((2.0 - config.epsilon) / config.epsilon)
     for _ in range(shrink_iterations):
-        state.iterate(probability)
+        chains.level(config.epsilon)
 
-    survivors = sorted(state.succ)
-    rank_tag = (state.sim.round_index << 8) | 0x7C
-    rank = {v: (item_coin(config.seed, rank_tag, v), v) for v in survivors}
-    parts = partition_to_machines(survivors, config, state.sim.round_index + 1)
+    sim = chains.sim
+    survivors = sorted(chains.top)
+    coins = item_coins(config.seed, (sim.round_index << 8) | 0x7C, survivors).tolist()
+    rank = dict(zip(survivors, zip(coins, survivors)))
+    parts = partition_to_machines(survivors, config, sim.round_index + 1)
     stop_at: dict[int, int] = {}
     search_lengths: dict[int, int] = {}
 
@@ -289,52 +333,27 @@ def cycle_conn(
             steps = 0
             x = v
             while True:
-                x = ctx.query(x)[1]
+                x = ctx.query(x)[0]
                 steps += 1
                 if rank[x] < rank[v] or x == v:
                     break
             stop_at[v] = x
             search_lengths[v] = steps
 
-    state.sim.run_round(search)
+    sim.run_round(search)
 
+    # Each search stops at a lower rank or at the cycle's rank minimum, so
+    # in rank order every stop is labelled before the survivors that name it.
     rep: dict[int, int] = {}
-    for v in survivors:
-        path = []
-        x = v
-        while x not in rep and stop_at[x] != x:
-            path.append(x)
-            x = stop_at[x]
-        final = rep.get(x, x)
-        rep[x] = final
-        for y in path:
-            rep[y] = final
+    for v in sorted(survivors, key=rank.__getitem__):
+        rep[v] = v if stop_at[v] == v else rep[stop_at[v]]
 
-    # Unwind the contraction levels so every input vertex learns its label.
-    labels: dict[int, int] = dict(rep)
-    for level in range(len(state.levels) - 2, -1, -1):
-        gen = state.level_generations[level]
-        upper = set(state.levels[level + 1])
-        lower_heads = sorted(upper)
-        level_parts = partition_to_machines(lower_heads, config, state.sim.round_index + 1)
-
-        def unwind(ctx, gen=gen, upper=upper, level_parts=level_parts):
-            for v in level_parts[ctx.machine_id]:
-                lab = labels[v]
-                x = ctx.query(v, generation=gen)[1]
-                while x not in upper:
-                    labels[x] = lab
-                    ctx.write(x, lab)
-                    x = ctx.query(x, generation=gen)[1]
-
-        state.sim.run_round(unwind)
-
-    label_list = [labels.get(v, v) for v in range(graph.n)]
+    labels = chains.unwind(rep, lambda label, _weight: label)
     return CycleConnResult(
-        labeling=ComponentLabeling(label_list),
+        labeling=ComponentLabeling([labels.get(v, v) for v in range(n)]),
         search_lengths=search_lengths,
         residual_size=len(survivors),
-        simulator=state.sim,
+        simulator=sim,
     )
 
 
@@ -342,17 +361,19 @@ def cycle_conn(
 class RankedList:
     order: list[int]
     ranks: dict[int, int]
-    weights_per_level: list[dict[int, int]]
-    level_samples: list[set[int]]
+    levels: list[dict[int, tuple[Optional[int], int]]]  # (successor, weight) records
     iterations: int
     simulator: Simulator = field(repr=False, default=None)
+
+    @property
+    def weights_per_level(self) -> list[dict[int, int]]:
+        return [{v: record[1] for v, record in level.items()} for level in self.levels]
 
 
 def rank_lists(
     successor: dict[int, Optional[int]],
     heads: Sequence[int],
     config: ModelConfig,
-    sim: Optional[Simulator] = None,
 ) -> RankedList:
     """Rank every element of one or more disjoint linked chains.
 
@@ -374,113 +395,29 @@ def rank_lists(
     if len(seen) != total:
         raise StructureError("successor map has elements unreachable from the heads")
 
-    if sim is None:
-        sim = Simulator(config, initial=[(v, (s, 1)) for v, s in successor.items()])
-    else:
-        parts = partition_to_machines(sorted(successor), config, sim.round_index + 1)
-
-        def setup(ctx):
-            for v in parts[ctx.machine_id]:
-                ctx.write(v, (successor[v], 1))
-
-        sim.run_round(setup)
-    head_set = set(heads)
-    weights: dict[int, int] = {v: 1 for v in successor}
-    succ: dict[int, Optional[int]] = dict(successor)
-    levels_succ = [dict(succ)]
-    levels_weight = [dict(weights)]
-    level_generations = [sim.round_index]
-    level_samples: list[set[int]] = []
-
+    chains = _Chains(config, successor, heads=heads)
     threshold = max(1, math.ceil(max(total, 2) ** config.epsilon))
-    probability = min(1.0, max(total, 2) ** (-config.epsilon / 2.0))
     cap = shrink_iteration_budget(config.epsilon) + 1
-    iterations = 0
+    while len(chains.top) > threshold and chains.iterations < cap:
+        chains.level(config.epsilon)
 
-    while len(succ) > threshold and iterations < cap:
-        tag = (sim.round_index << 8) | 0x1E
-        samples = {
-            v for v in succ if v in head_set or item_coin(config.seed, tag, v) < probability
-        }
-        level_samples.append(set(samples))
-        parts = partition_to_machines(sorted(samples), config, sim.round_index + 1)
-        new_succ: dict[int, Optional[int]] = {}
-        new_weights: dict[int, int] = {}
-        gen = level_generations[-1]
-
-        def contract(ctx, parts=parts, samples=samples, gen=gen):
-            for v in parts[ctx.machine_id]:
-                record = ctx.query(v, generation=gen)
-                nxt, w = record
-                absorbed = w
-                while nxt is not None and nxt not in samples:
-                    step, step_w = ctx.query(nxt, generation=gen)
-                    absorbed += step_w
-                    nxt = step
-                new_succ[v] = nxt
-                new_weights[v] = absorbed
-                ctx.write(v, (nxt, absorbed))
-
-        sim.run_round(contract)
-        succ, weights = new_succ, new_weights
-        levels_succ.append(dict(succ))
-        levels_weight.append(dict(weights))
-        level_generations.append(sim.round_index)
-        iterations += 1
-
-    if len(succ) > config.budget_limit:
-        raise CapacityError(
-            f"residual list of {len(succ)} elements exceeds capacity {config.budget_limit}"
-        )
-
-    # Solve the residual weighted problem on machine 0.
+    # Machine 0 ranks the residual chains from the records it read.
+    residual = chains.residual()
     ranks: dict[int, int] = {}
-    final_gen = level_generations[-1]
-
-    def solve(ctx):
-        if ctx.machine_id != 0:
-            return
-        for head in heads:
-            if head not in succ:
-                continue
-            rank = 0
-            x: Optional[int] = head
-            while x is not None:
-                nxt, w = ctx.query(x, generation=final_gen)
-                ranks[x] = rank
-                rank += w
-                x = nxt
-
-    sim.run_round(solve)
-
-    # Unwind: each ranked vertex ranks the gap it absorbed.
-    for level in range(len(levels_succ) - 2, -1, -1):
-        gen = level_generations[level]
-        upper = set(levels_succ[level + 1])
-        ranked_heads = sorted(upper)
-        parts = partition_to_machines(ranked_heads, config, sim.round_index + 1)
-
-        def unwind(ctx, parts=parts, upper=upper, gen=gen):
-            for v in parts[ctx.machine_id]:
-                nxt, w = ctx.query(v, generation=gen)
-                running = ranks[v] + w
-                while nxt is not None and nxt not in upper:
-                    ranks[nxt] = running
-                    ctx.write(nxt, running)
-                    step, step_w = ctx.query(nxt, generation=gen)
-                    running += step_w
-                    nxt = step
-
-        sim.run_round(unwind)
-
-    order = sorted(successor, key=lambda v: ranks[v])
+    for head in heads:
+        rank = 0
+        x: Optional[int] = head
+        while x is not None:
+            ranks[x] = rank
+            x, weight = residual[x]
+            rank += weight
+    chains.unwind(ranks, operator.add)
     return RankedList(
-        order=order,
+        order=sorted(successor, key=ranks.__getitem__),
         ranks=ranks,
-        weights_per_level=levels_weight,
-        level_samples=level_samples,
-        iterations=iterations,
-        simulator=sim,
+        levels=chains.levels,
+        iterations=chains.iterations,
+        simulator=chains.sim,
     )
 
 

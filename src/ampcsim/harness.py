@@ -50,6 +50,10 @@ ALGORITHMS = (
     "2ecc",
 )
 
+# The algorithms whose instance is a random graph with m edges; the others
+# take no edge count.
+GRAPH_ALGORITHMS = ("mis", "connectivity", "msf", "spanning-forest", "bridges", "2ecc")
+
 DEFAULT_GRID = {
     "n": (2**10, 2**12, 2**14),
     "epsilon": (0.4, 0.5, 0.66),
@@ -81,6 +85,8 @@ class ExperimentSpec:
             raise ValueError("n must be positive")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
+        if self.m and self.algorithm not in GRAPH_ALGORITHMS:
+            raise ValueError(f"{self.algorithm} takes no edge count m, got m={self.m}")
 
     def config(self, seed: int, n: Optional[int] = None, m: Optional[int] = None) -> ModelConfig:
         return ModelConfig.for_graph(
@@ -121,12 +127,7 @@ def _sim_stats(sims: Sequence[Simulator]) -> tuple[int, int, int, int]:
 
 def _run_two_cycle(spec: ExperimentSpec, seed: int):
     g = gen_cycles(spec.n, spec.pieces, seed)
-    cfg = ModelConfig.for_graph(
-        n=spec.n, m=spec.n, epsilon=spec.epsilon, seed=seed,
-        space_multiplier=spec.space_multiplier, budget_slack=spec.budget_slack,
-        strict_budget=spec.strict_budget,
-    )
-    res = contr_mod.two_cycle(g, cfg)
+    res = contr_mod.two_cycle(g, spec.config(seed, m=spec.n))
     correct = res.cycles == spec.pieces
     detail = {
         "iterations": res.iterations,
@@ -263,7 +264,7 @@ def _run_2ecc(spec: ExperimentSpec, seed: int):
     correct = (
         got_bridges == want_bridges
         and got_aps == want_aps
-        and compare_labelings(got_labels, two_edge_component_oracle(g)).match
+        and compare_labelings(got_labels, two_edge_component_oracle(g, want_bridges)).match
     )
     return correct, list(bc.simulators), {"bridges": len(want_bridges)}
 

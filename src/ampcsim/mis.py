@@ -13,10 +13,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .errors import NonTerminationError
 from .graphs import Graph
 from .primitives import mpc_sort
-from .runtime import ModelConfig, Simulator, item_coin, partition_to_machines
+from .runtime import ModelConfig, Simulator, item_coins, partition_to_machines
 
 UNKNOWN, IN_MIS, NOT_IN_MIS = 0, 1, 2
 
@@ -30,8 +32,9 @@ class Permutation:
 
     @classmethod
     def random(cls, n: int, seed: int, tag: int = 0x31) -> "Permutation":
-        priority = tuple(item_coin(seed, tag, v) for v in range(n))
-        order = sorted(range(n), key=lambda v: (priority[v], v))
+        coins = item_coins(seed, tag, np.arange(n))
+        priority = tuple(coins.tolist())
+        order = np.argsort(coins, kind="stable").tolist()
         rank = [0] * n
         for pos, v in enumerate(order):
             rank[v] = pos

@@ -165,8 +165,8 @@ def brute_bridges_aps(graph: Graph) -> tuple[set[tuple[int, int]], set[int]]:
     return bridges, aps
 
 
-def two_edge_component_oracle(graph: Graph) -> ComponentLabeling:
-    bridges, _ = tarjan_bridges_aps(graph)
+def two_edge_component_oracle(graph: Graph, bridges: set[tuple[int, int]]) -> ComponentLabeling:
+    """Components of the graph without ``bridges`` (as from tarjan_bridges_aps)."""
     kept = [
         e for e in graph.edges if (min(e[0], e[1]), max(e[0], e[1])) not in bridges
     ]

@@ -63,17 +63,23 @@ def item_coin(seed: int, tag: int, item: int) -> float:
     return item_hash(seed, tag, item) / 2.0**64
 
 
-def item_coins(seed: int, tag: int, n: int) -> np.ndarray:
-    """Vectorized item_coin for items 0..n-1."""
-    x = np.arange(n, dtype=np.uint64)
-    g = np.uint64(_GOLDEN)
-    h0 = np.uint64(_mix64((seed ^ _GOLDEN) & _MASK64))
-    h1 = np.uint64(_mix64((int(h0) ^ ((tag + _GOLDEN) & _MASK64)) & _MASK64))
-    x = h1 ^ (x + g)
+def item_hashes(seed: int, tag: int, ids) -> np.ndarray:
+    """Vectorized item_hash over an array of ids, as uint64.
+
+    Negative ids wrap to their two's complement, as item_hash's masking does.
+    """
+    x = np.asarray(ids).astype(np.uint64, copy=False)
+    h0 = _mix64(seed ^ _GOLDEN)
+    h1 = np.uint64(_mix64(h0 ^ (tag + _GOLDEN)))
+    x = h1 ^ (x + np.uint64(_GOLDEN))
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    x = x ^ (x >> np.uint64(31))
-    return x.astype(np.float64) / 2.0**64
+    return x ^ (x >> np.uint64(31))
+
+
+def item_coins(seed: int, tag: int, ids) -> np.ndarray:
+    """Vectorized item_coin over an array of ids."""
+    return item_hashes(seed, tag, ids).astype(np.float64) / 2.0**64
 
 
 def record_words(value: Any) -> int:
@@ -431,24 +437,30 @@ class Simulator:
             fileobj.write(json.dumps(m.as_record(), sort_keys=True) + "\n")
 
 
-def assign_to_machines(items: Sequence[int], config: ModelConfig, round_index: int) -> dict[int, int]:
+def _machines_of(ids: np.ndarray, config: ModelConfig, round_index: int) -> np.ndarray:
+    p = config.machines_P
+    if p == 1:
+        return np.zeros(len(ids), dtype=np.int64)
+    tag = (round_index << 8) | 0x51
+    return (item_hashes(config.seed, tag, ids) % np.uint64(p)).astype(np.int64)
+
+
+def assign_to_machines(items: Iterable[int], config: ModelConfig, round_index: int) -> dict[int, int]:
     """Map each item independently and uniformly at random to a machine.
 
     Deterministic under a fixed seed; independent of processing order.
     """
-    p = config.machines_P
-    if p == 1:
-        return {item: 0 for item in items}
-    tag = (round_index << 8) | 0x51
-    return {item: item_hash(config.seed, tag, item) % p for item in items}
+    ids = np.fromiter(items, dtype=np.int64)
+    return dict(zip(ids.tolist(), _machines_of(ids, config, round_index).tolist()))
 
 
 def partition_to_machines(
-    items: Sequence[int], config: ModelConfig, round_index: int
+    items: Iterable[int], config: ModelConfig, round_index: int
 ) -> list[list[int]]:
-    """assign_to_machines, grouped into one item list per machine."""
+    """assign_to_machines, grouped into one item list per machine, each in
+    input order."""
+    ids = np.fromiter(items, dtype=np.int64)
     parts: list[list[int]] = [[] for _ in range(config.machines_P)]
-    assignment = assign_to_machines(items, config, round_index)
-    for item in items:
-        parts[assignment[item]].append(item)
+    for item, machine in zip(ids.tolist(), _machines_of(ids, config, round_index).tolist()):
+        parts[machine].append(item)
     return parts

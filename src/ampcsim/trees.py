@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .contraction import CycleConnResult, cycle_conn, rank_lists
+from .contraction import CycleConnResult, label_cycles, rank_lists
 from .errors import StructureError
 from .graphs import ComponentLabeling, Graph, RootedForest
 from .primitives import RMQIndex, mpc_prefix_sum
@@ -51,7 +51,7 @@ def _check_forest(graph: Graph) -> None:
             x = parent[x]
         return x
 
-    for u, v in graph.edges:
+    for u, v in zip(graph.src.tolist(), graph.dst.tolist()):
         ru, rv = find(u), find(v)
         if ru == rv:
             raise StructureError(f"input contains a cycle through edge ({u}, {v})")
@@ -62,27 +62,20 @@ def euler_tour(forest: Graph) -> EulerTour:
     """Closed tour per tree: the successor of u->v is the edge out of v
     whose target follows u in v's ascending neighbor rotation."""
     _check_forest(forest)
-    adj = forest.adjacency()
-    position: list[dict[int, int]] = [dict() for _ in range(forest.n)]
-    for v in range(forest.n):
-        for i, u in enumerate(adj[v]):
-            position[v][u] = i
     src: list[int] = []
     dst: list[int] = []
-    twin: list[int] = []
-    edge_id: dict[tuple[int, int], int] = {}
-    for k, edge in enumerate(forest.edges):
-        u, v = edge[0], edge[1]
+    for u, v in zip(forest.src.tolist(), forest.dst.tolist()):
         src += [u, v]
         dst += [v, u]
-        twin += [2 * k + 1, 2 * k]
-        edge_id[(u, v)] = 2 * k
-        edge_id[(v, u)] = 2 * k + 1
-    succ = [0] * len(src)
-    for e in range(len(src)):
-        u, v = src[e], dst[e]
-        nxt = adj[v][(position[v][u] + 1) % len(adj[v])]
-        succ[e] = edge_id[(v, nxt)]
+    twin = [e ^ 1 for e in range(len(src))]
+    # rotation[v] lists the edges out of v by ascending target and slot[e]
+    # is e's place there. The twin of u->v is v->u, at slot[twin] in v's.
+    rotation: list[list[int]] = [[] for _ in range(forest.n)]
+    slot = [0] * len(src)
+    for e in sorted(range(len(src)), key=lambda e: (src[e], dst[e])):
+        slot[e] = len(rotation[src[e]])
+        rotation[src[e]].append(e)
+    succ = [rotation[v][(slot[twin[e]] + 1) % len(rotation[v])] for e, v in enumerate(dst)]
     return EulerTour(n=forest.n, src=src, dst=dst, twin=twin, succ=succ)
 
 
@@ -99,9 +92,6 @@ def _tour_connectivity(
 ) -> tuple[ComponentLabeling, Optional[CycleConnResult]]:
     if tour.size == 0:
         return ComponentLabeling(list(range(tour.n))), None
-    cycle_graph = Graph(
-        tour.size, [(e, tour.succ[e]) for e in range(tour.size)], multigraph=True
-    )
     sub_config = ModelConfig.for_graph(
         n=tour.size,
         m=tour.size,
@@ -112,14 +102,15 @@ def _tour_connectivity(
         leader_constant=config.leader_constant,
         strict_budget=config.strict_budget,
     )
-    res = cycle_conn(cycle_graph, sub_config)
-    # Reduce each edge component to its minimum incident vertex id.
+    pred = [0] * tour.size
+    for e, nxt in enumerate(tour.succ):
+        pred[nxt] = e
+    res = label_cycles(dict(enumerate(tour.succ)), pred, tour.size, sub_config)
+    # Reduce each edge component to its minimum vertex id; every vertex of a
+    # tree with edges is the source of one of its tour's edges.
     rep_vertex: dict[int, int] = {}
-    for e in range(tour.size):
-        lab = res.labeling.label[e]
-        low = min(tour.src[e], tour.dst[e])
-        if lab not in rep_vertex or low < rep_vertex[lab]:
-            rep_vertex[lab] = low
+    for e, lab in enumerate(res.labeling.label):
+        rep_vertex[lab] = min(rep_vertex.get(lab, tour.src[e]), tour.src[e])
     res.simulator.charge(1, tour.size, "component-min")
     label = list(range(tour.n))
     for e in range(tour.size):
@@ -191,25 +182,27 @@ def root_forest(
             if not 0 <= r < forest.n:
                 raise ValueError(f"root {r} not in the forest")
 
-    adj = forest.adjacency()
-    edge_out: dict[int, list[int]] = {v: [] for v in range(forest.n)}
-    for e in range(tour.size):
-        edge_out[tour.src[e]].append(e)
-
+    # Each root's tour starts at the edge to its lowest neighbor.
+    first_out: dict[int, int] = {}
+    for e, v in enumerate(tour.src):
+        if tour.dst[e] <= tour.dst[first_out.setdefault(v, e)]:
+            first_out[v] = e
     tree_of = [-1] * forest.n
     head_edges: list[int] = []
     for r in roots:
         tree_of[r] = r
-        if adj[r]:
-            head_edges.append(min(edge_out[r], key=lambda e: tour.dst[e]))
+        if r in first_out:
+            head_edges.append(first_out[r])
 
-    # Break each tour into a list ending just before its head edge.
+    # Break each tour into a list ending just before its head edge; every
+    # vertex of the tree is the source of some edge on it.
     succ_map: dict[int, Optional[int]] = {}
     for head in head_edges:
         if head in succ_map:
             raise ValueError("two roots were given inside one tree")
         e = head
         while True:
+            tree_of[tour.src[e]] = tour.src[head]
             nxt = tour.succ[e]
             succ_map[e] = None if nxt == head else nxt
             if nxt == head:
@@ -217,7 +210,7 @@ def root_forest(
             if nxt in succ_map:
                 raise ValueError("two roots were given inside one tree")
             e = nxt
-    if len(succ_map) != tour.size:
+    if len(succ_map) != tour.size or -1 in tree_of:
         raise ValueError("roots must include one vertex of every tree")
 
     rank: dict[int, int] = {}
@@ -235,17 +228,6 @@ def root_forest(
     for e in range(tour.size):
         if forward[e]:
             parent[tour.dst[e]] = tour.src[e]
-    # Every non-root vertex inherits its root by following parents.
-    for v in range(forest.n):
-        if tree_of[v] >= 0:
-            continue
-        path = [v]
-        x = parent[v]
-        while tree_of[x] < 0:
-            path.append(x)
-            x = parent[x]
-        for y in path:
-            tree_of[y] = tree_of[x]
 
     edges_in_order: dict[int, list[int]] = {r: [] for r in roots}
     for e in sorted(rank, key=lambda eid: rank[eid]):

@@ -297,7 +297,7 @@ def test_criterion_09_two_edge_connectivity():
             want_bridges, want_aps = tarjan_bridges_aps(g)
             assert got_bridges == want_bridges, f"trial {trial}"
             assert got_aps == want_aps, f"trial {trial}"
-            assert compare_labelings(got_labels, two_edge_component_oracle(g)).match
+            assert compare_labelings(got_labels, two_edge_component_oracle(g, want_bridges)).match
             _note_violations("2ecc", *bc.simulators)
         # Exhaustive: every connected graph on up to 6 labeled vertices.
         checked = 0
@@ -314,7 +314,7 @@ def test_criterion_09_two_edge_connectivity():
                 assert got_bridges == want_bridges, f"n={n} edges={edges}"
                 assert got_aps == want_aps, f"n={n} edges={edges}"
                 assert compare_labelings(
-                    got_labels, two_edge_component_oracle(g)
+                    got_labels, two_edge_component_oracle(g, want_bridges)
                 ).match, f"n={n} edges={edges}"
                 checked += 1
         assert checked > 26000  # all connected 6-vertex graphs and below

@@ -161,4 +161,4 @@ def test_random_graphs_match_tarjan():
         want_bridges, want_aps = tarjan_bridges_aps(g)
         assert got_bridges == want_bridges
         assert got_aps == want_aps
-        assert compare_labelings(got_2ecc, two_edge_component_oracle(g)).match
+        assert compare_labelings(got_2ecc, two_edge_component_oracle(g, want_bridges)).match

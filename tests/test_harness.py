@@ -219,10 +219,73 @@ TWO_ECC_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("algorithm, golden", [("msf", MSF_GOLDEN), ("2ecc", TWO_ECC_GOLDEN)])
+# The chain layer (sample-and-traverse on cycles and lists) behind 2-cycle,
+# forest connectivity, list ranking and tree rooting, pinned the same way.
+TWO_CYCLE_GOLDEN = [
+    '{"algorithm": "two-cycle", "correct": true, "detail": {"iterations": 2, "residual_vertices": 49}, "epsilon": 0.5, "m": 0, "max_queries_per_machine": 150, "n": 2000, "rounds": 3, "seed": 6218622741583987683, "total_communication": 4635, "trial": 0, "violations": 0}',
+    '{"algorithm": "two-cycle", "correct": true, "detail": {"iterations": 2, "residual_vertices": 45}, "epsilon": 0.5, "m": 0, "max_queries_per_machine": 118, "n": 2000, "rounds": 3, "seed": 4232062854197151812, "total_communication": 4621, "trial": 1, "violations": 0}',
+    '{"algorithm": "two-cycle", "correct": true, "detail": {"iterations": 2, "residual_vertices": 53}, "epsilon": 0.5, "m": 0, "max_queries_per_machine": 120, "n": 2000, "rounds": 3, "seed": 6257916401269190689, "total_communication": 4671, "trial": 2, "violations": 0}',
+]
+
+FOREST_CONN_GOLDEN = [
+    '{"algorithm": "forest-conn", "correct": true, "detail": {"components": 3}, "epsilon": 0.5, "m": 0, "max_queries_per_machine": 159, "n": 2000, "rounds": 8, "seed": 6218622741583987683, "total_communication": 21651, "trial": 0, "violations": 0}',
+    '{"algorithm": "forest-conn", "correct": true, "detail": {"components": 3}, "epsilon": 0.5, "m": 0, "max_queries_per_machine": 180, "n": 2000, "rounds": 8, "seed": 4232062854197151812, "total_communication": 21683, "trial": 1, "violations": 0}',
+    '{"algorithm": "forest-conn", "correct": true, "detail": {"components": 3}, "epsilon": 0.5, "m": 0, "max_queries_per_machine": 144, "n": 2000, "rounds": 8, "seed": 6257916401269190689, "total_communication": 21788, "trial": 2, "violations": 0}',
+]
+
+LIST_RANK_GOLDEN = [
+    '{"algorithm": "list-rank", "correct": true, "detail": {"iterations": 2}, "epsilon": 0.5, "m": 0, "max_queries_per_machine": 82, "n": 2000, "rounds": 5, "seed": 6218622741583987683, "total_communication": 6921, "trial": 0, "violations": 0}',
+    '{"algorithm": "list-rank", "correct": true, "detail": {"iterations": 2}, "epsilon": 0.5, "m": 0, "max_queries_per_machine": 89, "n": 2000, "rounds": 5, "seed": 4232062854197151812, "total_communication": 6994, "trial": 1, "violations": 0}',
+    '{"algorithm": "list-rank", "correct": true, "detail": {"iterations": 2}, "epsilon": 0.5, "m": 0, "max_queries_per_machine": 99, "n": 2000, "rounds": 5, "seed": 6257916401269190689, "total_communication": 6959, "trial": 2, "violations": 0}',
+]
+
+TREE_OPS_GOLDEN = [
+    '{"algorithm": "tree-ops", "correct": true, "detail": {"trees": 2}, "epsilon": 0.5, "m": 0, "max_queries_per_machine": 192, "n": 2000, "rounds": 21, "seed": 6218622741583987683, "total_communication": 51501, "trial": 0, "violations": 0}',
+    '{"algorithm": "tree-ops", "correct": true, "detail": {"trees": 2}, "epsilon": 0.5, "m": 0, "max_queries_per_machine": 194, "n": 2000, "rounds": 19, "seed": 4232062854197151812, "total_communication": 51458, "trial": 1, "violations": 0}',
+    '{"algorithm": "tree-ops", "correct": true, "detail": {"trees": 2}, "epsilon": 0.5, "m": 0, "max_queries_per_machine": 163, "n": 2000, "rounds": 21, "seed": 6257916401269190689, "total_communication": 51656, "trial": 2, "violations": 0}',
+]
+
+GOLDEN_SPECS = {
+    "msf": dict(m=6000),
+    "2ecc": dict(m=6000),
+    "two-cycle": dict(pieces=2),
+    "forest-conn": dict(trees=3),
+    "list-rank": dict(),
+    "tree-ops": dict(trees=2),
+}
+
+
+@pytest.mark.parametrize(
+    "algorithm, golden",
+    [
+        ("msf", MSF_GOLDEN),
+        ("2ecc", TWO_ECC_GOLDEN),
+        ("two-cycle", TWO_CYCLE_GOLDEN),
+        ("forest-conn", FOREST_CONN_GOLDEN),
+        ("list-rank", LIST_RANK_GOLDEN),
+        ("tree-ops", TREE_OPS_GOLDEN),
+    ],
+)
 def test_weighted_and_bc_model_costs_golden(algorithm, golden):
-    spec = ExperimentSpec(algorithm=algorithm, n=2000, m=6000, trials=3, seed=7)
+    spec = ExperimentSpec(algorithm=algorithm, n=2000, trials=3, seed=7, **GOLDEN_SPECS[algorithm])
     assert run_experiment(spec).json_lines().splitlines() == golden
+
+
+def test_spec_rejects_edge_count_for_non_graph_algorithms():
+    for algorithm in ("two-cycle", "forest-conn", "list-rank", "tree-ops"):
+        with pytest.raises(ValueError, match="takes no edge count"):
+            ExperimentSpec(algorithm=algorithm, n=64, m=100)
+        assert ExperimentSpec(algorithm=algorithm, n=64).m == 0
+    assert ExperimentSpec(algorithm="connectivity", n=64, m=100).m == 100
+
+
+def test_cli_accepts_m_only_for_graph_algorithms(capsys):
+    for algorithm in ("two-cycle", "forest-conn", "list-rank", "tree-ops"):
+        with pytest.raises(SystemExit) as exc:
+            main([algorithm, "--n", "64", "--m", "100"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --m 100" in capsys.readouterr().err
+    assert main(["connectivity", "--n", "64", "--m", "100"]) == 0
 
 
 def test_cli_strict_budget_fails_on_violation(capsys):

@@ -104,7 +104,7 @@ def test_tarjan_agrees_with_brute_force_sampled():
 def test_two_edge_component_oracle():
     # Two triangles joined by a bridge.
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
-    labels = two_edge_component_oracle(g)
+    labels = two_edge_component_oracle(g, tarjan_bridges_aps(g)[0])
     assert labels.same_component(0, 2)
     assert labels.same_component(3, 5)
     assert not labels.same_component(2, 3)

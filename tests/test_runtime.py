@@ -1,6 +1,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from ampcsim.runtime import (
@@ -10,6 +11,7 @@ from ampcsim.runtime import (
     Simulator,
     assign_to_machines,
     item_coins,
+    item_hashes,
     partition_to_machines,
 )
 
@@ -282,6 +284,16 @@ def test_assign_load_within_three_times_mean():
 def test_item_coins_match_scalar():
     import ampcsim.runtime as rt
 
-    coins = item_coins(99, 5, 64)
+    coins = item_coins(99, 5, np.arange(64))
     for i in range(64):
         assert coins[i] == pytest.approx(rt.item_coin(99, 5, i), abs=0)
+    # Sparse, large ids and a seed standing for a negative value, bit for
+    # bit, and the machine index taken modulo P.
+    ids = np.array([0, 3, 2**40 + 3, 2**62 + 11, 123456789])
+    seed = -(1 << 63) + 5
+    hashes = item_hashes(seed, 0x51, ids)
+    assert hashes.dtype == np.uint64
+    assert hashes.tolist() == [rt.item_hash(seed, 0x51, int(i)) for i in ids]
+    assert item_coins(seed, 0x51, ids).tolist() == [rt.item_coin(seed, 0x51, int(i)) for i in ids]
+    for p in (356, 252):
+        assert (hashes % np.uint64(p)).tolist() == [rt.item_hash(seed, 0x51, int(i)) % p for i in ids]

@@ -253,3 +253,10 @@ def test_bc_annotation_rounds_do_not_grow_with_n():
         labels = ("rmq-query", "rmq-build", "tour-prefix")
         counts.append([_charged(bc.simulators, label)[0] for label in labels])
     assert counts[0] == counts[1] == [1, 2, 2]
+
+
+def test_root_forest_rejects_uncovered_isolated_vertex():
+    # Vertex 2 has no edges and is not a root; this used to loop forever.
+    g = Graph(3, [(0, 1)])
+    with pytest.raises(ValueError, match="one vertex of every tree"):
+        root_forest(g, roots=[0], config=cfg_for(g))
