@@ -1,10 +1,11 @@
 """Two-edge connectivity via spanning forest annotations.
 
-Pipeline: spanning forest, rooting with preorder numbers, per-vertex
-Low/High/Size aggregates of non-tree edge endpoints, the critical-edge
-interval test, and component labels of the graph with critical edges
-removed. Bridges, articulation points, and 2-edge-connected components
-read off the result.
+Pipeline: spanning forest, one rooting at the lowest vertex of each
+spanning-forest component, preorder numbers, per-vertex Low/High/Size
+aggregates of non-tree edge endpoints, the critical-edge interval test,
+and component labels of the graph with critical edges removed. Bridges,
+articulation points, and 2-edge-connected components read off the result.
+Every stage works on int64 arrays; the graph's edge tuples are never built.
 
 Critical-edge convention (frozen by calibration against the sequential
 bridge oracle on exhaustive small graphs, see the test suite): a tree edge
@@ -21,10 +22,11 @@ labeling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+
+import numpy as np
 
 from .connectivity import connectivity, spanning_forest
-from .graphs import ComponentLabeling, Graph
+from .graphs import ComponentLabeling, Graph, pair_keys, simple_graph
 from .runtime import ModelConfig
 from .trees import RootedTour, SubtreeMinMax, preorder_and_sizes, root_forest
 
@@ -32,100 +34,96 @@ from .trees import RootedTour, SubtreeMinMax, preorder_and_sizes, root_forest
 @dataclass
 class BCLabeling:
     """Component labels after critical-edge removal, plus the annotated
-    rooted spanning forest they were derived from."""
+    rooted spanning forest they were derived from.
+
+    The annotations are int64 arrays over vertices: ``preorder`` numbers,
+    subtree ``sizes`` (counting the vertex), and ``low``/``high``, the
+    least and greatest preorder number that the vertex's subtree holds or
+    reaches by one non-tree edge. ``non_tree_edges`` is a (k, 2) array of
+    the graph's edges outside the spanning forest, in input order.
+    """
 
     graph: Graph
     config: ModelConfig
     labels: ComponentLabeling
     rooted: RootedTour
-    forest_edges: set[tuple[int, int]]
-    non_tree_edges: list[tuple[int, int]]
-    preorder: dict[int, int]
-    sizes: dict[int, int]
-    low: dict[int, int]
-    high: dict[int, int]
+    non_tree_edges: np.ndarray
+    preorder: np.ndarray
+    sizes: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
     critical: set[tuple[int, int]] = field(default_factory=set)
     simulators: list = field(default_factory=list)
 
 
-def _normalize(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+def _tree_edges(rooted: RootedTour) -> tuple[np.ndarray, np.ndarray]:
+    """Every non-root vertex and its parent."""
+    child = np.flatnonzero(rooted.enter >= 0)
+    return child, rooted.tour.src[rooted.enter[child]]
+
+
+def _pairs(u: np.ndarray, v: np.ndarray) -> set[tuple[int, int]]:
+    return set(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+
+
+def _keys(n: int, pairs: set[tuple[int, int]]) -> np.ndarray:
+    """The ``pair_keys`` of a set of vertex pairs, ascending."""
+    edges = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    return np.sort(pair_keys(n, edges[:, 0], edges[:, 1]))
 
 
 def critical_set(
     rooted: RootedTour,
-    pn: dict[int, int],
-    sizes: dict[int, int],
-    low: dict[int, int],
-    high: dict[int, int],
-    parent_base: bool = False,
-    size_includes_vertex: bool = True,
+    pn: np.ndarray,
+    sizes: np.ndarray,
+    low: np.ndarray,
+    high: np.ndarray,
 ) -> set[tuple[int, int]]:
-    """The interval test, parameterized over the two convention choices the
-    calibration explores. Defaults are the frozen convention."""
-    out = set()
-    for v in range(rooted.tour.n):
-        p = rooted.forest.parent[v]
-        if p == v:
-            continue
-        base = pn[p] if parent_base else pn[v]
-        span = sizes[v] - (1 if size_includes_vertex else 0)
-        if base <= low[v] and high[v] <= base + span:
-            out.add(_normalize(v, p))
-    return out
+    """Tree edges (v, parent(v)) that pass the frozen interval test."""
+    child, parent = _tree_edges(rooted)
+    inside = (pn[child] <= low[child]) & (high[child] <= pn[child] + sizes[child] - 1)
+    return _pairs(child[inside], parent[inside])
 
 
-def bc_labeling(
-    graph: Graph,
-    config: ModelConfig,
-    parent_base: bool = False,
-    size_includes_vertex: bool = True,
-) -> BCLabeling:
+def bc_labeling(graph: Graph, config: ModelConfig) -> BCLabeling:
     """Spanning forest, annotations, critical edges, and the labeling of
-    the graph with critical edges removed."""
-    forest_edges, _, sf_result = spanning_forest(graph, config)
-    forest = Graph(graph.n, sorted(forest_edges))
-    rooted = root_forest(forest, config=config)
+    the graph with critical edges removed.
+
+    Every tree is rooted at the lowest vertex of its spanning-forest
+    component, read off the labels the spanning forest returns in one
+    charged round, so rooting needs no second connectivity pass.
+    """
+    n = graph.n
+    forest_edges, forest_labels, sf_result = spanning_forest(graph, config)
+    roots = np.unique(forest_labels.label, return_index=True)[1]
+    sf_result.simulator.charge(1, n, "component-min")
+    tree_keys = _keys(n, forest_edges)
+    rooted = root_forest(Graph.from_arrays(n, tree_keys // n, tree_keys % n), roots=roots, config=config)
     pn, sizes = preorder_and_sizes(rooted)
 
-    tree_set = {_normalize(u, v) for u, v in forest_edges}
-    non_tree = [
-        (u, v) for u, v in ((e[0], e[1]) for e in graph.edges)
-        if _normalize(u, v) not in tree_set
-    ]
+    keys = pair_keys(n, graph.src, graph.dst)
+    non_tree = ~np.isin(keys, tree_keys)
+    u, v = graph.src[non_tree], graph.dst[non_tree]
     # Per-vertex base values: own preorder number merged with the preorder
     # numbers of non-tree neighbors.
-    bas_min = {v: float(pn[v]) for v in range(graph.n)}
-    bas_max = {v: float(pn[v]) for v in range(graph.n)}
-    for u, v in non_tree:
-        bas_min[u] = min(bas_min[u], pn[v])
-        bas_max[u] = max(bas_max[u], pn[v])
-        bas_min[v] = min(bas_min[v], pn[u])
-        bas_max[v] = max(bas_max[v], pn[u])
+    bas_min, bas_max = pn.copy(), pn.copy()
+    np.minimum.at(bas_min, u, pn[v])
+    np.minimum.at(bas_min, v, pn[u])
+    np.maximum.at(bas_max, u, pn[v])
+    np.maximum.at(bas_max, v, pn[u])
 
     subtree = SubtreeMinMax(rooted, pn, sizes, bas_min, bas_max)
-    ranges = subtree.query(range(graph.n))
-    low = {v: int(lo) for v, (lo, _) in enumerate(ranges)}
-    high = {v: int(hi) for v, (_, hi) in enumerate(ranges)}
+    low, high = subtree.query(np.arange(n))
 
-    critical = critical_set(
-        rooted, pn, sizes, low, high,
-        parent_base=parent_base,
-        size_includes_vertex=size_includes_vertex,
-    )
-    kept = [
-        e for e in graph.edges
-        if _normalize(e[0], e[1]) not in critical
-    ]
-    label_result = connectivity(Graph(graph.n, kept), config)
-    labels = label_result.labeling
+    critical = critical_set(rooted, pn, sizes, low, high)
+    kept = ~np.isin(keys, _keys(n, critical))
+    label_result = connectivity(Graph.from_arrays(n, graph.src[kept], graph.dst[kept]), config)
     return BCLabeling(
         graph=graph,
         config=config,
-        labels=labels,
+        labels=label_result.labeling,
         rooted=rooted,
-        forest_edges=tree_set,
-        non_tree_edges=non_tree,
+        non_tree_edges=np.stack((u, v), axis=1),
         preorder=pn,
         sizes=sizes,
         low=low,
@@ -143,12 +141,10 @@ def bridges(bc: BCLabeling) -> set[tuple[int, int]]:
     labeling, and an edge is a bridge exactly when its endpoints lie in
     different 2-edge components.
     """
-    out = set()
-    for v in range(bc.graph.n):
-        p = bc.rooted.forest.parent[v]
-        if p != v and not bc.labels.same_component(v, p):
-            out.add(_normalize(v, p))
-    return out
+    label = np.asarray(bc.labels.label)
+    child, parent = _tree_edges(bc.rooted)
+    cut = label[child] != label[parent]
+    return _pairs(child[cut], parent[cut])
 
 
 def articulation_points(bc: BCLabeling) -> set[int]:
@@ -162,45 +158,32 @@ def articulation_points(bc: BCLabeling) -> set[int]:
     when it heads at least one component, the root when it heads two.
     """
     n = bc.graph.n
-    pn, sizes = bc.preorder, bc.sizes
-    parent = bc.rooted.forest.parent
-    tree_of = bc.rooted.tree_of
-    aux_edges: set[tuple[int, int]] = set()
-    for u, v in bc.non_tree_edges:
-        a, b = (u, v) if pn[u] < pn[v] else (v, u)
-        if tree_of[a] == tree_of[b] and pn[b] >= pn[a] + sizes[a]:
-            aux_edges.add(_normalize(a, b))
-    for v in range(n):
-        w = parent[v]
-        if w == v or parent[w] == w:
-            continue
-        if bc.low[v] < pn[w] or bc.high[v] >= pn[w] + sizes[w]:
-            aux_edges.add(_normalize(v, w))
-    aux = Graph(n, sorted(aux_edges))
+    pn, sizes, tree_of = bc.preorder, bc.sizes, bc.rooted.tree_of
+    is_root = bc.rooted.enter < 0
+    u, v = bc.non_tree_edges[:, 0], bc.non_tree_edges[:, 1]
+    a = np.where(pn[u] < pn[v], u, v)
+    b = u + v - a
+    unrelated = (tree_of[a] == tree_of[b]) & (pn[b] >= pn[a] + sizes[a])
+    child, parent = _tree_edges(bc.rooted)
+    inner = ~is_root[parent]
+    below, w = child[inner], parent[inner]
+    escapes = (bc.low[below] < pn[w]) | (bc.high[below] >= pn[w] + sizes[w])
+    aux = simple_graph(
+        n,
+        np.concatenate((a[unrelated], below[escapes])),
+        np.concatenate((b[unrelated], w[escapes])),
+    )
     block_result = connectivity(aux, bc.config)
     bc.simulators.append(block_result.simulator)
-    blocks = block_result.labeling
+    blocks = np.asarray(block_result.labeling.label)
 
-    # Group non-root vertices by block label; heads count per vertex.
-    min_vertex_of_block: dict[int, int] = {}
-    for v in range(n):
-        if parent[v] == v:
-            continue
-        lab = blocks.label[v]
-        if lab not in min_vertex_of_block or pn[v] < pn[min_vertex_of_block[lab]]:
-            min_vertex_of_block[lab] = v
-    head_counts: dict[int, int] = {}
-    for lab, vmin in min_vertex_of_block.items():
-        head = parent[vmin]
-        head_counts[head] = head_counts.get(head, 0) + 1
-    out = set()
-    for v, count in head_counts.items():
-        if parent[v] == v:
-            if count >= 2:
-                out.add(v)
-        elif count >= 1:
-            out.add(v)
-    return out
+    # The preorder-minimal vertex of each block of non-root vertices, and
+    # how many blocks each vertex heads.
+    block_of = blocks[child]
+    by_block = np.lexsort((pn[child], block_of))
+    first = by_block[np.unique(block_of[by_block], return_index=True)[1]]
+    head_counts = np.bincount(parent[first], minlength=n)
+    return set(np.flatnonzero(head_counts >= np.where(is_root, 2, 1)).tolist())
 
 
 def two_edge_components(graph: Graph, config: ModelConfig) -> ComponentLabeling:

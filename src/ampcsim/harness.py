@@ -219,14 +219,13 @@ def _run_tree_ops(spec: ExperimentSpec, seed: int):
     rooted = trees_mod.root_forest(g, config=cfg)
     pn, sizes = trees_mod.preorder_and_sizes(rooted)
     rng = np.random.default_rng(np.random.SeedSequence(seed & ((1 << 64) - 1), spawn_key=(0x1B,)))
-    values = {v: int(rng.integers(-(10**6), 10**6)) for v in range(g.n)}
+    values = [int(rng.integers(-(10**6), 10**6)) for _ in range(g.n)]
     smm = trees_mod.SubtreeMinMax(rooted, pn, sizes, values, values)
 
     correct = True
     for root in rooted.forest.roots:
         parent, want_pn, want_sizes = seq_dfs_tree(g, root)
-        members = [v for v in range(g.n) if rooted.tree_of[v] == root]
-        for v in members:
+        for v in np.flatnonzero(rooted.tree_of == root).tolist():
             if rooted.forest.parent[v] != parent[v] or pn[v] != want_pn[v] or sizes[v] != want_sizes[v]:
                 correct = False
     # Spot-check subtree min/max on sampled vertices via a DFS oracle.
@@ -236,7 +235,7 @@ def _run_tree_ops(spec: ExperimentSpec, seed: int):
         if p != v:
             children[p].append(v)
     sample = [int(v) for v in rng.choice(g.n, size=min(g.n, 64), replace=False)]
-    for v, got in zip(sample, smm.query(sample)):
+    for v, got in zip(sample, zip(*smm.query(sample))):
         stack, vals = [v], []
         while stack:
             x = stack.pop()

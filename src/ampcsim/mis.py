@@ -212,7 +212,7 @@ def maximal_independent_set(graph: Graph, config: ModelConfig) -> MisResult:
         config,
         initial=[((v, i), u) for v in range(n) for i, u in enumerate(adj[v])],
     )
-    sort_charge = mpc_sort(graph.edges, epsilon=config.epsilon)
+    sort_charge = mpc_sort(range(graph.m), epsilon=config.epsilon)
     sim.charge(sort_charge.rounds_charged, sort_charge.communication_charged, "adjacency-sort")
 
     status = MisStatus(status=[UNKNOWN] * n)

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .graphs import ComponentLabeling, Graph
 
 
@@ -52,8 +54,11 @@ class UnionFind:
 
 def uf_components(graph: Graph) -> ComponentLabeling:
     uf = UnionFind(graph.n)
-    for u, v in zip(graph.src.tolist(), graph.dst.tolist()):
-        uf.union(u, v)
+    # Edges in slices, so the oracle never holds 2m Python ints at once.
+    for start in range(0, graph.m, 1 << 16):
+        chunk = slice(start, start + (1 << 16))
+        for u, v in zip(graph.src[chunk].tolist(), graph.dst[chunk].tolist()):
+            uf.union(u, v)
     return ComponentLabeling([uf.find(v) for v in range(graph.n)])
 
 
@@ -81,12 +86,12 @@ def kruskal_msf(graph: Graph) -> set[tuple[int, int, float]]:
     """The unique minimum spanning forest of a distinct-weight graph."""
     if not graph.weighted:
         raise ValueError("kruskal_msf needs a weighted graph")
-    weights = [w for _, _, w in graph.edges]
-    if len(set(weights)) != len(weights):
+    if len(np.unique(graph.weight)) != graph.m:
         raise ValueError("duplicate edge weights")
+    order = np.argsort(graph.weight, kind="stable")
     uf = UnionFind(graph.n)
     forest = set()
-    for u, v, w in sorted(graph.edges, key=lambda e: e[2]):
+    for u, v, w in zip(graph.src[order].tolist(), graph.dst[order].tolist(), graph.weight[order].tolist()):
         if uf.union(u, v):
             forest.add((u, v, w))
     return forest

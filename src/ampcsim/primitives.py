@@ -94,39 +94,44 @@ class RMQIndex:
     """Sparse table answering range-minimum and range-maximum queries.
 
     The max table is built over ``max_values`` when given (of equal length),
-    so one index can answer minima of one array and maxima of another.
+    so one index can answer minima of one array and maxima of another. Row d
+    of each table holds the extremum of every window of 2**d values; rows
+    are padded to full length, and no query reads the padding.
     """
 
     def __init__(self, values: Sequence[float], max_values: Optional[Sequence[float]] = None):
-        arr = np.asarray(values, dtype=np.float64)
-        max_arr = arr if max_values is None else np.asarray(max_values, dtype=np.float64)
+        arr = np.asarray(values)
+        max_arr = arr if max_values is None else np.asarray(max_values)
         self.length = len(arr)
         levels = max(1, self.length.bit_length())
-        self._mins = [arr]
-        self._maxs = [max_arr]
+        self._mins = np.repeat(arr[None], levels, axis=0)
+        self._maxs = np.repeat(max_arr[None], levels, axis=0)
         for depth in range(1, levels):
             half = 1 << (depth - 1)
-            prev_min, prev_max = self._mins[-1], self._maxs[-1]
-            if len(prev_min) <= half:
-                break
-            self._mins.append(np.minimum(prev_min[:-half], prev_min[half:]))
-            self._maxs.append(np.maximum(prev_max[:-half], prev_max[half:]))
+            np.minimum(self._mins[depth - 1, :-half], self._mins[depth - 1, half:], out=self._mins[depth, :-half])
+            np.maximum(self._maxs[depth - 1, :-half], self._maxs[depth - 1, half:], out=self._maxs[depth, :-half])
 
-    def _check(self, i: int, j: int) -> None:
-        if not 0 <= i <= j < self.length:
-            raise IndexError(f"range [{i}, {j}] out of bounds for length {self.length}")
+    def query(self, i, j) -> tuple[np.ndarray, np.ndarray]:
+        """Minimum and maximum over each inclusive range [i, j]; ``i`` and
+        ``j`` are equal-length index arrays, or two ints."""
+        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+        bad = (i < 0) | (i > j) | (j >= self.length)
+        if bad.any():
+            raise IndexError(
+                f"range [{i[bad].flat[0]}, {j[bad].flat[0]}] out of bounds for length {self.length}"
+            )
+        depth = np.frexp(j - i + 1)[1] - 1  # floor(log2(width))
+        tail = j - np.left_shift(1, depth) + 1
+        return (
+            np.minimum(self._mins[depth, i], self._mins[depth, tail]),
+            np.maximum(self._maxs[depth, i], self._maxs[depth, tail]),
+        )
 
     def query_min(self, i: int, j: int) -> float:
-        self._check(i, j)
-        depth = (j - i + 1).bit_length() - 1
-        table = self._mins[depth]
-        return float(min(table[i], table[j - (1 << depth) + 1]))
+        return float(self.query(i, j)[0])
 
     def query_max(self, i: int, j: int) -> float:
-        self._check(i, j)
-        depth = (j - i + 1).bit_length() - 1
-        table = self._maxs[depth]
-        return float(max(table[i], table[j - (1 << depth) + 1]))
+        return float(self.query(i, j)[1])
 
 
 def rmq_build(values: Sequence[float], *, epsilon: float) -> ChargedResult[RMQIndex]:

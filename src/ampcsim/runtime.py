@@ -203,9 +203,8 @@ class GenerationalStore:
     1-based and defined exactly for 1 <= j <= k.
     """
 
-    def __init__(self, generation: int, previous: Optional["GenerationalStore"] = None):
+    def __init__(self, generation: int):
         self.generation = generation
-        self.previous = previous
         self._entries: dict[Hashable, list[Any]] = {}
         self._sealed = False
 
@@ -351,7 +350,7 @@ class Simulator:
         ]
         for ctx in contexts:
             program(ctx)
-        new_store = GenerationalStore(round_index, previous=self.store)
+        new_store = GenerationalStore(round_index)
         new_store._merge_and_seal([ctx._buffer for ctx in contexts])
         self.stores.append(new_store)
         self.round_index = round_index

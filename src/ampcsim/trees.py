@@ -1,10 +1,12 @@
 """Euler tours, tree rooting, and tour-based tree annotations: subtree
 sizes, preorder numbers, and range-query subtree minima/maxima.
 
-Every tree edge appears as two directed twins; successor pointers chain
-each tree's twins into one closed tour. Rooting breaks the tour at an edge
-incident to the root, ranks the resulting list, and classifies each twin
-pair by rank order (the parent-to-child occurrence ranks lower).
+Every tree edge k appears as two directed twins, 2k and 2k+1, so the twin
+of directed edge e is e ^ 1; successor pointers chain each tree's twins
+into one closed tour. Rooting breaks the tour at an edge incident to the
+root, ranks the resulting list, and classifies each twin pair by rank order
+(the parent-to-child occurrence ranks lower). The tour and every annotation
+are int64 arrays, indexed by directed edge or by vertex.
 
 Annotations work on the whole forest at once and are charged per batch,
 not per tree or per vertex: in the AMPC model every machine of a round
@@ -19,6 +21,8 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .contraction import CycleConnResult, label_cycles, rank_lists
 from .errors import StructureError
 from .graphs import ComponentLabeling, Graph, RootedForest
@@ -29,13 +33,13 @@ from .runtime import ModelConfig, Simulator
 @dataclass
 class EulerTour:
     """Unranked successor structure: one closed cycle of directed edges per
-    tree. Directed edges 2k and 2k+1 are the twins of undirected edge k."""
+    tree. Directed edge e runs ``src[e] -> dst[e]`` and is followed by
+    ``succ[e]``; edges 2k and 2k+1 are the two directions of forest edge k."""
 
     n: int
-    src: list[int]
-    dst: list[int]
-    twin: list[int]
-    succ: list[int]
+    src: np.ndarray
+    dst: np.ndarray
+    succ: np.ndarray
 
     @property
     def size(self) -> int:
@@ -58,25 +62,31 @@ def _check_forest(graph: Graph) -> None:
         parent[ru] = rv
 
 
+def _rotation(tour_src: np.ndarray, tour_dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Directed edges grouped by source, each group by ascending target,
+    with each vertex's group start and length (its degree)."""
+    rotation = np.lexsort((tour_dst, tour_src))
+    degree = np.bincount(tour_src, minlength=n)
+    return rotation, np.cumsum(degree) - degree, degree
+
+
 def euler_tour(forest: Graph) -> EulerTour:
     """Closed tour per tree: the successor of u->v is the edge out of v
     whose target follows u in v's ascending neighbor rotation."""
     _check_forest(forest)
-    src: list[int] = []
-    dst: list[int] = []
-    for u, v in zip(forest.src.tolist(), forest.dst.tolist()):
-        src += [u, v]
-        dst += [v, u]
-    twin = [e ^ 1 for e in range(len(src))]
-    # rotation[v] lists the edges out of v by ascending target and slot[e]
-    # is e's place there. The twin of u->v is v->u, at slot[twin] in v's.
-    rotation: list[list[int]] = [[] for _ in range(forest.n)]
-    slot = [0] * len(src)
-    for e in sorted(range(len(src)), key=lambda e: (src[e], dst[e])):
-        slot[e] = len(rotation[src[e]])
-        rotation[src[e]].append(e)
-    succ = [rotation[v][(slot[twin[e]] + 1) % len(rotation[v])] for e, v in enumerate(dst)]
-    return EulerTour(n=forest.n, src=src, dst=dst, twin=twin, succ=succ)
+    size = 2 * forest.m
+    src = np.empty(size, dtype=np.int64)
+    dst = np.empty(size, dtype=np.int64)
+    src[0::2], src[1::2] = forest.src, forest.dst
+    dst[0::2], dst[1::2] = forest.dst, forest.src
+    # slot[e] is e's place in the rotation of src[e]; the twin of u->v is
+    # v->u, at slot[e ^ 1] in v's.
+    rotation, start, degree = _rotation(src, dst, forest.n)
+    slot = np.empty(size, dtype=np.int64)
+    slot[rotation] = np.arange(size) - start[src[rotation]]
+    twin = np.arange(size) ^ 1
+    succ = rotation[start[dst] + (slot[twin] + 1) % degree[dst]]
+    return EulerTour(n=forest.n, src=src, dst=dst, succ=succ)
 
 
 def forest_connectivity(
@@ -102,49 +112,45 @@ def _tour_connectivity(
         leader_constant=config.leader_constant,
         strict_budget=config.strict_budget,
     )
-    pred = [0] * tour.size
-    for e, nxt in enumerate(tour.succ):
-        pred[nxt] = e
-    res = label_cycles(dict(enumerate(tour.succ)), pred, tour.size, sub_config)
+    pred = np.empty(tour.size, dtype=np.int64)
+    pred[tour.succ] = np.arange(tour.size)
+    res = label_cycles(dict(enumerate(tour.succ.tolist())), pred.tolist(), tour.size, sub_config)
     # Reduce each edge component to its minimum vertex id; every vertex of a
     # tree with edges is the source of one of its tour's edges.
-    rep_vertex: dict[int, int] = {}
-    for e, lab in enumerate(res.labeling.label):
-        rep_vertex[lab] = min(rep_vertex.get(lab, tour.src[e]), tour.src[e])
+    edge_label = np.asarray(res.labeling.label, dtype=np.int64)
+    rep_vertex = np.full(tour.size, tour.n, dtype=np.int64)
+    np.minimum.at(rep_vertex, edge_label, tour.src)
     res.simulator.charge(1, tour.size, "component-min")
-    label = list(range(tour.n))
-    for e in range(tour.size):
-        label[tour.src[e]] = rep_vertex[res.labeling.label[e]]
-    return ComponentLabeling(label), res
+    label = np.arange(tour.n)
+    label[tour.src] = rep_vertex[edge_label]
+    return ComponentLabeling(label.tolist()), res
 
 
 @dataclass
 class RootedTour:
-    """Ranked, oriented Euler sequence plus the parent map it induces.
+    """Ranked, oriented Euler tour plus the parent map it induces.
+
+    Arrays over directed edges: ``rank`` is the edge's position in its
+    tree's tour list, which starts at the root's edge to its lowest
+    neighbor; ``forward`` marks the parent-to-child occurrences. Arrays over
+    vertices: ``tree_of`` is the vertex's root and ``enter`` its entering
+    edge (the forward edge parent -> v), -1 at roots. Laying the edges out
+    by (tree_of, rank) gives every tree's tour in order, trees end to end.
 
     ``simulators`` holds every simulator rooting ran, in order: forest
-    connectivity when it picked the roots, then list ranking. Annotations
-    charge into the last one, so a forest without edges is charged nothing.
+    connectivity when no roots were supplied, then list ranking.
+    Annotations charge into the last one, so a forest without edges is
+    charged nothing.
     """
 
     tour: EulerTour
     forest: RootedForest
-    rank: dict[int, int]
-    forward: list[bool]
-    tree_of: list[int]                      # vertex -> its root
-    edges_in_order: dict[int, list[int]]    # root -> edge ids by rank
+    rank: np.ndarray
+    forward: np.ndarray
+    tree_of: np.ndarray
+    enter: np.ndarray
     config: ModelConfig
     simulators: list[Simulator]
-
-    def __post_init__(self):
-        self._enter: dict[int, int] = {}
-        for e in range(self.tour.size):
-            if self.forward[e]:
-                self._enter[self.tour.dst[e]] = e
-
-    def enter_edge(self, v: int) -> Optional[int]:
-        """The forward edge (parent(v) -> v); None for roots."""
-        return self._enter.get(v)
 
     def charge(self, rounds: int, communication: int, label: str) -> None:
         if self.simulators:
@@ -159,97 +165,82 @@ def root_forest(
     """Root every tree: break its tour at a root-incident edge, rank the
     list, and read parents off the forward occurrences.
 
-    When no roots are supplied, forest connectivity picks the lowest id of
+    ``roots`` must hold one vertex of every tree. When they are not
+    supplied, forest connectivity over the tours picks the lowest id of
     each component.
     """
     if config is None:
         config = ModelConfig.for_graph(n=forest.n, m=max(1, forest.m))
+    n = forest.n
     tour = euler_tour(forest)
     simulators: list[Simulator] = []
     if roots is None:
         components, res = _tour_connectivity(tour, config)
         if res is not None:
             simulators.append(res.simulator)
-        rep_to_root: dict[int, int] = {}
-        for v in range(forest.n):
-            rep = components.label[v]
-            if rep not in rep_to_root or v < rep_to_root[rep]:
-                rep_to_root[rep] = v
-        roots = sorted(rep_to_root.values())
-    else:
-        roots = list(roots)
-        for r in roots:
-            if not 0 <= r < forest.n:
-                raise ValueError(f"root {r} not in the forest")
+        roots = np.unique(components.label)
+    roots = np.asarray(roots, dtype=np.int64)
+    outside = (roots < 0) | (roots >= n)
+    if outside.any():
+        raise ValueError(f"root {roots[outside][0]} not in the forest")
+    if len(np.unique(roots)) < len(roots):
+        raise ValueError("two roots were given inside one tree")
 
-    # Each root's tour starts at the edge to its lowest neighbor.
-    first_out: dict[int, int] = {}
-    for e, v in enumerate(tour.src):
-        if tour.dst[e] <= tour.dst[first_out.setdefault(v, e)]:
-            first_out[v] = e
-    tree_of = [-1] * forest.n
-    head_edges: list[int] = []
-    for r in roots:
-        tree_of[r] = r
-        if r in first_out:
-            head_edges.append(first_out[r])
-
-    # Break each tour into a list ending just before its head edge; every
-    # vertex of the tree is the source of some edge on it.
-    succ_map: dict[int, Optional[int]] = {}
-    for head in head_edges:
-        if head in succ_map:
-            raise ValueError("two roots were given inside one tree")
-        e = head
-        while True:
-            tree_of[tour.src[e]] = tour.src[head]
-            nxt = tour.succ[e]
-            succ_map[e] = None if nxt == head else nxt
-            if nxt == head:
-                break
-            if nxt in succ_map:
-                raise ValueError("two roots were given inside one tree")
-            e = nxt
-    if len(succ_map) != tour.size or -1 in tree_of:
+    # Each root's tour list starts at its edge to its lowest neighbor and
+    # ends just before it. Every edge finds its list's head by pointer
+    # jumping over predecessors, with heads fixed; an edge whose tour holds
+    # no head never reaches one.
+    rotation, start, degree = _rotation(tour.src, tour.dst, n)
+    heads = rotation[start[roots[degree[roots] > 0]]]
+    is_head = np.zeros(tour.size, dtype=bool)
+    is_head[heads] = True
+    head_of = np.empty(tour.size, dtype=np.int64)
+    head_of[tour.succ] = np.arange(tour.size)
+    head_of[heads] = heads
+    for _ in range(tour.size.bit_length()):
+        head_of = head_of[head_of]
+    tree_of = np.full(n, -1, dtype=np.int64)
+    tree_of[roots] = roots
+    tree_of[tour.src] = tour.src[head_of]
+    if not is_head[head_of].all() or (tree_of < 0).any():
         raise ValueError("roots must include one vertex of every tree")
+    # A twin pair split between two lists means two heads in one tour.
+    if (head_of != head_of[np.arange(tour.size) ^ 1]).any():
+        raise ValueError("two roots were given inside one tree")
 
-    rank: dict[int, int] = {}
-    if succ_map:
-        ranked = rank_lists(succ_map, head_edges, config)
-        rank = ranked.ranks
+    rank = np.zeros(tour.size, dtype=np.int64)
+    if tour.size:
+        ends = is_head[tour.succ].tolist()
+        successor = {e: None if end else nxt for e, (nxt, end) in enumerate(zip(tour.succ.tolist(), ends))}
+        ranked = rank_lists(successor, heads.tolist(), config)
+        rank = np.fromiter(map(ranked.ranks.__getitem__, range(tour.size)), dtype=np.int64, count=tour.size)
         simulators.append(ranked.simulator)
 
-    forward = [False] * tour.size
-    for e in range(0, tour.size, 2):
-        forward[e] = rank[e] < rank[e + 1]
-        forward[e + 1] = not forward[e]
+    forward = np.empty(tour.size, dtype=bool)
+    forward[0::2] = rank[0::2] < rank[1::2]
+    forward[1::2] = ~forward[0::2]
+    enter = np.full(n, -1, dtype=np.int64)
+    forward_edges = np.flatnonzero(forward)
+    enter[tour.dst[forward_edges]] = forward_edges
+    parent = np.arange(n)
+    parent[tour.dst[forward_edges]] = tour.src[forward_edges]
 
-    parent = list(range(forest.n))
-    for e in range(tour.size):
-        if forward[e]:
-            parent[tour.dst[e]] = tour.src[e]
-
-    edges_in_order: dict[int, list[int]] = {r: [] for r in roots}
-    for e in sorted(rank, key=lambda eid: rank[eid]):
-        edges_in_order[tree_of[tour.src[e]]].append(e)
-
-    rooted_forest = RootedForest(parent=parent, roots=set(roots))
     return RootedTour(
         tour=tour,
-        forest=rooted_forest,
+        forest=RootedForest(parent=parent.tolist(), roots=set(roots.tolist())),
         rank=rank,
         forward=forward,
         tree_of=tree_of,
-        edges_in_order=edges_in_order,
+        enter=enter,
         config=config,
         simulators=simulators,
     )
 
 
-def preorder_and_sizes(rooted: RootedTour) -> tuple[dict[int, int], dict[int, int]]:
+def preorder_and_sizes(rooted: RootedTour) -> tuple[np.ndarray, np.ndarray]:
     """Preorder numbers and subtree sizes (counting the vertex itself) of
-    every tree, from one exclusive prefix sum P of forward-edge counts over
-    all trees' ranked tours laid end to end.
+    every tree, as int64 arrays over vertices, from one exclusive prefix sum
+    P of forward-edge counts over all trees' ranked tours laid end to end.
 
     The scan is segmented by subtraction: PN(v) = P[enter] - P[tree start]
     + 1, where enter is the forward edge into v, and size(v) = P[exit] -
@@ -257,27 +248,30 @@ def preorder_and_sizes(rooted: RootedTour) -> tuple[dict[int, int], dict[int, in
     entering edge plus every forward edge strictly inside v's visit span,
     so it needs no offset. A root gets PN 0 and its tree's vertex count.
     """
-    order = [e for edges in rooted.edges_in_order.values() for e in edges]
+    tour, n = rooted.tour, rooted.tour.n
+    tree = rooted.tree_of[tour.src]
+    order = np.lexsort((rooted.rank, tree))
     scan = mpc_prefix_sum(
-        [int(rooted.forward[e]) for e in order], operator.add, 0,
+        rooted.forward[order].astype(np.int64).tolist(), operator.add, 0,
         epsilon=rooted.config.epsilon,
     )
     rooted.charge(scan.rounds_charged, scan.communication_charged, "tour-prefix")
-    prefix = dict(zip(order, (p for _, p in scan.value)))
-    pn: dict[int, int] = {}
-    sizes: dict[int, int] = {}
-    for v in range(rooted.tour.n):
-        root = rooted.tree_of[v]
-        if v == root:
-            pn[v] = 0
-            sizes[v] = len(rooted.edges_in_order[root]) // 2 + 1
-            continue
-        enter = rooted.enter_edge(v)
-        pn[v] = prefix[enter] - prefix[rooted.edges_in_order[root][0]] + 1
-        sizes[v] = prefix[rooted.tour.twin[enter]] - prefix[enter]
+    prefix = np.empty(tour.size, dtype=np.int64)
+    prefix[order] = [p for _, p in scan.value]
+    # A tree's tour starts at its rank-0 edge.
+    first = rooted.rank == 0
+    tree_start = np.zeros(n, dtype=np.int64)
+    tree_start[tree[first]] = prefix[first]
+
+    child = np.flatnonzero(rooted.enter >= 0)
+    enter = rooted.enter[child]
+    pn = np.zeros(n, dtype=np.int64)
+    pn[child] = prefix[enter] - tree_start[rooted.tree_of[child]] + 1
+    sizes = np.bincount(rooted.tree_of, minlength=n)
+    sizes[child] = prefix[enter ^ 1] - prefix[enter]
     # Each vertex reads P at its entering edge, its exit edge and its
     # tree's first edge.
-    rooted.charge(1, 3 * rooted.tour.n, "preorder-size-read")
+    rooted.charge(1, 3 * n, "preorder-size-read")
     return pn, sizes
 
 
@@ -287,41 +281,33 @@ class SubtreeMinMax:
 
     One RMQ index covers the forest laid out in (tree, preorder) order, in
     which every subtree is one contiguous range; its min table is built over
-    ``min_values`` and its max table over ``max_values``. The index is sealed
-    once built, so every machine can read it in the same round: ``query``
-    answers a whole batch of vertices in one round, with communication 2
-    per query (one min read and one max read).
+    ``min_values`` and its max table over ``max_values`` (sequences indexed
+    by vertex). The index is sealed once built, so every machine can read it
+    in the same round: ``query`` answers a whole batch of vertices in one
+    round, with communication 2 per query (one min read and one max read).
     """
 
     def __init__(
         self,
         rooted: RootedTour,
-        pn: dict[int, int],
-        sizes: dict[int, int],
-        min_values: Sequence[float] | dict[int, float],
-        max_values: Sequence[float] | dict[int, float],
+        pn: np.ndarray,
+        sizes: np.ndarray,
+        min_values: Sequence[float],
+        max_values: Sequence[float],
     ):
         n = rooted.tour.n
-        start: dict[int, int] = {}
-        offset = 0
-        for root in rooted.edges_in_order:
-            start[root] = offset
-            offset += sizes[root]
+        layout = np.lexsort((pn, rooted.tree_of))
         self._rooted = rooted
-        self._first = [start[rooted.tree_of[v]] + pn[v] for v in range(n)]
-        self._last = [self._first[v] + sizes[v] - 1 for v in range(n)]
-        lows = [0.0] * n
-        highs = [0.0] * n
-        for v, i in enumerate(self._first):
-            lows[i] = min_values[v]
-            highs[i] = max_values[v]
-        self._index = RMQIndex(lows, highs)
+        self._first = np.empty(n, dtype=np.int64)
+        self._first[layout] = np.arange(n)
+        self._last = self._first + sizes - 1
+        self._index = RMQIndex(np.asarray(min_values)[layout], np.asarray(max_values)[layout])
         # rmq_build's cost, charged once for both tables.
         rounds = max(1, math.ceil(1.0 / rooted.config.epsilon))
         rooted.charge(rounds, max(1, n), "rmq-build")
 
-    def query(self, vertices: Sequence[int]) -> list[tuple[float, float]]:
-        """(subtree minimum, subtree maximum) of each vertex, in order."""
+    def query(self, vertices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Subtree minima and subtree maxima of the vertices, in order."""
+        vertices = np.asarray(vertices, dtype=np.int64)
         self._rooted.charge(1, 2 * len(vertices), "rmq-query")
-        idx, first, last = self._index, self._first, self._last
-        return [(idx.query_min(first[v], last[v]), idx.query_max(first[v], last[v])) for v in vertices]
+        return self._index.query(self._first[vertices], self._last[vertices])

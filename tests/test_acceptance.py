@@ -212,7 +212,7 @@ def test_criterion_07_list_ranking_and_tree_ops():
                 for v in members:
                     assert pn[v] == want_pn[v] and sizes[v] == want_sizes[v]
             # Subtree min/max on sampled vertices.
-            values = {v: rng.randint(-(10**6), 10**6) for v in range(n)}
+            values = [rng.randint(-(10**6), 10**6) for _ in range(n)]
             smm = SubtreeMinMax(rooted, pn, sizes, values, values)
             children = {v: [] for v in range(n)}
             for v in range(n):
@@ -220,7 +220,7 @@ def test_criterion_07_list_ranking_and_tree_ops():
                 if p != v:
                     children[p].append(v)
             sample = rng.sample(range(n), min(n, 32))
-            for v, got in zip(sample, smm.query(sample)):
+            for v, got in zip(sample, zip(*smm.query(sample))):
                 stack, vals = [v], []
                 while stack:
                     x = stack.pop()

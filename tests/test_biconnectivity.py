@@ -9,6 +9,7 @@ from ampcsim.biconnectivity import (
     critical_set,
     two_edge_components,
 )
+from ampcsim.connectivity import spanning_forest
 from ampcsim.graphs import Graph, gen_random_graph
 from ampcsim.oracles import (
     compare_labelings,
@@ -17,6 +18,7 @@ from ampcsim.oracles import (
     uf_components,
 )
 from ampcsim.runtime import ModelConfig
+from ampcsim.trees import SubtreeMinMax, preorder_and_sizes, root_forest
 
 
 def cfg_for(g, seed=0):
@@ -113,7 +115,9 @@ def test_calibration_freezes_unique_convention():
     # interval closing at size-1 or size), only the frozen one -- own base,
     # interval exactly the subtree span -- reproduces the bridge oracle on
     # every connected graph with up to 5 vertices plus a seeded sample of
-    # 6-8 vertex graphs.
+    # 6-8 vertex graphs. Each convention's candidate set comes from the
+    # annotations BCLabeling exposes; its bridges are the tree edges whose
+    # endpoints the graph minus the candidate set separates.
     survivors = {
         (parent_base, incl): True
         for parent_base in (False, True)
@@ -121,15 +125,22 @@ def test_calibration_freezes_unique_convention():
     }
 
     def check(g, seed):
-        cfg = cfg_for(g, seed=seed)
+        bc = bc_labeling(g, cfg_for(g, seed=seed))
         want, _ = tarjan_bridges_aps(g)
-        for parent_base, incl in list(survivors):
+        pn, sizes, parent = bc.preorder, bc.sizes, bc.rooted.forest.parent
+        tree_edges = [(v, parent[v]) for v in range(g.n) if parent[v] != v]
+        for parent_base, incl in survivors:
             if not survivors[(parent_base, incl)]:
                 continue
-            bc = bc_labeling(
-                g, cfg, parent_base=parent_base, size_includes_vertex=incl
-            )
-            if bridges(bc) != want:
+            candidates = set()
+            for v, p in tree_edges:
+                base = pn[p] if parent_base else pn[v]
+                span = sizes[v] - (1 if incl else 0)
+                if base <= bc.low[v] and bc.high[v] <= base + span:
+                    candidates.add((min(v, p), max(v, p)))
+            labels = uf_components(Graph(g.n, [e for e in g.edges if e not in candidates]))
+            got = {(min(v, p), max(v, p)) for v, p in tree_edges if not labels.same_component(v, p)}
+            if got != want:
                 survivors[(parent_base, incl)] = False
 
     for n in range(2, 6):
@@ -162,3 +173,56 @@ def test_random_graphs_match_tarjan():
         assert got_bridges == want_bridges
         assert got_aps == want_aps
         assert compare_labelings(got_2ecc, two_edge_component_oracle(g, want_bridges)).match
+
+
+def test_bc_rooting_matches_root_forest_without_roots():
+    # Roots read off the spanning-forest labels give the same rooting and
+    # annotations as roots picked by forest connectivity.
+    for seed in range(6):
+        g = gen_random_graph(90, 60 + 10 * seed, seed=seed + 11)
+        cfg = cfg_for(g, seed=seed)
+        assert uf_components(g).component_count() > 1
+        assert 0 in g.degrees()
+        bc = bc_labeling(g, cfg)
+        forest_edges, _, _ = spanning_forest(g, cfg)
+        rooted = root_forest(Graph(g.n, sorted(forest_edges)), config=cfg)
+        pn, sizes = preorder_and_sizes(rooted)
+        bas_min, bas_max = pn.copy(), pn.copy()
+        for u, v in bc.non_tree_edges:
+            bas_min[u], bas_max[u] = min(bas_min[u], pn[v]), max(bas_max[u], pn[v])
+            bas_min[v], bas_max[v] = min(bas_min[v], pn[u]), max(bas_max[v], pn[u])
+        low, high = SubtreeMinMax(rooted, pn, sizes, bas_min, bas_max).query(range(g.n))
+        assert bc.rooted.forest.parent == rooted.forest.parent
+        assert bc.rooted.forest.roots == rooted.forest.roots
+        for got, want in ((bc.preorder, pn), (bc.sizes, sizes), (bc.low, low), (bc.high, high)):
+            assert got.tolist() == want.tolist()
+
+
+def test_bc_labeling_runs_no_forest_connectivity():
+    # Spanning forest, list ranking and the final connectivity; rooting
+    # reads the component minima off the spanning forest's labels.
+    g = gen_random_graph(400, 1200, seed=5)
+    bc = bc_labeling(g, cfg_for(g, seed=5))
+    assert len(bc.simulators) == 3
+    # One charged round (one metrics entry) on the spanning-forest simulator.
+    component_min = [
+        (i, m.total_communication)
+        for i, sim in enumerate(bc.simulators)
+        for m in sim.metrics
+        if m.charged and m.label == "component-min"
+    ]
+    assert component_min == [(0, g.n)]
+    bc, *_ = bc_pipeline(g, cfg_for(g, seed=5))
+    assert len(bc.simulators) == 4
+
+
+def test_bc_pipeline_never_builds_edge_tuples(monkeypatch):
+    g = gen_random_graph(300, 900, seed=3)
+
+    def forbidden(self):
+        raise AssertionError("the bc pipeline built Graph.edges")
+
+    monkeypatch.setattr(Graph, "edges", property(forbidden))
+    _, got_bridges, got_aps, _ = bc_pipeline(g, cfg_for(g, seed=3))
+    monkeypatch.undo()
+    assert (got_bridges, got_aps) == tarjan_bridges_aps(g)

@@ -213,9 +213,9 @@ MSF_GOLDEN = [
 ]
 
 TWO_ECC_GOLDEN = [
-    '{"algorithm": "2ecc", "correct": true, "detail": {"bridges": 19}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 221, "n": 2000, "rounds": 87, "seed": 6218622741583987683, "total_communication": 193052, "trial": 0, "violations": 0}',
-    '{"algorithm": "2ecc", "correct": true, "detail": {"bridges": 40}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 159, "n": 2000, "rounds": 79, "seed": 4232062854197151812, "total_communication": 188574, "trial": 1, "violations": 0}',
-    '{"algorithm": "2ecc", "correct": true, "detail": {"bridges": 23}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 148, "n": 2000, "rounds": 78, "seed": 6257916401269190689, "total_communication": 185287, "trial": 2, "violations": 0}',
+    '{"algorithm": "2ecc", "correct": true, "detail": {"bridges": 19}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 93, "n": 2000, "rounds": 80, "seed": 6218622741583987683, "total_communication": 173401, "trial": 0, "violations": 0}',
+    '{"algorithm": "2ecc", "correct": true, "detail": {"bridges": 40}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 94, "n": 2000, "rounds": 72, "seed": 4232062854197151812, "total_communication": 168907, "trial": 1, "violations": 0}',
+    '{"algorithm": "2ecc", "correct": true, "detail": {"bridges": 23}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 97, "n": 2000, "rounds": 71, "seed": 6257916401269190689, "total_communication": 165513, "trial": 2, "violations": 0}',
 ]
 
 

@@ -30,8 +30,7 @@ def test_euler_tour_rejects_cycles():
 def test_euler_tour_single_edge():
     tour = euler_tour(Graph(2, [(0, 1)]))
     assert tour.size == 2
-    assert tour.succ == [1, 0]  # a->b then b->a, closing
-    assert tour.twin == [1, 0]
+    assert tour.succ.tolist() == [1, 0]  # a->b then b->a, closing
 
 
 def test_euler_tour_path_visits_each_edge_twice():
@@ -83,7 +82,7 @@ def test_root_forest_forward_before_reverse():
     rooted = root_forest(g, config=cfg_for(g, seed=5))
     for e in range(0, rooted.tour.size, 2):
         fwd = e if rooted.forward[e] else e + 1
-        rev = rooted.tour.twin[fwd]
+        rev = fwd ^ 1
         assert rooted.rank[fwd] < rooted.rank[rev]
 
 
@@ -114,19 +113,19 @@ def test_root_forest_matches_dfs_oracle():
 def test_subtree_sizes_path_and_star():
     path = Graph(3, [(0, 1), (1, 2)])
     rooted = root_forest(path, roots=[0], config=cfg_for(path))
-    assert preorder_and_sizes(rooted)[1] == {0: 3, 1: 2, 2: 1}
+    assert preorder_and_sizes(rooted)[1].tolist() == [3, 2, 1]
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     rooted = root_forest(star, roots=[0], config=cfg_for(star))
-    assert preorder_and_sizes(rooted)[1] == {0: 4, 1: 1, 2: 1, 3: 1}
+    assert preorder_and_sizes(rooted)[1].tolist() == [4, 1, 1, 1]
 
 
 def test_preorder_path_and_singleton():
     single = Graph(1, [])
     rooted = root_forest(single, roots=[0], config=cfg_for(single))
-    assert preorder_and_sizes(rooted)[0] == {0: 0}
+    assert preorder_and_sizes(rooted)[0].tolist() == [0]
     path = Graph(3, [(0, 1), (1, 2)])
     rooted = root_forest(path, roots=[0], config=cfg_for(path))
-    assert preorder_and_sizes(rooted)[0] == {0: 0, 1: 1, 2: 2}
+    assert preorder_and_sizes(rooted)[0].tolist() == [0, 1, 2]
 
 
 def test_annotations_match_dfs_oracle_random():
@@ -176,7 +175,7 @@ def test_subtree_min_max_queries():
     cfg = cfg_for(g, seed=3)
     rooted = root_forest(g, config=cfg)
     rng = random.Random(0)
-    values = {v: rng.randint(-1000, 1000) for v in range(g.n)}
+    values = [rng.randint(-1000, 1000) for _ in range(g.n)]
     smm = SubtreeMinMax(rooted, *preorder_and_sizes(rooted), values, values)
     children: dict[int, list[int]] = {v: [] for v in range(g.n)}
     for v in range(g.n):
@@ -194,12 +193,13 @@ def test_subtree_min_max_queries():
                 stack.append(c)
         return out
 
-    for v, got in zip(range(g.n), smm.query(range(g.n))):
+    for v, got in zip(range(g.n), zip(*smm.query(range(g.n)))):
         vals = subtree_values(v)
         assert got == (min(vals), max(vals))
     # Singleton and root specials.
     leaves = [v for v in range(g.n) if not children[v]]
-    assert smm.query([leaves[0]])[0] == (values[leaves[0]], values[leaves[0]])
+    lo, hi = smm.query([leaves[0]])
+    assert (lo.tolist(), hi.tolist()) == ([values[leaves[0]]], [values[leaves[0]]])
 
 
 def test_forest_connectivity_matches_oracle():
