@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import LeaderContractionError, NonTerminationError
 from .graphs import ComponentLabeling, Graph, pair_keys, simple_graph
-from .primitives import contract_graph, mpc_sort
+from .primitives import contract_graph, mpc_argsort
 from .runtime import ModelConfig, Simulator, item_coins, item_hash, partition_to_machines
 
 _MAIN_LOOP_CAP = 64
@@ -473,11 +473,11 @@ def msf(graph: Graph, config: ModelConfig) -> MsfResult:
     if not graph.weighted:
         raise ValueError("msf needs a weighted graph")
     sim = Simulator(config)
-    sort_charge = mpc_sort(range(graph.m), key=graph.weight.tolist().__getitem__, epsilon=config.epsilon)
+    sort_charge = mpc_argsort(graph.weight, epsilon=config.epsilon)
     sim.charge(sort_charge.rounds_charged, sort_charge.communication_charged, "weight-sort")
 
     # Committed edges are named by weight and looked up in weight order.
-    by_weight = np.array(sort_charge.value, dtype=np.int64)
+    by_weight = sort_charge.value
     sorted_weights = graph.weight[by_weight]
     forest: set[tuple[int, int, float]] = set()
     committed: list[set[tuple[int, int, float]]] = []

@@ -5,7 +5,8 @@ A chain is closed (a cycle) or open (a linked list whose last successor is
 None). The engine, ``_Chains``, keeps one record per element in the store:
 ``(successor, weight)`` on open chains and ``(successor, weight,
 predecessor)`` on closed ones, where a weight counts the input elements the
-record stands for. It runs three operations:
+record stands for. Every level is one array generation of the store, keyed
+by element id. The engine runs three operations, each one batch round:
 
 - level: sample elements with item-keyed coins (every open chain keeps its
   head, and a closed chain that drew no sample keeps its lowest id, so no
@@ -20,9 +21,13 @@ record stands for. It runs three operations:
   The value passes through a step function: adding weights gives ranks,
   keeping the value spreads a component label.
 
-Each level is one round and stays queryable as its own store generation.
-Sampling is hash-based and item-keyed, so it does not depend on machine
-assignment and costs no queries during traversal.
+The walks run in lockstep: all walkers of a round take their next step
+together, as one gather from the sealed generation they walk, and a walker
+drops out when it reaches a sample. Each gather charges every walker's read
+to the machine its start element is hashed to, so every machine is charged
+exactly the reads and writes its own sequential walks would make. Sampling
+is hash-based and item-keyed, so it does not depend on machine assignment
+and costs no queries during traversal.
 """
 
 from __future__ import annotations
@@ -30,13 +35,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, NonTerminationError, StructureError
 from .graphs import ComponentLabeling, Graph
-from .runtime import ModelConfig, Simulator, item_coins, partition_to_machines
+from .runtime import NONE, ArrayGeneration, ModelConfig, Simulator, _machines_of, item_coins
 
 
 def orient_cycles(graph: Graph) -> tuple[dict[int, int], dict[int, int]]:
@@ -92,121 +97,164 @@ def orientation_graph(succ: dict[int, int], n: int) -> Graph:
     return Graph(n, [(v, w) for v, w in succ.items()], multigraph=True)
 
 
+def _cycle_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``orient_cycles`` as int64 arrays over the vertices, -1 at a vertex
+    on no cycle."""
+    succ_map, pred_map = orient_cycles(graph)
+    succ = np.full(graph.n, -1, dtype=np.int64)
+    pred = np.full(graph.n, -1, dtype=np.int64)
+    for out, mapping in ((succ, succ_map), (pred, pred_map)):
+        out[np.fromiter(mapping, dtype=np.int64, count=len(mapping))] = np.fromiter(
+            mapping.values(), dtype=np.int64, count=len(mapping)
+        )
+    return succ, pred
+
+
+def _cycle_minima(succ_rows: np.ndarray) -> np.ndarray:
+    """For rows linked into cycles by ``succ_rows``, the lowest row of each
+    row's cycle, by pointer jumping."""
+    low = np.arange(len(succ_rows))
+    jump = succ_rows
+    for _ in range(max(1, (len(succ_rows) - 1).bit_length())):
+        low = np.minimum(low, low[jump])
+        jump = jump[jump]
+    return low
+
+
+def _unmarked(ids: np.ndarray, mark: np.ndarray) -> np.ndarray:
+    """Positions of the ids that are neither NONE nor marked."""
+    keep = ids != NONE
+    keep[keep] = ~mark[ids[keep]]
+    return np.flatnonzero(keep)
+
+
 class _Chains:
     """Disjoint chains contracted level by level (see the module docstring).
 
-    ``levels[i]`` maps every element alive at level i to its record, which
-    is also its value in store generation i: the engine's simulator runs its
-    levels before any other round. The chains are closed when ``pred`` is
-    given; ``heads`` are the first elements of open chains.
+    ``levels[i]`` is store generation i, the records of every element alive
+    at level i: the engine's simulator runs its levels before any other
+    round. ``ids`` are the elements, sorted; ``succ`` and, on closed chains,
+    ``pred`` are aligned with them, with NONE after an open chain's tail.
+    ``heads`` are the first elements of open chains.
     """
 
     def __init__(
         self,
         config: ModelConfig,
-        succ: dict[int, Optional[int]],
-        pred: Optional[Sequence[int] | dict[int, int]] = None,
-        heads: Sequence[int] = (),
+        ids: np.ndarray,
+        succ: np.ndarray,
+        pred: Optional[np.ndarray] = None,
+        heads: Optional[np.ndarray] = None,
     ):
         self.config = config
         self.closed = pred is not None
-        self.heads = set(heads)
-        if self.closed:
-            records = {v: (s, 1, pred[v]) for v, s in succ.items()}
-        else:
-            records = {v: (s, 1) for v, s in succ.items()}
-        self.sim = Simulator(config, initial=records.items())
-        self.levels = [records]
+        self.heads = heads
+        weight = np.ones(len(ids), dtype=np.int64)
+        columns = (succ, weight, pred) if self.closed else (succ, weight)
+        self.sim = Simulator(config, initial=ArrayGeneration(0, ids, columns))
+        self.levels: list[ArrayGeneration] = [self.sim.store]
+        # Element ids lie in 0.._bound-1.
+        self._bound = int(self.sim.store.key_array[-1]) + 1 if len(ids) else 0
+
+    @classmethod
+    def cycles(cls, config: ModelConfig, succ: np.ndarray, pred: np.ndarray) -> "_Chains":
+        """Closed chains from successor and predecessor arrays over element
+        ids, -1 at an id on no cycle."""
+        on = np.flatnonzero(succ >= 0)
+        return cls(config, on, succ[on], pred[on])
 
     @property
-    def top(self) -> dict[int, tuple]:
+    def top(self) -> ArrayGeneration:
         return self.levels[-1]
 
     @property
     def iterations(self) -> int:
         return len(self.levels) - 1
 
-    def _sample(self, delta: float) -> set[int]:
-        top = self.top
-        probability = min(1.0, max(len(self.levels[0]), 2) ** (-delta / 2.0))
-        ids = np.fromiter(top, dtype=np.int64, count=len(top))
-        tag = (self.sim.round_index << 8) | (0x5A if self.closed else 0x1E)
-        samples = set(ids[item_coins(self.config.seed, tag, ids) < probability].tolist())
-        samples |= self.heads
-        if self.closed:
-            for cycle in cycles_of({v: record[0] for v, record in top.items()}):
-                if samples.isdisjoint(cycle):
-                    samples.add(cycle[0])
-        return samples
+    def _marks(self, ids: np.ndarray) -> np.ndarray:
+        mark = np.zeros(self._bound, dtype=bool)
+        mark[ids] = True
+        return mark
 
-    def level(self, delta: float, samples: Optional[set[int]] = None) -> None:
+    def _sample(self, delta: float) -> np.ndarray:
+        ids = self.top.key_array
+        probability = min(1.0, max(len(self.levels[0]), 2) ** (-delta / 2.0))
+        tag = (self.sim.round_index << 8) | (0x5A if self.closed else 0x1E)
+        chosen = item_coins(self.config.seed, tag, ids) < probability
+        if self.heads is not None:
+            chosen[np.searchsorted(ids, self.heads)] = True
+        if self.closed:
+            low = _cycle_minima(np.searchsorted(ids, self.top.columns[0]))
+            sampled = np.zeros(len(ids), dtype=bool)
+            sampled[low[chosen]] = True
+            chosen[low[~sampled[low]]] = True
+        return ids[chosen]
+
+    def level(self, delta: float, samples: Optional[Iterable[int]] = None) -> None:
         """Contract onto ``samples`` in one round. Unless given, each element
         is sampled with probability n**(-delta/2), n the input size."""
         if samples is None:
             samples = self._sample(delta)
-        parts = partition_to_machines(sorted(samples), self.config, self.sim.round_index + 1)
-        closed = self.closed
-        records: dict[int, tuple] = {}
+        else:
+            samples = np.unique(np.fromiter(samples, dtype=np.int64))
+        mark = self._marks(samples)
+        machines = _machines_of(samples, self.config, self.sim.round_index + 1)
+        with self.sim.batch_round() as rnd:
+            record = rnd.gather(None, samples, machines)
+            right, weight = record[0], record[1]
+            walking = _unmarked(right, mark)
+            while len(walking):
+                step = rnd.gather(None, right[walking], machines[walking])
+                right[walking] = step[0]
+                weight[walking] += step[1]
+                walking = walking[_unmarked(step[0], mark)]
+            columns = (right, weight)
+            if self.closed:
+                left = record[2]
+                walking = np.flatnonzero(~mark[left])
+                while len(walking):
+                    left[walking] = rnd.gather(None, left[walking], machines[walking])[2]
+                    walking = walking[~mark[left[walking]]]
+                columns = (right, weight, left)
+            rnd.write_many(samples, columns, machines)
+        self.levels.append(self.sim.store)
 
-        def walk(ctx):
-            for v in parts[ctx.machine_id]:
-                record = ctx.query(v)
-                right, weight = record[0], record[1]
-                while right is not None and right not in samples:
-                    step = ctx.query(right)
-                    right = step[0]
-                    weight += step[1]
-                if closed:
-                    left = record[2]
-                    while left not in samples:
-                        left = ctx.query(left)[2]
-                    records[v] = (right, weight, left)
-                else:
-                    records[v] = (right, weight)
-                ctx.write(v, records[v])
-
-        self.sim.run_round(walk)
-        self.levels.append(records)
-
-    def residual(self) -> dict[int, tuple]:
-        """Machine 0 reads every survivor's top-level record once."""
-        survivors = sorted(self.top)
+    def residual(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Machine 0 reads every survivor's top-level record once; returns
+        the survivors, sorted, and their record columns."""
+        survivors = self.top.key_array
         capacity = self.config.budget_limit
         if len(survivors) > capacity:
             raise CapacityError(
                 f"residual of {len(survivors)} elements exceeds single-machine "
                 f"capacity {capacity}; the iteration count is mis-set"
             )
-        generation = self.iterations
-        records: dict[int, tuple] = {}
+        with self.sim.batch_round() as rnd:
+            record = rnd.gather(self.iterations, survivors, np.zeros(len(survivors), dtype=np.int64))
+        return survivors, record
 
-        def read(ctx):
-            if ctx.machine_id == 0:
-                for v in survivors:
-                    records[v] = ctx.query(v, generation=generation)
-
-        self.sim.run_round(read)
-        return records
-
-    def unwind(self, values: dict[int, int], step: Callable[[int, int], int]) -> dict[int, int]:
-        """Extend ``values`` from the top level's elements to every element,
-        one round per level: the element after x gets step(value of x,
-        weight of x)."""
+    def unwind(self, values: np.ndarray, step: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+        """Extend ``values``, an array indexed by element id, from the top
+        level's elements to every element, one round per level: the element
+        after x gets step(value of x, weight of x)."""
         for generation in range(self.iterations - 1, -1, -1):
-            upper = self.levels[generation + 1]
-            parts = partition_to_machines(sorted(upper), self.config, self.sim.round_index + 1)
-
-            def fill(ctx):
-                for v in parts[ctx.machine_id]:
-                    record = ctx.query(v, generation=generation)
-                    x, value = record[0], step(values[v], record[1])
-                    while x is not None and x not in upper:
-                        values[x] = value
-                        ctx.write(x, value)
-                        record = ctx.query(x, generation=generation)
-                        x, value = record[0], step(value, record[1])
-
-            self.sim.run_round(fill)
+            upper = self.levels[generation + 1].key_array
+            mark = self._marks(upper)
+            machines = _machines_of(upper, self.config, self.sim.round_index + 1)
+            with self.sim.batch_round() as rnd:
+                record = rnd.gather(generation, upper, machines)
+                walking = _unmarked(record[0], mark)
+                x = record[0][walking]
+                value = step(values[upper], record[1])[walking]
+                machines = machines[walking]
+                while len(x):
+                    values[x] = value
+                    rnd.write_many(x, [value], machines)
+                    record = rnd.gather(generation, x, machines)
+                    walking = _unmarked(record[0], mark)
+                    x = record[0][walking]
+                    value = step(value, record[1])[walking]
+                    machines = machines[walking]
         return values
 
 
@@ -233,14 +281,14 @@ def shrink(
     vertex in each direction. ``sample_sets`` overrides the per-iteration
     samples, which makes hand traces reproducible.
     """
-    succ, pred = orient_cycles(graph)
-    chains = _Chains(config, succ, pred)
+    chains = _Chains.cycles(config, *_cycle_arrays(graph))
     for i in range(t):
-        chains.level(delta, None if sample_sets is None else set(sample_sets[i]))
-    levels = [{v: record[0] for v, record in level.items()} for level in chains.levels]
+        chains.level(delta, None if sample_sets is None else sample_sets[i])
+    levels = [dict(zip(level.key_array.tolist(), level.columns[0].tolist())) for level in chains.levels]
+    right, _, left = chains.top.columns
     return ShrinkResult(
         graph=orientation_graph(levels[-1], graph.n),
-        sample_map={v: (record[2], record[0]) for v, record in chains.top.items()} if t else {},
+        sample_map=dict(zip(chains.top.key_array.tolist(), zip(left.tolist(), right.tolist()))) if t else {},
         iteration_sizes=[len(level) for level in levels],
         levels=levels,
         simulator=chains.sim,
@@ -265,17 +313,16 @@ def two_cycle(graph: Graph, config: ModelConfig) -> TwoCycleResult:
     Shrinks for ceil(2(1-eps)/eps) iterations, allows one catch-up
     iteration, then solves the residual on a single designated machine.
     """
-    succ, pred = orient_cycles(graph)
-    chains = _Chains(config, succ, pred)
+    chains = _Chains.cycles(config, *_cycle_arrays(graph))
     for _ in range(shrink_iteration_budget(config.epsilon)):
         chains.level(config.epsilon)
     if len(chains.top) > config.budget_limit:
         chains.level(config.epsilon)
-    residual = chains.residual()
+    survivors, record = chains.residual()
     return TwoCycleResult(
-        cycles=len(cycles_of({v: record[0] for v, record in residual.items()})),
+        cycles=len(np.unique(_cycle_minima(np.searchsorted(survivors, record[0])))),
         iterations=chains.iterations,
-        residual_vertices=len(residual),
+        residual_vertices=len(survivors),
         simulator=chains.sim,
     )
 
@@ -295,18 +342,18 @@ def cycle_conn(
 ) -> CycleConnResult:
     """Label the components of a disjoint union of cycles (see
     ``label_cycles``)."""
-    succ, pred = orient_cycles(graph)
-    return label_cycles(succ, pred, graph.n, config, shrink_iterations)
+    succ, pred = _cycle_arrays(graph)
+    return label_cycles(succ, pred, config, shrink_iterations)
 
 
 def label_cycles(
-    succ: dict[int, int],
-    pred: Sequence[int] | dict[int, int],
-    n: int,
+    succ: np.ndarray,
+    pred: np.ndarray,
     config: ModelConfig,
     shrink_iterations: Optional[int] = None,
 ) -> CycleConnResult:
-    """Label the components of oriented cycles on elements below ``n``.
+    """Label the components of oriented cycles: ``succ`` and ``pred`` are
+    int64 arrays over elements 0..n-1, -1 at an element on no cycle.
 
     After shrinking, every surviving vertex searches one direction (its
     successor pointers) until it meets a lower-priority-rank vertex or
@@ -314,44 +361,43 @@ def label_cycles(
     representative. Labels are then unwound level by level onto all input
     vertices; an element on no cycle labels itself.
     """
-    chains = _Chains(config, succ, pred)
+    chains = _Chains.cycles(config, succ, pred)
     if shrink_iterations is None:
         shrink_iterations = math.ceil((2.0 - config.epsilon) / config.epsilon)
     for _ in range(shrink_iterations):
         chains.level(config.epsilon)
 
     sim = chains.sim
-    survivors = sorted(chains.top)
-    coins = item_coins(config.seed, (sim.round_index << 8) | 0x7C, survivors).tolist()
-    rank = dict(zip(survivors, zip(coins, survivors)))
-    parts = partition_to_machines(survivors, config, sim.round_index + 1)
-    stop_at: dict[int, int] = {}
-    search_lengths: dict[int, int] = {}
+    survivors = chains.top.key_array
+    coins = item_coins(config.seed, (sim.round_index << 8) | 0x7C, survivors)
+    # Priority rank: by coin, ties broken by id.
+    rank = np.zeros(len(succ), dtype=np.int64)
+    rank[survivors[np.lexsort((survivors, coins))]] = np.arange(len(survivors))
+    machines = _machines_of(survivors, config, sim.round_index + 1)
+    stop_at = survivors.copy()
+    steps = np.zeros(len(survivors), dtype=np.int64)
+    searching = np.arange(len(survivors))
+    with sim.batch_round() as rnd:
+        while len(searching):
+            stop_at[searching] = rnd.gather(None, stop_at[searching], machines[searching])[0]
+            steps[searching] += 1
+            searching = searching[rank[stop_at[searching]] > rank[survivors[searching]]]
 
-    def search(ctx):
-        for v in parts[ctx.machine_id]:
-            steps = 0
-            x = v
-            while True:
-                x = ctx.query(x)[0]
-                steps += 1
-                if rank[x] < rank[v] or x == v:
-                    break
-            stop_at[v] = x
-            search_lengths[v] = steps
+    # Each search stops at a lower rank or at the cycle's rank minimum, which
+    # stops at itself, so following stops reaches the representative.
+    rep = np.searchsorted(survivors, stop_at)
+    while True:
+        jumped = rep[rep]
+        if np.array_equal(jumped, rep):
+            break
+        rep = jumped
 
-    sim.run_round(search)
-
-    # Each search stops at a lower rank or at the cycle's rank minimum, so
-    # in rank order every stop is labelled before the survivors that name it.
-    rep: dict[int, int] = {}
-    for v in sorted(survivors, key=rank.__getitem__):
-        rep[v] = v if stop_at[v] == v else rep[stop_at[v]]
-
-    labels = chains.unwind(rep, lambda label, _weight: label)
+    labels = np.arange(len(succ))
+    labels[survivors] = survivors[rep]
+    chains.unwind(labels, lambda label, _weight: label)
     return CycleConnResult(
-        labeling=ComponentLabeling([labels.get(v, v) for v in range(n)]),
-        search_lengths=search_lengths,
+        labeling=ComponentLabeling(labels.tolist()),
+        search_lengths=dict(zip(survivors.tolist(), steps.tolist())),
         residual_size=len(survivors),
         simulator=sim,
     )
@@ -359,61 +405,82 @@ def label_cycles(
 
 @dataclass
 class RankedList:
-    order: list[int]
-    ranks: dict[int, int]
-    levels: list[dict[int, tuple[Optional[int], int]]]  # (successor, weight) records
+    ranks: np.ndarray                     # int64, indexed by element
+    levels: list[ArrayGeneration]         # (successor, weight) records per level
     iterations: int
     simulator: Simulator = field(repr=False, default=None)
 
     @property
-    def weights_per_level(self) -> list[dict[int, int]]:
-        return [{v: record[1] for v, record in level.items()} for level in self.levels]
+    def weights_per_level(self) -> list[np.ndarray]:
+        return [level.columns[1] for level in self.levels]
+
+
+def _check_chains(successor: np.ndarray, heads: np.ndarray) -> None:
+    """Raise StructureError unless ``successor`` links elements 0..n-1 into
+    disjoint chains that start at ``heads`` and cover every element."""
+    n = len(successor)
+    outside = np.flatnonzero((successor < -1) | (successor >= n))
+    if len(outside):
+        raise StructureError(f"successor {successor[outside[0]]} of element {outside[0]} is not an element")
+    outside = heads[(heads < 0) | (heads >= n)]
+    if len(outside):
+        raise StructureError(f"head {outside[0]} is not an element")
+    # Every element is entered once: from its predecessor, or as a head.
+    entered = np.bincount(successor[successor >= 0], minlength=n) + np.bincount(heads, minlength=n)
+    if (entered > 1).any():
+        raise StructureError(f"successor chain revisits element {np.flatnonzero(entered > 1)[0]}")
+    if (entered == 0).any():
+        raise StructureError("successor array has elements unreachable from the heads")
+    # What is left besides chains from the heads are cycles no head enters:
+    # jumping to each element's chain end reaches a tail from every element
+    # exactly when there are none.
+    tail = successor < 0
+    end = np.where(tail, np.arange(n), successor)
+    for _ in range(n.bit_length() + 1):
+        if tail[end].all():
+            return
+        end = end[end]
+    raise StructureError("successor array has elements unreachable from the heads")
 
 
 def rank_lists(
-    successor: dict[int, Optional[int]],
+    successor: np.ndarray,
     heads: Sequence[int],
     config: ModelConfig,
 ) -> RankedList:
     """Rank every element of one or more disjoint linked chains.
 
-    The contraction loop keeps heads sampled at every level, absorbs each
-    gap's weight into the sample preceding it, solves the residual weighted
-    problem on one machine, and unwinds ranks level by level.
+    ``successor`` is an int64 array over elements 0..n-1, -1 at a chain's
+    tail. The contraction loop keeps heads sampled at every level, absorbs
+    each gap's weight into the sample preceding it, solves the residual
+    weighted problem on one machine, and unwinds ranks level by level.
     """
+    successor, heads = np.asarray(successor), np.asarray(heads, dtype=np.int64)
+    if successor.ndim != 1 or (successor.size and successor.dtype.kind not in "iu"):
+        raise TypeError(f"successor must be a 1-d integer array, not {successor.dtype} of shape {successor.shape}")
+    successor = successor.astype(np.int64, copy=False)
+    _check_chains(successor, heads)
     total = len(successor)
-    seen: set[int] = set()
-    for head in heads:
-        x: Optional[int] = head
-        while x is not None:
-            if x in seen:
-                raise StructureError("successor chain revisits an element")
-            seen.add(x)
-            if x not in successor:
-                raise StructureError(f"element {x} missing from successor map")
-            x = successor[x]
-    if len(seen) != total:
-        raise StructureError("successor map has elements unreachable from the heads")
-
-    chains = _Chains(config, successor, heads=heads)
+    chains = _Chains(config, np.arange(total), np.where(successor < 0, NONE, successor), heads=heads)
     threshold = max(1, math.ceil(max(total, 2) ** config.epsilon))
     cap = shrink_iteration_budget(config.epsilon) + 1
     while len(chains.top) > threshold and chains.iterations < cap:
         chains.level(config.epsilon)
 
     # Machine 0 ranks the residual chains from the records it read.
-    residual = chains.residual()
-    ranks: dict[int, int] = {}
-    for head in heads:
-        rank = 0
-        x: Optional[int] = head
-        while x is not None:
-            ranks[x] = rank
-            x, weight = residual[x]
-            rank += weight
+    survivors, (succ, weight) = chains.residual()
+    record = dict(zip(survivors.tolist(), zip(succ.tolist(), weight.tolist())))
+    residual_ranks: dict[int, int] = {}
+    for head in heads.tolist():
+        rank, x = 0, head
+        while x != NONE:
+            residual_ranks[x] = rank
+            x, w = record[x]
+            rank += w
+    ranks = np.zeros(total, dtype=np.int64)
+    ranks[list(residual_ranks)] = list(residual_ranks.values())
     chains.unwind(ranks, operator.add)
     return RankedList(
-        order=sorted(successor, key=ranks.__getitem__),
         ranks=ranks,
         levels=chains.levels,
         iterations=chains.iterations,
@@ -422,13 +489,14 @@ def rank_lists(
 
 
 def list_ranking(
-    successor: dict[int, Optional[int]],
+    successor: np.ndarray,
     head: int,
     config: ModelConfig,
 ) -> RankedList:
     """Rank a single linked list with a known head: ranks[v] = distance
-    from the head in original list units."""
+    from the head in original list units. ``successor`` is as for
+    ``rank_lists``."""
     result = rank_lists(successor, [head], config)
-    if result.ranks.get(head) != 0:
+    if result.ranks[head] != 0:
         raise NonTerminationError("head did not receive rank 0")
     return result

@@ -202,14 +202,12 @@ def _run_forest_conn(spec: ExperimentSpec, seed: int):
 def _run_list_rank(spec: ExperimentSpec, seed: int):
     rng = np.random.default_rng(np.random.SeedSequence(seed & ((1 << 64) - 1), spawn_key=(0x1A,)))
     order = rng.permutation(spec.n)
-    succ = {
-        int(order[i]): (int(order[i + 1]) if i + 1 < spec.n else None)
-        for i in range(spec.n)
-    }
+    succ = np.full(spec.n, -1, dtype=np.int64)
+    succ[order[:-1]] = order[1:]
     head = int(order[0])
     cfg = spec.config(seed, m=spec.n)
     res = contr_mod.list_ranking(succ, head, cfg)
-    correct = res.ranks == seq_list_rank(succ, head)
+    correct = np.array_equal(res.ranks, seq_list_rank(succ, head))
     return correct, [res.simulator], {"iterations": res.iterations}
 
 

@@ -7,7 +7,6 @@ side of every dual-route check in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -178,18 +177,20 @@ def two_edge_component_oracle(graph: Graph, bridges: set[tuple[int, int]]) -> Co
     return uf_components(Graph(graph.n, kept))
 
 
-def seq_list_rank(successor: dict[int, Optional[int]], head: int) -> dict[int, int]:
-    """Ranks by walking the list once from the head."""
-    ranks = {}
-    node: Optional[int] = head
-    r = 0
-    while node is not None:
-        if node in ranks:
+def seq_list_rank(successor: np.ndarray, head: int) -> np.ndarray:
+    """Ranks by walking the list once from the head. ``successor`` is an
+    int64 array over elements 0..n-1, -1 at the tail; an element the walk
+    does not reach gets rank -1."""
+    nxt = np.asarray(successor).tolist()
+    ranks = [-1] * len(nxt)
+    node, r = head, 0
+    while node >= 0:
+        if ranks[node] >= 0:
             raise ValueError("successor chain revisits a node")
         ranks[node] = r
         r += 1
-        node = successor.get(node)
-    return ranks
+        node = nxt[node]
+    return np.array(ranks, dtype=np.int64)
 
 
 def seq_dfs_tree(

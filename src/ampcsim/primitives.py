@@ -42,6 +42,11 @@ def mpc_sort(
     return ChargedResult(out, _bulk_rounds(epsilon), 2 * len(items))
 
 
+def mpc_argsort(keys: np.ndarray, *, epsilon: float) -> ChargedResult[np.ndarray]:
+    """Stable sort order of an array of keys, charged as ``mpc_sort``."""
+    return ChargedResult(np.argsort(keys, kind="stable"), _bulk_rounds(epsilon), 2 * len(keys))
+
+
 def mpc_filter(
     items: Sequence[T],
     predicate: Callable[[T], bool],

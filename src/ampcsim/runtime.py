@@ -2,18 +2,48 @@
 communication budgets, and deterministic seeded randomness.
 
 A computation proceeds in synchronous rounds. During round i every machine
-may read the sealed store of round i-1 and buffer writes into round i. The
-amount of communication a machine performs in a round is the number of
-queries plus the number of writes, and both are budgeted at
-``budget_slack * space_S``.
+may read any sealed generation 0..i-1 of the store (by default i-1) and
+buffers its writes into generation i, which is sealed when the round ends.
+Writes under one key keep (machine id, per-machine write order), and
+``(key, j)`` reads the j-th of them.
+
+A generation is held in one of two forms, both read through ``get``,
+``get_indexed`` and ``items``:
+
+- ``GenerationalStore``: a dict from keys to value lists. Any hashable key
+  and any constant-size record (ints, floats, strings, None, and tuples of
+  them) fit. Generations written by ``run_round`` take this form.
+- ``ArrayGeneration``: int64 keys sorted ascending plus one int64 column per
+  record field; one column holds scalar values, several hold tuples, and
+  ``NONE`` stands for None. Generations written by a batch round take this
+  form, and so can a simulator's initial generation.
+
+A round runs in one of two ways:
+
+- ``run_round(program)`` calls ``program`` once per machine with a
+  ``MachineContext``, whose ``query``/``query_indexed`` read one record and
+  whose ``write`` buffers one.
+- ``with sim.batch_round() as rnd`` runs the round as array operations:
+  ``rnd.gather(generation, keys, machines)`` reads the record of every key
+  from an array generation and ``rnd.write_many(keys, columns, machines)``
+  buffers one record per key, each charged to the machine beside it. A
+  walk in which many machines follow pointers in lockstep is one gather per
+  step.
+
+Either way one query costs one unit of its machine's communication and one
+write costs one, and both are budgeted at ``budget_slack * space_S`` per
+machine and round. Both close through the same code: per-machine counts go
+to ``RoundMetrics``, violations are recorded (and raised under
+``strict_budget``), and the new generation is sealed.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,6 +53,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # Values stored in the DDS are constant-size records of at most this many
 # machine words; larger payloads must be split by the caller.
 MAX_RECORD_WORDS = 4
+
+# The value an int64 column of an ArrayGeneration holds for None.
+NONE = np.iinfo(np.int64).min
 
 
 class BudgetViolationError(RuntimeError):
@@ -255,6 +288,86 @@ class GenerationalStore:
         self._sealed = True
 
 
+def _int_column(values) -> np.ndarray:
+    column = np.asarray(values)
+    if column.size and column.dtype.kind not in "biu":
+        raise TypeError(f"array generations hold int64 columns, not {column.dtype}")
+    return column.astype(np.int64, copy=False)
+
+
+class ArrayGeneration:
+    """One sealed generation held as columns (see the module docstring).
+
+    ``key_array`` is sorted ascending and may repeat a key; a repeated key's
+    values keep their write order, so ``(key, j)`` is its j-th row. Scalar
+    reads return exactly what a ``GenerationalStore`` holding the same
+    records would: Python ints, and None for ``NONE``.
+    """
+
+    def __init__(self, generation: int, keys, columns: Sequence):
+        keys = _int_column(keys)
+        columns = tuple(_int_column(c) for c in columns)
+        if any(len(c) != len(keys) for c in columns):
+            raise ValueError("every column needs one value per key")
+        if len(keys) and (keys[1:] < keys[:-1]).any():
+            order = np.argsort(keys, kind="stable")
+            keys, columns = keys[order], tuple(c[order] for c in columns)
+        self.generation = generation
+        self.key_array = keys
+        self.columns = columns
+        # Keys 0..len-1 exactly: a key is its own row.
+        self._dense = len(keys) == 0 or (
+            keys[0] == 0 and keys[-1] == len(keys) - 1 and bool((keys[1:] != keys[:-1]).all())
+        )
+
+    def gather(self, keys: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Every column at the first row of each key, as new arrays; NONE
+        for an absent key."""
+        keys = np.asarray(keys, dtype=np.int64)
+        n = len(self.key_array)
+        if self._dense:
+            rows, found = keys, (keys >= 0) & (keys < n)
+        else:
+            rows = np.searchsorted(self.key_array, keys)
+            found = rows < n
+            found[found] = self.key_array[rows[found]] == keys[found]
+        if found.all():
+            return tuple(c[rows] for c in self.columns)
+        rows = np.where(found, rows, 0)
+        return tuple(np.where(found, c[rows] if n else NONE, NONE) for c in self.columns)
+
+    def _span(self, key: Hashable) -> tuple[int, int]:
+        """Row range of ``key``; empty for a key no int64 column can hold."""
+        if not isinstance(key, (int, np.integer)) or not NONE <= key < -NONE:
+            return 0, 0
+        keys = self.key_array
+        return int(np.searchsorted(keys, key, "left")), int(np.searchsorted(keys, key, "right"))
+
+    def _value(self, row: int) -> Any:
+        values = [None if v == NONE else v for v in (c[row].item() for c in self.columns)]
+        return values[0] if len(values) == 1 else tuple(values)
+
+    def get(self, key: Hashable) -> Optional[Any]:
+        """First value under ``key``; None for an absent key."""
+        lo, hi = self._span(key)
+        return self._value(lo) if hi > lo else None
+
+    def get_indexed(self, key: Hashable, j: int) -> Optional[Any]:
+        lo, hi = self._span(key)
+        return self._value(lo + j - 1) if 1 <= j <= hi - lo else None
+
+    def items(self) -> Iterator[tuple[int, Any]]:
+        columns = [[None if v == NONE else v for v in c.tolist()] for c in self.columns]
+        values = columns[0] if len(columns) == 1 else zip(*columns)
+        return zip(self.key_array.tolist(), values)
+
+    def __len__(self) -> int:
+        return len(self.key_array)
+
+
+Generation = Union[GenerationalStore, ArrayGeneration]
+
+
 class MachineContext:
     """Per-machine view of one round: metered reads, buffered writes, RNG."""
 
@@ -285,12 +398,14 @@ class MachineContext:
         generations stay queryable: algorithms that persist every level in
         the store read them back at the same one-query cost.
         """
+        store = self._sim._read_store(generation)
         self.query_count += 1
-        return self._sim._read_store(generation).get(key)
+        return store.get(key)
 
     def query_indexed(self, key: Hashable, j: int, generation: Optional[int] = None) -> Optional[Any]:
+        store = self._sim._read_store(generation)
         self.query_count += 1
-        return self._sim._read_store(generation).get_indexed(key, j)
+        return store.get_indexed(key, j)
 
     def query_all(self, key: Hashable, generation: Optional[int] = None) -> list[Any]:
         """Read (key, 1), (key, 2), ... until an empty response; costs k+1."""
@@ -313,6 +428,70 @@ class MachineContext:
         self._buffer.append((key, value))
 
 
+class BatchRound:
+    """One round run as array operations (see the module docstring)."""
+
+    def __init__(self, simulator: "Simulator"):
+        self._sim = simulator
+        p = simulator.config.machines_P
+        self.queries = np.zeros(p, dtype=np.int64)
+        self.writes = np.zeros(p, dtype=np.int64)
+        self._width: Optional[int] = None
+        self._keys: list[np.ndarray] = []
+        self._columns: list[tuple[np.ndarray, ...]] = []
+        self._machines: list[np.ndarray] = []
+
+    def _charge(self, counts: np.ndarray, machines: np.ndarray, size: int) -> None:
+        if len(machines) != size:
+            raise ValueError(f"{size} keys but {len(machines)} machines")
+        per_machine = np.bincount(machines, minlength=len(counts))
+        if len(per_machine) > len(counts):
+            raise ValueError(f"machine {len(per_machine) - 1} outside 0..{len(counts) - 1}")
+        counts += per_machine
+
+    def gather(self, generation: Optional[int], keys: np.ndarray, machines: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The columns of every key's first record in ``generation``
+        (default: the previous round's), NONE for an absent key; machine
+        ``machines[i]`` is charged one query for ``keys[i]``."""
+        store = self._sim._read_store(generation)
+        if not isinstance(store, ArrayGeneration):
+            raise TypeError(f"generation {store.generation} is not an array generation")
+        self._charge(self.queries, machines, len(keys))
+        return store.gather(keys)
+
+    def write_many(self, keys: np.ndarray, columns: Sequence[np.ndarray], machines: np.ndarray) -> None:
+        """Buffer the record ``columns[*][i]`` under ``keys[i]``, written by
+        ``machines[i]``. One column writes scalar values. Every write of a
+        round has the same number of columns."""
+        width = len(columns)
+        if width > MAX_RECORD_WORDS:
+            raise RecordSizeError(
+                f"value of {width} words exceeds the {MAX_RECORD_WORDS}-word record limit"
+            )
+        if self._width not in (None, width):
+            raise ValueError(f"records of {width} columns in a round writing {self._width}")
+        keys = _int_column(keys)
+        columns = tuple(_int_column(c) for c in columns)
+        if any(len(c) != len(keys) for c in columns):
+            raise ValueError("every column needs one value per key")
+        self._charge(self.writes, machines, len(keys))
+        self._width = width
+        self._keys.append(keys)
+        self._columns.append(columns)
+        self._machines.append(np.asarray(machines, dtype=np.int64))
+
+    def _generation(self, generation: int) -> ArrayGeneration:
+        if not self._keys:
+            return ArrayGeneration(generation, np.empty(0, dtype=np.int64), ())
+        keys = np.concatenate(self._keys)
+        columns = [np.concatenate(c) for c in zip(*self._columns)]
+        order = np.argsort(keys)
+        if (keys[order[1:]] == keys[order[:-1]]).any():
+            # Equal keys keep (machine id, per-machine write order).
+            order = np.lexsort((np.concatenate(self._machines), keys))
+        return ArrayGeneration(generation, keys[order], [c[order] for c in columns])
+
+
 class Simulator:
     """Round-by-round executor with metrics and budget accounting.
 
@@ -324,22 +503,32 @@ class Simulator:
     def __init__(
         self,
         config: ModelConfig,
-        initial: Iterable[tuple[Hashable, Any]] = (),
+        initial: Union[Iterable[tuple[Hashable, Any]], ArrayGeneration] = (),
     ):
         self.config = config
-        self.stores: list[GenerationalStore] = [GenerationalStore.initial(initial)]
+        if isinstance(initial, ArrayGeneration):
+            if initial.generation != 0:
+                raise ValueError(f"an initial generation is generation 0, not {initial.generation}")
+            first: Generation = initial
+        else:
+            first = GenerationalStore.initial(initial)
+        self.stores: list[Generation] = [first]
         self.metrics: list[RoundMetrics] = []
         self.round_index = 0
 
     @property
-    def store(self) -> GenerationalStore:
+    def store(self) -> Generation:
         """The latest sealed generation."""
         return self.stores[-1]
 
-    def _read_store(self, generation: Optional[int]) -> GenerationalStore:
-        store = self.stores[self.round_index if generation is None else generation]
-        assert store.sealed
-        return store
+    def _read_store(self, generation: Optional[int]) -> Generation:
+        if generation is None:
+            return self.stores[self.round_index]
+        if not 0 <= generation <= self.round_index:
+            raise ValueError(
+                f"generation {generation} is not sealed; sealed generations are 0..{self.round_index}"
+            )
+        return self.stores[generation]
 
     def run_round(self, program: Callable[[MachineContext], None]) -> RoundMetrics:
         """Execute ``program`` once per machine and seal the next generation."""
@@ -352,11 +541,26 @@ class Simulator:
             program(ctx)
         new_store = GenerationalStore(round_index)
         new_store._merge_and_seal([ctx._buffer for ctx in contexts])
+        return self._close_round(
+            new_store,
+            [ctx.query_count for ctx in contexts],
+            [ctx.write_count for ctx in contexts],
+        )
+
+    @contextmanager
+    def batch_round(self) -> Iterator[BatchRound]:
+        """Run one round as array operations; it closes when the block ends
+        without an exception."""
+        batch = BatchRound(self)
+        yield batch
+        self._close_round(
+            batch._generation(self.round_index + 1), batch.queries.tolist(), batch.writes.tolist()
+        )
+
+    def _close_round(self, new_store: Generation, queries: list[int], writes: list[int]) -> RoundMetrics:
+        round_index = self.round_index + 1
         self.stores.append(new_store)
         self.round_index = round_index
-
-        queries = [ctx.query_count for ctx in contexts]
-        writes = [ctx.write_count for ctx in contexts]
         limit = self.config.budget_limit
         violations = [
             mid

@@ -114,7 +114,7 @@ def _tour_connectivity(
     )
     pred = np.empty(tour.size, dtype=np.int64)
     pred[tour.succ] = np.arange(tour.size)
-    res = label_cycles(dict(enumerate(tour.succ.tolist())), pred.tolist(), tour.size, sub_config)
+    res = label_cycles(tour.succ, pred, sub_config)
     # Reduce each edge component to its minimum vertex id; every vertex of a
     # tree with edges is the source of one of its tour's edges.
     edge_label = np.asarray(res.labeling.label, dtype=np.int64)
@@ -210,10 +210,8 @@ def root_forest(
 
     rank = np.zeros(tour.size, dtype=np.int64)
     if tour.size:
-        ends = is_head[tour.succ].tolist()
-        successor = {e: None if end else nxt for e, (nxt, end) in enumerate(zip(tour.succ.tolist(), ends))}
-        ranked = rank_lists(successor, heads.tolist(), config)
-        rank = np.fromiter(map(ranked.ranks.__getitem__, range(tour.size)), dtype=np.int64, count=tour.size)
+        ranked = rank_lists(np.where(is_head[tour.succ], -1, tour.succ), heads, config)
+        rank = ranked.ranks
         simulators.append(ranked.simulator)
 
     forward = np.empty(tour.size, dtype=bool)

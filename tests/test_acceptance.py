@@ -233,13 +233,11 @@ def test_criterion_07_list_ranking_and_tree_ops():
                 size = rng.randint(2, 2**13)
                 order = list(range(size))
                 rng.shuffle(order)
-                succ = {
-                    order[i]: (order[i + 1] if i + 1 < size else None)
-                    for i in range(size)
-                }
+                succ = np.full(size, -1)
+                succ[order[:-1]] = order[1:]
                 lcfg = ModelConfig.for_graph(n=size, m=size, epsilon=0.5, seed=trial)
                 ranked = list_ranking(succ, order[0], lcfg)
-                assert ranked.ranks == seq_list_rank(succ, order[0])
+                assert np.array_equal(ranked.ranks, seq_list_rank(succ, order[0]))
                 assert ranked.iterations <= shrink_iteration_budget(0.5) + 1
                 _note_violations("list-rank", ranked.simulator)
 

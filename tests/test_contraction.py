@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ampcsim.contraction import (
@@ -15,9 +16,10 @@ from ampcsim.contraction import (
     two_cycle,
 )
 from ampcsim.errors import StructureError
-from ampcsim.graphs import Graph, gen_cycles
+from ampcsim.graphs import Graph, gen_cycles, gen_random_forest
 from ampcsim.oracles import compare_labelings, seq_list_rank, uf_components
-from ampcsim.runtime import ModelConfig
+from ampcsim.runtime import MachineContext, ModelConfig
+from ampcsim.trees import root_forest
 
 
 def cycle_config(n, seed=0, epsilon=0.5, **kw):
@@ -144,16 +146,16 @@ def test_cycle_conn_search_lengths_mean():
 
 def test_list_ranking_trivial():
     cfg = ModelConfig.for_graph(n=1, m=1, epsilon=0.5, seed=0)
-    res = list_ranking({7: None}, head=7, config=cfg)
-    assert res.ranks == {7: 0}
+    res = list_ranking(np.array([-1]), head=0, config=cfg)
+    assert res.ranks.tolist() == [0]
 
 
 def test_list_ranking_small_matches_scan():
-    succ = {10: 11, 11: 12, 12: 13, 13: None}
+    succ = np.array([1, 2, 3, -1])
     cfg = ModelConfig.for_graph(n=4, m=4, epsilon=0.5, seed=0)
-    res = list_ranking(succ, head=10, config=cfg)
-    assert res.ranks == seq_list_rank(succ, 10)
-    assert res.order == [10, 11, 12, 13]
+    res = list_ranking(succ, head=0, config=cfg)
+    assert np.array_equal(res.ranks, seq_list_rank(succ, 0))
+    assert res.ranks.tolist() == [0, 1, 2, 3]
 
 
 def test_list_ranking_seeded_random_lists():
@@ -164,32 +166,40 @@ def test_list_ranking_seeded_random_lists():
         rng = random.Random(seed)
         perm = list(range(n))
         rng.shuffle(perm)
-        succ = {perm[i]: (perm[i + 1] if i + 1 < n else None) for i in range(n)}
+        succ = np.full(n, -1)
+        succ[perm[:-1]] = perm[1:]
         cfg = ModelConfig.for_graph(n=n, m=n, epsilon=0.5, seed=seed)
         res = list_ranking(succ, head=perm[0], config=cfg)
-        assert res.ranks == seq_list_rank(succ, perm[0])
+        assert np.array_equal(res.ranks, seq_list_rank(succ, perm[0]))
         assert res.iterations <= shrink_iteration_budget(cfg.epsilon) + 1
         # Weight conservation at every level.
         for level_weights in res.weights_per_level:
-            assert sum(level_weights.values()) == n
+            assert level_weights.sum() == n
         assert res.simulator.violation_count() == 0
 
 
 def test_list_ranking_structure_errors():
     cfg = ModelConfig.for_graph(n=4, m=4, epsilon=0.5, seed=0)
     with pytest.raises(StructureError):
-        list_ranking({1: 2, 2: 1}, head=1, config=cfg)
+        list_ranking(np.array([1, 0]), head=0, config=cfg)
     with pytest.raises(StructureError):
-        list_ranking({1: 2}, head=1, config=cfg)
+        list_ranking(np.array([1]), head=0, config=cfg)
     with pytest.raises(StructureError):
-        list_ranking({1: None, 2: None}, head=1, config=cfg)
+        list_ranking(np.array([-1, -1]), head=0, config=cfg)
+    # A cycle no head enters, and a head outside the elements.
+    with pytest.raises(StructureError):
+        list_ranking(np.array([-1, 2, 1]), head=0, config=cfg)
+    with pytest.raises(StructureError):
+        list_ranking(np.array([-1]), head=3, config=cfg)
+    with pytest.raises(TypeError):
+        list_ranking({0: None}, head=0, config=cfg)
 
 
 def test_rank_lists_multiple_chains():
-    succ = {1: 2, 2: None, 5: 6, 6: 7, 7: None, 9: None}
+    succ = np.array([1, -1, 3, 4, -1, -1])
     cfg = ModelConfig.for_graph(n=6, m=6, epsilon=0.5, seed=2)
-    res = rank_lists(succ, heads=[1, 5, 9], config=cfg)
-    assert res.ranks == {1: 0, 2: 1, 5: 0, 6: 1, 7: 2, 9: 0}
+    res = rank_lists(succ, heads=[0, 2, 5], config=cfg)
+    assert res.ranks.tolist() == [0, 1, 0, 1, 2, 0]
 
 
 def test_two_cycle_capacity_error_on_many_cycles():
@@ -208,3 +218,17 @@ def test_two_cycle_capacity_error_on_many_cycles():
     assert cfg.budget_limit < 10
     with pytest.raises(CapacityError):
         two_cycle(g, cfg)
+
+
+def test_chain_engine_runs_no_machine_programs(monkeypatch):
+    # Every level, residual read, search and unwind is a batch round.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-machine program ran")
+
+    monkeypatch.setattr(MachineContext, "__init__", refuse)
+    assert two_cycle(gen_cycles(64, 2, seed=0), cycle_config(64)).cycles == 2
+    assert cycle_conn(gen_cycles(64, 1, seed=0), cycle_config(64)).labeling.component_count() == 1
+    assert list_ranking(np.array([2, -1, 1]), 0, cycle_config(3)).ranks.tolist() == [0, 2, 1]
+    forest = gen_random_forest(60, 3, seed=1)
+    rooted = root_forest(forest)  # forest connectivity over the tours, then list ranking
+    assert len(rooted.simulators) == 2 and len(rooted.forest.roots) == 3

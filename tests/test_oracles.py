@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from ampcsim.graphs import ComponentLabeling, Graph, gen_random_forest, gen_random_graph
@@ -111,11 +112,11 @@ def test_two_edge_component_oracle():
 
 
 def test_seq_list_rank():
-    assert seq_list_rank({}, head=9) == {9: 0}
-    succ = {"a": "b", "b": "c", "c": "d", "d": None}
-    assert seq_list_rank(succ, "a") == {"a": 0, "b": 1, "c": 2, "d": 3}
+    assert seq_list_rank(np.array([-1]), head=0).tolist() == [0]
+    succ = np.array([1, 2, 3, -1])
+    assert seq_list_rank(succ, 0).tolist() == [0, 1, 2, 3]
     with pytest.raises(ValueError):
-        seq_list_rank({1: 2, 2: 1}, 1)
+        seq_list_rank(np.array([1, 0]), 0)
 
 
 def test_seq_dfs_tree_path():

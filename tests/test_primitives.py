@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from ampcsim.graphs import Graph, GraphFormatError
 from ampcsim.primitives import (
     contract_graph,
+    mpc_argsort,
     mpc_dedup,
     mpc_filter,
     mpc_predecessor,
@@ -41,6 +43,14 @@ def test_sort_stability():
     pairs = [(1, "a"), (0, "b"), (1, "c"), (0, "d")]
     out = mpc_sort(pairs, key=lambda p: p[0], epsilon=EPS).value
     assert out == [(0, "b"), (0, "d"), (1, "a"), (1, "c")]
+
+
+@given(st.lists(st.integers(-50, 50)))
+def test_argsort_matches_sort_and_its_charge(xs):
+    keys = np.array(xs, dtype=np.int64)
+    got, want = mpc_argsort(keys, epsilon=0.4), mpc_sort(range(len(xs)), key=xs.__getitem__, epsilon=0.4)
+    assert got.value.tolist() == want.value
+    assert (got.rounds_charged, got.communication_charged) == (want.rounds_charged, want.communication_charged)
 
 
 def test_filter_examples():

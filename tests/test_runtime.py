@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ampcsim.runtime import (
+    NONE,
+    ArrayGeneration,
     BudgetViolationError,
     ModelConfig,
     RecordSizeError,
@@ -297,3 +299,95 @@ def test_item_coins_match_scalar():
     assert item_coins(seed, 0x51, ids).tolist() == [rt.item_coin(seed, 0x51, int(i)) for i in ids]
     for p in (356, 252):
         assert (hashes % np.uint64(p)).tolist() == [rt.item_hash(seed, 0x51, int(i)) % p for i in ids]
+
+
+def test_array_generation_reads_like_a_dict_generation():
+    # Keys out of order, a repeated key and None values.
+    records = [(5, (1, None)), (2, (3, 4)), (5, (6, 7)), (9, (None, 0))]
+    keys = [k for k, _ in records]
+    columns = [[NONE if v[i] is None else v[i] for _, v in records] for i in range(2)]
+    as_dict = Simulator(small_config(), initial=records).store
+    as_array = Simulator(small_config(), initial=ArrayGeneration(0, keys, columns)).store
+    for key in (2, 5, 9, 4, -1, "x", 2**70):
+        assert as_array.get(key) == as_dict.get(key)
+        for j in range(4):
+            assert as_array.get_indexed(key, j) == as_dict.get_indexed(key, j)
+    assert sorted(as_array.items()) == sorted(as_dict.items(), key=lambda kv: kv[0])
+    assert list(as_array.items()) == [(2, (3, 4)), (5, (1, None)), (5, (6, 7)), (9, (None, 0))]
+    assert len(as_array) == len(as_dict) == 4
+    scalar = ArrayGeneration(0, [3, 1], [[NONE, 8]])
+    assert list(scalar.items()) == [(1, 8), (3, None)]
+    with pytest.raises(TypeError):
+        ArrayGeneration(0, [1], [[0.5]])
+    right, left = as_array.gather(np.array([9, 4, 2]))
+    assert right.tolist() == [NONE, NONE, 3] and left.tolist() == [0, NONE, 4]
+
+
+def test_batch_round_reads_writes_and_seals():
+    sim = Simulator(small_config(), initial=ArrayGeneration(0, np.arange(6), [np.arange(6) * 10]))
+    with sim.batch_round() as rnd:
+        (got,) = rnd.gather(None, np.array([4, 1, 4]), np.array([0, 2, 2]))
+        rnd.write_many(np.array([7, 3]), [got[:2], np.array([1, 2])], np.array([1, 0]))
+        rnd.write_many(np.array([3]), [np.array([5]), np.array([NONE])], np.array([0]))
+    assert got.tolist() == [40, 10, 40]
+    metrics = sim.metrics[-1]
+    assert metrics.queries_per_machine[:3] == [1, 0, 2] and metrics.writes_per_machine[:3] == [2, 1, 0]
+    assert metrics.total_communication == 6
+    assert list(sim.store.items()) == [(3, (10, 2)), (3, (5, None)), (7, (40, 1))]
+    # Older generations stay readable by closure rounds.
+    seen = {}
+    sim.run_round(lambda ctx: seen.setdefault(ctx.machine_id, (ctx.query(3), ctx.query(5, generation=0))))
+    assert seen[0] == ((10, 2), 50)
+
+
+def test_batch_round_budget_violation_matches_closure_round():
+    cfg = small_config(budget_slack=1.0, strict_budget=True)
+    limit = cfg.budget_limit
+    initial = [(k, k) for k in range(4)]
+    # Machine 0 reads past the budget, machine 2 writes past it, machine 3
+    # stays inside it.
+    reads = {0: [k % 4 for k in range(limit + 2)], 3: [1, 2]}
+    writes = {2: list(range(limit + 1))}
+
+    def program(ctx):
+        for key in reads.get(ctx.machine_id, []):
+            ctx.query(key)
+        for key in writes.get(ctx.machine_id, []):
+            ctx.write(key, 1)
+
+    with pytest.raises(BudgetViolationError) as closure:
+        Simulator(cfg, initial=initial).run_round(program)
+
+    sim = Simulator(cfg, initial=ArrayGeneration(0, np.arange(4), [np.arange(4)]))
+    with pytest.raises(BudgetViolationError) as batch:
+        with sim.batch_round() as rnd:
+            for mid, keys in reads.items():
+                rnd.gather(None, np.array(keys), np.full(len(keys), mid))
+            for mid, keys in writes.items():
+                rnd.write_many(np.array(keys), [np.ones(len(keys), dtype=np.int64)], np.full(len(keys), mid))
+    assert batch.value.violations == closure.value.violations == [(0, limit + 2, 0), (2, 0, limit + 1)]
+    assert batch.value.round_index == closure.value.round_index == 1
+
+
+def test_batch_round_record_size_limit():
+    sim = Simulator(small_config())
+    with pytest.raises(RecordSizeError):
+        with sim.batch_round() as rnd:
+            rnd.write_many(np.array([1, 2]), [np.array([1, 2])] * 5, np.array([0, 1]))
+    assert sim.round_index == 0 and sim.metrics == []
+
+
+@pytest.mark.parametrize("generation", [-1, 2, 5])
+def test_reading_an_unsealed_generation_fails_at_the_boundary(generation):
+    sim = Simulator(small_config(), initial=ArrayGeneration(0, [1], [[7]]))
+    sim.run_round(lambda ctx: None)
+    for read in (
+        lambda ctx: ctx.query(1, generation=generation),
+        lambda ctx: ctx.query_indexed(1, 1, generation=generation),
+    ):
+        with pytest.raises(ValueError, match=rf"generation {generation} .*0\.\.1"):
+            sim.run_round(read)
+    with pytest.raises(ValueError, match=rf"generation {generation} .*0\.\.1"):
+        with sim.batch_round() as rnd:
+            rnd.gather(generation, np.array([1]), np.array([0]))
+    assert sim.round_index == 1
