@@ -238,13 +238,16 @@ class ComponentLabeling:
 
     def canonical(self) -> list[int]:
         """Relabel by first occurrence so representative choice is immaterial."""
-        remap: dict[int, int] = {}
-        out = []
-        for rep in self.label:
-            if rep not in remap:
-                remap[rep] = len(remap)
-            out.append(remap[rep])
-        return out
+        return self.canonical_array().tolist()
+
+    def canonical_array(self) -> np.ndarray:
+        """``canonical()`` as an int64 array: each distinct representative
+        is renumbered by the rank of its first occurrence."""
+        label = np.asarray(self.label, dtype=np.int64)
+        reps, first, which = np.unique(label, return_index=True, return_inverse=True)
+        rank = np.empty(len(reps), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(reps))
+        return rank[which]
 
     def same_component(self, u: int, v: int) -> bool:
         return self.label[u] == self.label[v]
@@ -255,7 +258,7 @@ class ComponentLabeling:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ComponentLabeling):
             return NotImplemented
-        return self.canonical() == other.canonical()
+        return np.array_equal(self.canonical_array(), other.canonical_array())
 
 
 @dataclass
@@ -324,14 +327,20 @@ def gen_random_graph(n: int, m: int, seed: int, weighted: bool = False) -> Graph
         draw = rng.integers(0, limit, size=max(64, int(need * 1.3)))
         # Distinct codes of the batch with the index of their first draw.
         order = np.argsort(draw)
-        starts = np.flatnonzero(_first_of_runs(draw[order]))
-        codes, first = draw[order[starts]], np.minimum.reduceat(order, starts)
+        draw = draw[order]
+        starts = np.flatnonzero(_first_of_runs(draw))
+        codes, first = draw[starts], np.minimum.reduceat(order, starts)
+        # Each batch's m-sized temporaries go as soon as they are used, so
+        # they do not stay alive through the next batch and the decode.
+        del draw, order, starts
         if len(chosen):
             fresh = chosen[np.searchsorted(chosen, codes).clip(max=len(chosen) - 1)] != codes
             codes, first = codes[fresh], first[fresh]
         if len(codes) > need:
             codes = codes[first <= np.partition(first, need - 1)[need - 1]]
+        del first
         chosen = np.sort(np.concatenate((chosen, codes)))
+        del codes
     # Decode code c into the pair v < u with c = u(u-1)/2 + v: u is the
     # largest integer with u(u-1)/2 <= c. The float estimate is corrected
     # exactly in integers.

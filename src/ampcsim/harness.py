@@ -25,7 +25,7 @@ from . import contraction as contr_mod
 from . import mis as mis_mod
 from . import trees as trees_mod
 from .errors import LeaderContractionError
-from .graphs import ComponentLabeling, Graph, gen_cycles, gen_random_forest, gen_random_graph
+from .graphs import ComponentLabeling, Graph, gen_cycles, gen_random_forest, gen_random_graph, pair_keys
 from .oracles import (
     compare_labelings,
     kruskal_msf,
@@ -180,9 +180,10 @@ def _run_spanning_forest(spec: ExperimentSpec, seed: int):
         lambda s: conn_mod.spanning_forest(g, spec.config(s)), seed
     )
     comps = uf_components(g)
-    forest = Graph(g.n, sorted(edges))
+    ends = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    forest = Graph.from_arrays(g.n, ends[:, 0], ends[:, 1])
     correct = (
-        edges <= {(u, v) for u, v in g.edges}
+        np.isin(pair_keys(g.n, forest.src, forest.dst), pair_keys(g.n, g.src, g.dst)).all()
         and forest.m == g.n - comps.component_count()
         and compare_labelings(labeling, comps).match
         and compare_labelings(uf_components(forest), comps).match

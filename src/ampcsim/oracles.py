@@ -1,7 +1,21 @@
-"""Independent sequential reference implementations used as ground truth.
+"""Independent reference implementations used as ground truth.
 
-Nothing here may import from the algorithm modules; these are the other
-side of every dual-route check in the test suite.
+These are the other side of every dual-route check in the harness and the
+test suite. They stay independent of what they check in two ways: nothing
+here imports from the algorithm modules, and each oracle uses a different
+method from the algorithm it verifies.
+
+Three oracles run on int64 arrays, because they verify every trial at full
+size: ``uf_components`` hooks roots and shortcuts (Shiloach and Vishkin,
+1982) where connectivity contracts around sampled leaders,
+``seq_list_rank`` doubles pointers toward a sentinel (Wyllie, 1979) where
+list ranking samples and traverses chains in the store, and
+``compare_labelings`` compares labelings canonicalised by first occurrence.
+``two_edge_component_oracle`` masks bridges on the edge arrays and reuses
+``uf_components``. The rest are sequential Python: ``UnionFind`` and
+``kruskal_msf`` (Kruskal's scan is sequential by nature),
+``bfs_components``, ``tarjan_bridges_aps``, ``seq_dfs_tree``, and the
+quadratic ``brute_bridges_aps`` for small graphs.
 """
 
 from __future__ import annotations
@@ -10,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ComponentLabeling, Graph
+from .graphs import ComponentLabeling, Graph, pair_keys
 
 
 @dataclass(frozen=True)
@@ -20,12 +34,13 @@ class OracleReport:
 
 
 def compare_labelings(got: ComponentLabeling, want: ComponentLabeling) -> OracleReport:
-    a, b = got.canonical(), want.canonical()
+    a, b = got.canonical_array(), want.canonical_array()
     if len(a) != len(b):
         return OracleReport(False, f"length {len(a)} != {len(b)}")
-    for v, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return OracleReport(False, f"vertex {v}: canonical label {x} != {y}")
+    diverged = np.flatnonzero(a != b)
+    if len(diverged):
+        v = int(diverged[0])
+        return OracleReport(False, f"vertex {v}: canonical label {a[v]} != {b[v]}")
     return OracleReport(True)
 
 
@@ -52,13 +67,45 @@ class UnionFind:
 
 
 def uf_components(graph: Graph) -> ComponentLabeling:
-    uf = UnionFind(graph.n)
-    # Edges in slices, so the oracle never holds 2m Python ints at once.
-    for start in range(0, graph.m, 1 << 16):
-        chunk = slice(start, start + (1 << 16))
-        for u, v in zip(graph.src[chunk].tolist(), graph.dst[chunk].tolist()):
-            uf.union(u, v)
-    return ComponentLabeling([uf.find(v) for v in range(graph.n)])
+    """Min-id representative of each vertex's component, by hooking and
+    shortcutting on a parent array ``f``.
+
+    A pass hooks the edges in slices of 1 << 16, so the transient arrays
+    stay small: each edge (u, v) with a = f[u] != b = f[v] lowers
+    ``f[max(a, b)]`` to at most min(a, b), with ``np.minimum.at``. The pass
+    then shortcuts ``f = f[f]`` until nothing changes, which leaves every
+    tree a star. Passes repeat until one hooks nothing.
+
+    Why this is right: a hook only lowers some ``f[x]``, to a vertex of
+    x's own component, so ``f[x] <= x`` holds throughout and ``f`` is a
+    forest inside the components. A pass starts on stars (the first on
+    singletons), and slices before its first edge across two stars hook
+    nothing, so that edge reads two distinct roots and hooks one under the
+    other. So each pass that hooks anything removes a root, and the loop
+    ends. When a pass hooks nothing, no edge crosses two stars, so each
+    star is a whole component, and its root, being at most every member,
+    is the min id.
+    """
+    f = np.arange(graph.n, dtype=np.int64)
+    step = 1 << 16
+    hooked = True
+    while hooked:
+        hooked = False
+        for start in range(0, graph.m, step):
+            a = f[graph.src[start : start + step]]
+            b = f[graph.dst[start : start + step]]
+            cross = a != b
+            if cross.any():
+                a, b = a[cross], b[cross]
+                np.minimum.at(f, np.maximum(a, b), np.minimum(a, b))
+                hooked = True
+        if hooked:
+            while True:
+                jumped = f[f]
+                if np.array_equal(jumped, f):
+                    break
+                f = jumped
+    return ComponentLabeling(f.tolist())
 
 
 def bfs_components(graph: Graph) -> ComponentLabeling:
@@ -171,26 +218,51 @@ def brute_bridges_aps(graph: Graph) -> tuple[set[tuple[int, int]], set[int]]:
 
 def two_edge_component_oracle(graph: Graph, bridges: set[tuple[int, int]]) -> ComponentLabeling:
     """Components of the graph without ``bridges`` (as from tarjan_bridges_aps)."""
-    kept = [
-        e for e in graph.edges if (min(e[0], e[1]), max(e[0], e[1])) not in bridges
-    ]
-    return uf_components(Graph(graph.n, kept))
+    ends = np.array(sorted(bridges), dtype=np.int64).reshape(-1, 2)
+    cut = pair_keys(graph.n, ends[:, 0], ends[:, 1])
+    keep = ~np.isin(pair_keys(graph.n, graph.src, graph.dst), cut)
+    return uf_components(
+        Graph.from_arrays(graph.n, graph.src[keep], graph.dst[keep], multigraph=graph.multigraph)
+    )
 
 
 def seq_list_rank(successor: np.ndarray, head: int) -> np.ndarray:
-    """Ranks by walking the list once from the head. ``successor`` is an
-    int64 array over elements 0..n-1, -1 at the tail; an element the walk
-    does not reach gets rank -1."""
-    nxt = np.asarray(successor).tolist()
-    ranks = [-1] * len(nxt)
-    node, r = head, 0
-    while node >= 0:
-        if ranks[node] >= 0:
-            raise ValueError("successor chain revisits a node")
-        ranks[node] = r
-        r += 1
-        node = nxt[node]
-    return np.array(ranks, dtype=np.int64)
+    """Rank of each element on the list from ``head``, by pointer doubling.
+    ``successor`` is an int64 array over elements 0..n-1, -1 at the tail;
+    an element the walk from the head does not reach gets rank -1. Raises
+    ``ValueError`` if the walk from the head revisits an element.
+
+    Every element points one step past the tail to a sentinel n, which
+    points to itself. After ceil(log2 n) doublings, ``hop[x]`` is n exactly
+    when x reaches the tail, and ``dist[x]`` counts the elements from x to
+    the tail. A head whose walk covers all n elements ranks x at
+    n - dist[x]; otherwise the elements on its walk are marked by jumping
+    from the head by 1, 2, 4, ... steps.
+    """
+    succ = np.asarray(successor, dtype=np.int64)
+    n = len(succ)
+    if head < 0:
+        return np.full(n, -1, dtype=np.int64)
+    if n and succ.max() >= n:
+        raise ValueError(f"successor {int(succ.max())} out of range for {n} elements")
+    step = np.append(np.where(succ < 0, n, succ), n)
+    hop, dist = step, np.ones(n + 1, dtype=np.int64)
+    dist[n] = 0
+    for _ in range(n.bit_length()):
+        dist += dist[hop]
+        hop = hop[hop]
+    if hop[head] != n:
+        raise ValueError("successor chain revisits a node")
+    length = int(dist[head])
+    if length == n:
+        return n - dist[:n]
+    on_walk = np.zeros(n + 1, dtype=bool)
+    on_walk[head] = True
+    hop = step
+    for _ in range(n.bit_length()):
+        on_walk[hop[on_walk]] = True
+        hop = hop[hop]
+    return np.where(on_walk, length - dist, -1)[:n]
 
 
 def seq_dfs_tree(

@@ -4,6 +4,7 @@ import pytest
 
 from ampcsim import runtime
 from ampcsim.cli import main
+from ampcsim.graphs import Graph
 from ampcsim.harness import (
     ContentionReport,
     ExperimentSpec,
@@ -89,6 +90,25 @@ def test_reported_costs_cover_every_simulator(spec, monkeypatch):
     assert max(r.max_queries_per_machine for r in records) == max(
         s.max_queries_per_machine() for s in built
     )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ExperimentSpec(algorithm="connectivity", n=2000, m=6000, seed=7),
+        ExperimentSpec(algorithm="spanning-forest", n=2000, m=6000, seed=7),
+        ExperimentSpec(algorithm="list-rank", n=2000, seed=7),
+        ExperimentSpec(algorithm="2ecc", n=500, m=1500, seed=7),
+    ],
+    ids=lambda spec: spec.algorithm,
+)
+def test_trials_never_build_edge_tuples(spec, monkeypatch):
+    # The whole trial, generation and oracle check included, stays on arrays.
+    def refuse(graph):
+        raise AssertionError("the tuple view of the edges was built")
+
+    monkeypatch.setattr(Graph, "edges", property(refuse))
+    assert run_experiment(spec).all_correct
 
 
 def test_contention_uniform_expectation():

@@ -6,6 +6,7 @@ import pytest
 
 from ampcsim.graphs import ComponentLabeling, Graph, gen_random_forest, gen_random_graph
 from ampcsim.oracles import (
+    UnionFind,
     bfs_components,
     brute_bridges_aps,
     compare_labelings,
@@ -33,6 +34,116 @@ def test_uf_matches_bfs_on_random_graphs():
     for seed in range(30):
         g = gen_random_graph(60, 80, seed=seed)
         assert compare_labelings(uf_components(g), bfs_components(g)).match
+
+
+def union_find_labeling(graph):
+    """Min-id representatives through the sequential ``UnionFind``, which
+    hooks the larger root under the smaller."""
+    uf = UnionFind(graph.n)
+    for u, v in zip(graph.src.tolist(), graph.dst.tolist()):
+        uf.union(u, v)
+    return [uf.find(v) for v in range(graph.n)]
+
+
+def descending_path(n):
+    # One pass hooks each vertex under the one below it, which leaves a
+    # single chain of n vertices for the shortcuts to collapse.
+    return Graph(n, [(v, v - 1) for v in range(n - 1, 0, -1)])
+
+
+def permuted_path(n, seed):
+    order = np.random.default_rng(seed).permutation(n)
+    return Graph.from_arrays(n, order[:-1], order[1:])
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        *(gen_random_graph(300, m, seed=seed) for seed, m in enumerate((0, 150, 300, 900, 4000))),
+        Graph(5, []),
+        Graph(1, []),
+        Graph(9, [(8, v) for v in range(8)]),
+        descending_path(500),
+        permuted_path(3 * (1 << 16) + 5, seed=4),
+        gen_random_graph(5000, 60, seed=8),
+        gen_random_graph(20000, (1 << 16) + 123, seed=9),
+        gen_random_forest(3000, 7, seed=10),
+    ],
+    ids=[
+        "random-m0", "random-m150", "random-m300", "random-m900", "random-m4000",
+        "m0", "n1", "star-top-centre", "descending-path", "permuted-path-3-slices",
+        "mostly-isolated", "m-off-slice", "forest",
+    ],
+)
+def test_uf_components_two_routes(graph):
+    got = uf_components(graph)
+    assert got.label == union_find_labeling(graph)
+    assert compare_labelings(got, bfs_components(graph)).match
+
+
+def walk_ranks(successor, head):
+    """The list walk, one element at a time."""
+    ranks = [-1] * len(successor)
+    node, r = head, 0
+    while node >= 0:
+        if ranks[node] >= 0:
+            raise ValueError("revisit")
+        ranks[node] = r
+        node, r = int(successor[node]), r + 1
+    return ranks
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1000, 4097])
+def test_seq_list_rank_full_lists_match_walk(n):
+    order = np.random.default_rng(n).permutation(n)
+    succ = np.full(n, -1, dtype=np.int64)
+    succ[order[:-1]] = order[1:]
+    got = seq_list_rank(succ, int(order[0]))
+    assert got.dtype == np.int64
+    assert got.tolist() == walk_ranks(succ, int(order[0])) == np.argsort(order).tolist()
+
+
+def test_seq_list_rank_partial_reach_matches_walk():
+    # 1 merges into 0's walk at 2; 4 merges at 3; 5 and 6 form a cycle.
+    succ = np.array([2, 2, 3, -1, 3, 6, 5])
+    assert seq_list_rank(succ, 0).tolist() == [0, -1, 1, 2, -1, -1, -1]
+    assert seq_list_rank(succ, 4).tolist() == [-1, -1, -1, 1, 0, -1, -1]
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        # Pointers only to higher ids (or the tail): merging chains, no cycles.
+        succ = rng.integers(-1, n, size=n)
+        succ = np.where(succ > np.arange(n), succ, -1)
+        head = int(rng.integers(0, n))
+        assert seq_list_rank(succ, head).tolist() == walk_ranks(succ, head)
+
+
+def test_seq_list_rank_rho_raises():
+    with pytest.raises(ValueError):
+        seq_list_rank(np.array([1, 2, 3, 1]), 0)
+    with pytest.raises(ValueError):
+        seq_list_rank(np.array([0]), 0)
+    with pytest.raises(ValueError, match="out of range"):
+        seq_list_rank(np.array([1, 2]), 0)
+    # A cycle off the head's walk is not an error.
+    assert seq_list_rank(np.array([1, -1, 3, 2]), 0).tolist() == [0, 1, -1, -1]
+
+
+def test_compare_labelings_divergence_message():
+    report = compare_labelings(ComponentLabeling([5, 5, 9, 9, 4]), ComponentLabeling([0, 0, 2, 3, 3]))
+    assert not report.match
+    assert report.first_divergence == "vertex 3: canonical label 1 != 2"
+    report = compare_labelings(ComponentLabeling([1, 2]), ComponentLabeling([1]))
+    assert report.first_divergence == "length 2 != 1"
+
+
+def test_canonical_numbers_by_first_occurrence():
+    rng = random.Random(12)
+    for _ in range(100):
+        label = [rng.randrange(-5, 8) for _ in range(rng.randrange(0, 30))]
+        remap = {}
+        want = [remap.setdefault(rep, len(remap)) for rep in label]
+        assert ComponentLabeling(label).canonical() == want
 
 
 def test_compare_labelings_canonicalizes():
