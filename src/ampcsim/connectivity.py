@@ -18,14 +18,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import LeaderContractionError, NonTerminationError
-from .graphs import ComponentLabeling, Graph, pair_keys, simple_graph
+from .graphs import ComponentLabeling, Graph, pair_keys, simple_graph, slot_keys
 from .primitives import contract_graph, mpc_argsort
-from .runtime import ModelConfig, Simulator, item_coins, item_hash, partition_to_machines
+from .runtime import ModelConfig, Simulator, _machines_of, item_coins, item_hash, partition_to_machines
 
 _MAIN_LOOP_CAP = 64
 # Vertex-shrinking is asymptotic machinery; graphs this small go straight
@@ -80,27 +80,48 @@ def resolve_pointers(hook: dict[int, int]) -> dict[int, int]:
     return result
 
 
-def _write_adjacency_round(sim: Simulator, graph: Graph, config: ModelConfig, weighted: bool) -> int:
-    """Store the graph as (vertex, slot) records; returns the generation.
+def _arcs(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge in both directions, ``heads[i] -> tails[i]``; a self-loop
+    once, as ``Graph.adjacency`` lists it."""
+    proper = graph.src != graph.dst
+    return np.concatenate((graph.src, graph.dst[proper])), np.concatenate((graph.dst, graph.src[proper]))
 
-    Records are spread across machines individually so no machine's write
-    load depends on the degree distribution.
+
+def _write_adjacency_round(
+    sim: Simulator, graph: Graph, config: ModelConfig, weighted: bool
+) -> tuple[int, int, Optional[list]]:
+    """Store the graph as one record per adjacency slot in one batch round;
+    returns the generation, the key stride and, when ``weighted``, the
+    weight each weight rank stands for.
+
+    Slot i of vertex v holds ``(neighbor, degree of v)`` in
+    ``Graph.adjacency`` order, or ``(neighbor, weight rank, degree of v)``
+    by weight, then neighbor; int64 columns hold no float weights, so a
+    record names its weight by its index among the distinct weights. The
+    key is ``v * stride + i`` (``graphs.slot_keys``), the (v, i) pair packed
+    into one int64 as ``pair_keys`` packs an edge. The slots are not v's
+    values read with ``query_indexed`` because the values under one key are
+    ordered by writing machine, which would scramble the slot order that
+    Prim's runs rely on. Records are spread across machines individually
+    so no machine's write load depends on the degree distribution.
     """
-    adj = graph.weighted_adjacency() if weighted else graph.adjacency()
-    records: list[tuple[tuple[int, int], tuple]] = []
-    for v in range(graph.n):
-        deg = len(adj[v])
-        for i, x in enumerate(adj[v]):
-            records.append(((v, i), (x[1], x[0], deg) if weighted else (x, deg)))
-    parts = partition_to_machines(range(len(records)), config, sim.round_index + 1)
-
-    def program(ctx):
-        for idx in parts[ctx.machine_id]:
-            key, value = records[idx]
-            ctx.write(key, value)
-
-    sim.run_round(program)
-    return sim.round_index
+    weights = None
+    if weighted:
+        heads = np.concatenate((graph.src, graph.dst))
+        tails = np.concatenate((graph.dst, graph.src))
+        weights, rank = np.unique(graph.weight, return_inverse=True)
+        rank = np.concatenate((rank, rank))
+        # Weights are distinct, so (head, rank) orders the arcs fully.
+        order = np.argsort(heads * len(weights) + rank, kind="stable")
+    else:
+        heads, tails = _arcs(graph)
+        order = np.argsort(heads * graph.n + tails, kind="stable")
+    heads = heads[order]
+    keys, degree, stride = slot_keys(graph.n, heads)
+    columns = [tails[order], rank[order], degree[heads]] if weighted else [tails[order], degree[heads]]
+    with sim.batch_round() as rnd:
+        rnd.write_many(keys, columns, _machines_of(np.arange(len(keys)), config, sim.round_index + 1))
+    return sim.round_index, stride, None if weights is None else weights.tolist()
 
 
 def increase_degree(
@@ -118,7 +139,7 @@ def increase_degree(
         raise ValueError("budget d must be >= 1")
     if sim is None:
         sim = Simulator(config)
-    gen = _write_adjacency_round(sim, graph, config, weighted=False)
+    gen, stride, _ = _write_adjacency_round(sim, graph, config, weighted=False)
     parts = partition_to_machines(_non_isolated_vertices(graph).tolist(), config, sim.round_index + 1)
     found_sets: dict[int, list[int]] = {}
 
@@ -133,7 +154,7 @@ def increase_degree(
             while head < len(queue) and len(found) < d and reads < cap:
                 x = queue[head]
                 head += 1
-                record = ctx.query((x, 0), generation=gen)
+                record = ctx.query(x * stride, generation=gen)
                 reads += 1
                 if record is None:
                     continue
@@ -149,7 +170,7 @@ def increase_degree(
                     i += 1
                     if i >= deg or reads >= cap:
                         break
-                    u, deg = ctx.query((x, i), generation=gen)
+                    u, deg = ctx.query(x * stride + i, generation=gen)
                     reads += 1
             found_sets[v] = found
 
@@ -325,7 +346,7 @@ def _hook_to_leaders(
 
 def _leader_contract(
     current: Graph,
-    mapping: list[int],
+    mapping: Sequence[int],
     config: ModelConfig,
     sim: Simulator,
     explore: Callable[[Graph, int], tuple[Graph, dict[int, Iterable[int]], int]],
@@ -335,6 +356,7 @@ def _leader_contract(
     left. ``explore(current, d)`` returns the graph to contract, each
     active vertex's reach (the vertex itself not counted) and the
     exhaustion limit for the hook rule."""
+    mapping = np.asarray(mapping, dtype=np.int64)
     schedule = BudgetSchedule.start(max(1, _non_isolated(current)), config)
     iterations = 0
     while current.m > 0:
@@ -346,12 +368,14 @@ def _leader_contract(
         leaders = _sample_leaders(reach.keys(), config, schedule.d, (sim.round_index << 8) | tag)
         f = resolve_pointers(_hook_to_leaders(reach, leaders, limit))
         sim.charge(1, 2 * grown.m, "leader-collect")
-        current = contract_graph(grown, [f.get(v, v) for v in range(grown.n)]).value
+        rep = np.arange(grown.n)
+        rep[np.fromiter(f.keys(), np.int64, len(f))] = np.fromiter(f.values(), np.int64, len(f))
+        current = contract_graph(grown, rep).value
         sim.charge(1, grown.n + 2 * grown.m + 2 * current.m, "contract")
-        mapping = [f.get(rep, rep) for rep in mapping]
+        mapping = rep[mapping]
         sim.charge(1, len(mapping), "map-compose")
         schedule.advance()
-    return mapping, iterations, schedule
+    return mapping.tolist(), iterations, schedule
 
 
 @dataclass
@@ -373,8 +397,13 @@ def connectivity(graph: Graph, config: ModelConfig) -> ConnectivityResult:
 
     def explore(g: Graph, d: int):
         grown = increase_degree(g, d, config, sim)
-        adj = grown.adjacency()
-        return grown, {v: adj[v] for v in range(grown.n) if adj[v]}, d
+        heads, tails = _arcs(grown)
+        order = np.argsort(heads, kind="stable")
+        vertices, starts = np.unique(heads[order], return_index=True)
+        ends = np.append(starts[1:], len(heads)).tolist()
+        tails = tails[order].tolist()
+        reach = {v: tails[a:b] for v, a, b in zip(vertices.tolist(), starts.tolist(), ends)}
+        return grown, reach, d
 
     mapping, iterations, schedule = _leader_contract(current, mapping, config, sim, explore, 0x1D)
     return ConnectivityResult(
@@ -407,33 +436,33 @@ def msf_increase_degree(
         raise ValueError("budget d must be >= 1")
     if sim is None:
         sim = Simulator(config)
-    gen = _write_adjacency_round(sim, graph, config, weighted=True)
+    gen, stride, weights = _write_adjacency_round(sim, graph, config, weighted=True)
     parts = partition_to_machines(_non_isolated_vertices(graph).tolist(), config, sim.round_index + 1)
     forests: dict[int, LocalForest] = {}
 
     def program(ctx):
-        # Heap entries are (weight, x, slot, neighbor, degree of x); every
-        # slot decision uses the degree carried by x's records.
+        # Heap entries are (weight rank, x, slot, neighbor, degree of x);
+        # every slot decision uses the degree carried by x's records.
         for v in parts[ctx.machine_id]:
             members = {v}
             chosen: list[tuple[int, int, float]] = []
             cap = d * d
-            u, w, deg = ctx.query((v, 0), generation=gen)
+            u, w, deg = ctx.query(v * stride, generation=gen)
             reads = 1
             heap = [(w, v, 0, u, deg)]
             while heap and len(members) < d and reads < cap:
                 w, x, i, u, deg = heapq.heappop(heap)
                 if i + 1 < deg and reads < cap:
-                    u2, w2, _ = ctx.query((x, i + 1), generation=gen)
+                    u2, w2, _ = ctx.query(x * stride + i + 1, generation=gen)
                     reads += 1
                     heapq.heappush(heap, (w2, x, i + 1, u2, deg))
                 if u in members:
                     continue
                 members.add(u)
-                chosen.append((x, u, w))
+                chosen.append((x, u, weights[w]))
                 if len(members) >= d or reads >= cap:
                     break
-                u2, w2, deg2 = ctx.query((u, 0), generation=gen)
+                u2, w2, deg2 = ctx.query(u * stride, generation=gen)
                 reads += 1
                 heapq.heappush(heap, (w2, u, 0, u2, deg2))
             forests[v] = LocalForest(center=v, members=members, edges=chosen)

@@ -74,24 +74,6 @@ def orient_cycles(graph: Graph) -> tuple[dict[int, int], dict[int, int]]:
     return succ, pred
 
 
-def cycles_of(succ: dict[int, int]) -> list[list[int]]:
-    """Decompose an orientation into its cycles (each listed from min id)."""
-    seen: set[int] = set()
-    out = []
-    for start in succ:
-        if start in seen:
-            continue
-        cyc = [start]
-        v = succ[start]
-        while v != start:
-            cyc.append(v)
-            v = succ[v]
-        seen.update(cyc)
-        pivot = cyc.index(min(cyc))
-        out.append(cyc[pivot:] + cyc[:pivot])
-    return out
-
-
 def orientation_graph(succ: dict[int, int], n: int) -> Graph:
     """The multigraph carried by an orientation: one edge per succ pointer."""
     return Graph(n, [(v, w) for v, w in succ.items()], multigraph=True)

@@ -30,7 +30,7 @@ class Graph:
     arrays instead.
     """
 
-    __slots__ = ("n", "src", "dst", "weight", "multigraph", "_edges", "_adjacency", "_wadjacency")
+    __slots__ = ("n", "src", "dst", "weight", "multigraph", "_edges", "_adjacency")
 
     def __init__(
         self,
@@ -114,7 +114,6 @@ class Graph:
         self.multigraph = multigraph
         self._edges: Optional[tuple[tuple, ...]] = None
         self._adjacency: Optional[list[list[int]]] = None
-        self._wadjacency: Optional[list[list[tuple]]] = None
 
     @property
     def m(self) -> int:
@@ -145,19 +144,6 @@ class Graph:
             self._adjacency = _split(tails[order].tolist(), np.bincount(heads, minlength=self.n))
         return self._adjacency
 
-    def weighted_adjacency(self) -> list[list[tuple[float, int]]]:
-        """Per-vertex (weight, neighbor) lists sorted by weight ascending."""
-        if not self.weighted:
-            raise GraphFormatError("graph is unweighted")
-        if self._wadjacency is None:
-            heads = np.concatenate((self.src, self.dst))
-            tails = np.concatenate((self.dst, self.src))
-            weights = np.concatenate((self.weight, self.weight))
-            order = np.lexsort((tails, weights, heads))
-            pairs = list(zip(weights[order].tolist(), tails[order].tolist()))
-            self._wadjacency = _split(pairs, np.bincount(heads, minlength=self.n))
-        return self._wadjacency
-
     def degrees(self) -> list[int]:
         proper = self.src != self.dst
         degree = np.bincount(self.src, minlength=self.n) + np.bincount(self.dst[proper], minlength=self.n)
@@ -180,6 +166,18 @@ def pair_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """One int64 per unordered vertex pair, ``min * n + max``; the keys
     sort like the ``(min, max)`` pairs."""
     return np.minimum(u, v) * n + np.maximum(u, v)
+
+
+def slot_keys(n: int, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Store keys for adjacency lists laid end to end, ``owners`` naming
+    each entry's vertex in ascending order: entry i of vertex v's list gets
+    ``v * stride + i``. The stride is n, or a multigraph's largest degree
+    when that is larger, so no two vertices share a key. Returns the keys,
+    the degrees and the stride."""
+    degree = np.bincount(owners, minlength=n)
+    stride = max(n, int(degree.max(initial=0)))
+    slots = np.arange(len(owners)) - (np.cumsum(degree) - degree)[owners]
+    return owners * stride + slots, degree, stride
 
 
 def simple_graph(n: int, src: np.ndarray, dst: np.ndarray, weight: Optional[np.ndarray] = None) -> Graph:

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .errors import NonTerminationError
-from .graphs import Graph
+from .graphs import Graph, slot_keys
 from .primitives import mpc_sort
-from .runtime import ModelConfig, Simulator, item_coins, partition_to_machines
+from .runtime import ArrayGeneration, ModelConfig, Simulator, item_coins, partition_to_machines
 
 UNKNOWN, IN_MIS, NOT_IN_MIS = 0, 1, 2
 
@@ -208,10 +209,12 @@ def maximal_independent_set(graph: Graph, config: ModelConfig) -> MisResult:
     perm = Permutation.random(n, config.seed)
     adj = sorted_adjacency(graph, perm)
     capacity = max(1, math.floor(max(n, 2) ** config.epsilon))
-    sim = Simulator(
-        config,
-        initial=[((v, i), u) for v in range(n) for i, u in enumerate(adj[v])],
-    )
+    # The initial generation holds slot i of v's sorted list under
+    # v * stride + i, as connectivity stores its adjacency.
+    owners = np.repeat(np.arange(n), [len(neighbors) for neighbors in adj])
+    keys, _, _ = slot_keys(n, owners)
+    neighbors = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=len(owners))
+    sim = Simulator(config, initial=ArrayGeneration(0, keys, [neighbors]))
     sort_charge = mpc_sort(range(graph.m), epsilon=config.epsilon)
     sim.charge(sort_charge.rounds_charged, sort_charge.communication_charged, "adjacency-sort")
 

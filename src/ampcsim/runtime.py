@@ -7,34 +7,30 @@ buffers its writes into generation i, which is sealed when the round ends.
 Writes under one key keep (machine id, per-machine write order), and
 ``(key, j)`` reads the j-th of them.
 
-A generation is held in one of two forms, both read through ``get``,
-``get_indexed`` and ``items``:
-
-- ``GenerationalStore``: a dict from keys to value lists. Any hashable key
-  and any constant-size record (ints, floats, strings, None, and tuples of
-  them) fit. Generations written by ``run_round`` take this form.
-- ``ArrayGeneration``: int64 keys sorted ascending plus one int64 column per
-  record field; one column holds scalar values, several hold tuples, and
-  ``NONE`` stands for None. Generations written by a batch round take this
-  form, and so can a simulator's initial generation.
+Every generation is an ``ArrayGeneration``: int64 keys sorted ascending
+plus one int64 column per record field. A record is a scalar (one column)
+or a tuple of at most ``MAX_RECORD_WORDS`` fields, each an int or None;
+``NONE`` stands for None. Structured keys are packed into one int64 by
+their writer, as ``graphs.pair_keys`` packs an edge.
 
 A round runs in one of two ways:
 
-- ``run_round(program)`` calls ``program`` once per machine with a
-  ``MachineContext``, whose ``query``/``query_indexed`` read one record and
-  whose ``write`` buffers one.
 - ``with sim.batch_round() as rnd`` runs the round as array operations:
   ``rnd.gather(generation, keys, machines)`` reads the record of every key
-  from an array generation and ``rnd.write_many(keys, columns, machines)``
-  buffers one record per key, each charged to the machine beside it. A
-  walk in which many machines follow pointers in lockstep is one gather per
-  step.
+  and ``rnd.write_many(keys, columns, machines)`` buffers one record per
+  key, each charged to the machine beside it. A walk in which many machines
+  follow pointers in lockstep is one gather per step.
+- ``run_round(program)`` calls ``program`` once per machine with a
+  ``MachineContext``, whose ``query``/``query_indexed`` read one record and
+  whose ``write`` buffers one. It is a batch round underneath: the
+  machines' buffers go to ``write_many`` under their machine ids and their
+  query counts to the round's.
 
 Either way one query costs one unit of its machine's communication and one
 write costs one, and both are budgeted at ``budget_slack * space_S`` per
-machine and round. Both close through the same code: per-machine counts go
-to ``RoundMetrics``, violations are recorded (and raised under
-``strict_budget``), and the new generation is sealed.
+machine and round. Every round closes through one path: the new
+generation is sealed, per-machine counts go to ``RoundMetrics``, and
+violations are recorded (and raised under ``strict_budget``).
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -56,6 +52,8 @@ MAX_RECORD_WORDS = 4
 
 # The value an int64 column of an ArrayGeneration holds for None.
 NONE = np.iinfo(np.int64).min
+
+_INTS = (int, np.integer)
 
 
 class BudgetViolationError(RuntimeError):
@@ -113,17 +111,6 @@ def item_hashes(seed: int, tag: int, ids) -> np.ndarray:
 def item_coins(seed: int, tag: int, ids) -> np.ndarray:
     """Vectorized item_coin over an array of ids."""
     return item_hashes(seed, tag, ids).astype(np.float64) / 2.0**64
-
-
-def record_words(value: Any) -> int:
-    """Size of a value in machine words, for the record-size check."""
-    if value is None or isinstance(value, (bool, int, float)):
-        return 1
-    if isinstance(value, str):
-        return max(1, math.ceil(len(value.encode()) / 8))
-    if isinstance(value, (tuple, list)):
-        return sum(record_words(v) for v in value)
-    raise RecordSizeError(f"unsupported record type {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -227,67 +214,6 @@ class RoundMetrics:
         }
 
 
-class GenerationalStore:
-    """One sealed generation of the distributed data store.
-
-    A multimap from keys to ordered value lists. The value order is fixed
-    when the generation is sealed: writes merge in (writing machine id,
-    per-machine write sequence) order. Indexed access ``(key, j)`` is
-    1-based and defined exactly for 1 <= j <= k.
-    """
-
-    def __init__(self, generation: int):
-        self.generation = generation
-        self._entries: dict[Hashable, list[Any]] = {}
-        self._sealed = False
-
-    @classmethod
-    def initial(cls, pairs: Iterable[tuple[Hashable, Any]] = ()) -> "GenerationalStore":
-        store = cls(0)
-        for key, value in pairs:
-            store._entries.setdefault(key, []).append(value)
-        store._sealed = True
-        return store
-
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
-
-    def get(self, key: Hashable) -> Optional[Any]:
-        """First value under ``key``; None for an absent key."""
-        vals = self._entries.get(key)
-        return vals[0] if vals else None
-
-    def get_indexed(self, key: Hashable, j: int) -> Optional[Any]:
-        vals = self._entries.get(key)
-        if vals is None or not 1 <= j <= len(vals):
-            return None
-        return vals[j - 1]
-
-    def count(self, key: Hashable) -> int:
-        return len(self._entries.get(key, ()))
-
-    def keys(self):
-        return self._entries.keys()
-
-    def items(self):
-        for key, vals in self._entries.items():
-            for v in vals:
-                yield key, v
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._entries.values())
-
-    def _merge_and_seal(self, buffers: Sequence[list[tuple[Hashable, Any]]]) -> None:
-        # Buffers arrive indexed by machine id; iterating them in id order
-        # with per-machine sequence order gives the canonical value order.
-        assert not self._sealed
-        for buf in buffers:
-            for key, value in buf:
-                self._entries.setdefault(key, []).append(value)
-        self._sealed = True
-
-
 def _int_column(values) -> np.ndarray:
     column = np.asarray(values)
     if column.size and column.dtype.kind not in "biu":
@@ -299,9 +225,9 @@ class ArrayGeneration:
     """One sealed generation held as columns (see the module docstring).
 
     ``key_array`` is sorted ascending and may repeat a key; a repeated key's
-    values keep their write order, so ``(key, j)`` is its j-th row. Scalar
-    reads return exactly what a ``GenerationalStore`` holding the same
-    records would: Python ints, and None for ``NONE``.
+    values keep their write order, so ``(key, j)`` is its j-th row. Single
+    reads return Python values: an int or None for one column, a tuple of
+    them for several.
     """
 
     def __init__(self, generation: int, keys, columns: Sequence):
@@ -336,23 +262,23 @@ class ArrayGeneration:
         rows = np.where(found, rows, 0)
         return tuple(np.where(found, c[rows] if n else NONE, NONE) for c in self.columns)
 
-    def _span(self, key: Hashable) -> tuple[int, int]:
+    def _span(self, key: int) -> tuple[int, int]:
         """Row range of ``key``; empty for a key no int64 column can hold."""
-        if not isinstance(key, (int, np.integer)) or not NONE <= key < -NONE:
+        if not isinstance(key, _INTS) or not NONE <= key < -NONE:
             return 0, 0
         keys = self.key_array
-        return int(np.searchsorted(keys, key, "left")), int(np.searchsorted(keys, key, "right"))
+        return int(keys.searchsorted(key, "left")), int(keys.searchsorted(key, "right"))
 
     def _value(self, row: int) -> Any:
-        values = [None if v == NONE else v for v in (c[row].item() for c in self.columns)]
+        values = [None if v == NONE else v for v in [c.item(row) for c in self.columns]]
         return values[0] if len(values) == 1 else tuple(values)
 
-    def get(self, key: Hashable) -> Optional[Any]:
+    def get(self, key: int) -> Optional[Any]:
         """First value under ``key``; None for an absent key."""
         lo, hi = self._span(key)
         return self._value(lo) if hi > lo else None
 
-    def get_indexed(self, key: Hashable, j: int) -> Optional[Any]:
+    def get_indexed(self, key: int, j: int) -> Optional[Any]:
         lo, hi = self._span(key)
         return self._value(lo + j - 1) if 1 <= j <= hi - lo else None
 
@@ -365,9 +291,6 @@ class ArrayGeneration:
         return len(self.key_array)
 
 
-Generation = Union[GenerationalStore, ArrayGeneration]
-
-
 class MachineContext:
     """Per-machine view of one round: metered reads, buffered writes, RNG."""
 
@@ -377,7 +300,8 @@ class MachineContext:
         self.round = round_index
         self.query_count = 0
         self.write_count = 0
-        self._buffer: list[tuple[Hashable, Any]] = []
+        self._keys: list[int] = []
+        self._records: list[tuple] = []
         self._rng: Optional[np.random.Generator] = None
 
     @property
@@ -391,7 +315,7 @@ class MachineContext:
             self._rng = np.random.default_rng(seq)
         return self._rng
 
-    def query(self, key: Hashable, generation: Optional[int] = None) -> Optional[Any]:
+    def query(self, key: int, generation: Optional[int] = None) -> Optional[Any]:
         """Read a unique key; an absent key is an empty result, not an error.
 
         ``generation`` defaults to the previous round's store. Older sealed
@@ -402,12 +326,12 @@ class MachineContext:
         self.query_count += 1
         return store.get(key)
 
-    def query_indexed(self, key: Hashable, j: int, generation: Optional[int] = None) -> Optional[Any]:
+    def query_indexed(self, key: int, j: int, generation: Optional[int] = None) -> Optional[Any]:
         store = self._sim._read_store(generation)
         self.query_count += 1
         return store.get_indexed(key, j)
 
-    def query_all(self, key: Hashable, generation: Optional[int] = None) -> list[Any]:
+    def query_all(self, key: int, generation: Optional[int] = None) -> list[Any]:
         """Read (key, 1), (key, 2), ... until an empty response; costs k+1."""
         out = []
         j = 1
@@ -418,14 +342,20 @@ class MachineContext:
             out.append(val)
             j += 1
 
-    def write(self, key: Hashable, value: Any) -> None:
-        words = record_words(value)
-        if words > MAX_RECORD_WORDS:
+    def write(self, key: int, value: Any) -> None:
+        """Buffer ``value`` under ``key``: an int key and an int, None or
+        tuple of them as the value. Every write of a round has the same
+        number of fields."""
+        fields = value if isinstance(value, tuple) else (value,)
+        if len(fields) > MAX_RECORD_WORDS:
             raise RecordSizeError(
-                f"value of {words} words exceeds the {MAX_RECORD_WORDS}-word record limit"
+                f"value of {len(fields)} words exceeds the {MAX_RECORD_WORDS}-word record limit"
             )
+        if not isinstance(key, _INTS) or not all(f is None or isinstance(f, _INTS) for f in fields):
+            raise TypeError(f"the store holds int keys and int or None fields, not {key!r}: {value!r}")
         self.write_count += 1
-        self._buffer.append((key, value))
+        self._keys.append(key)
+        self._records.append(fields)
 
 
 class BatchRound:
@@ -453,11 +383,8 @@ class BatchRound:
         """The columns of every key's first record in ``generation``
         (default: the previous round's), NONE for an absent key; machine
         ``machines[i]`` is charged one query for ``keys[i]``."""
-        store = self._sim._read_store(generation)
-        if not isinstance(store, ArrayGeneration):
-            raise TypeError(f"generation {store.generation} is not an array generation")
         self._charge(self.queries, machines, len(keys))
-        return store.gather(keys)
+        return self._sim._read_store(generation).gather(keys)
 
     def write_many(self, keys: np.ndarray, columns: Sequence[np.ndarray], machines: np.ndarray) -> None:
         """Buffer the record ``columns[*][i]`` under ``keys[i]``, written by
@@ -503,25 +430,25 @@ class Simulator:
     def __init__(
         self,
         config: ModelConfig,
-        initial: Union[Iterable[tuple[Hashable, Any]], ArrayGeneration] = (),
+        initial: Optional[ArrayGeneration] = None,
     ):
         self.config = config
-        if isinstance(initial, ArrayGeneration):
-            if initial.generation != 0:
-                raise ValueError(f"an initial generation is generation 0, not {initial.generation}")
-            first: Generation = initial
-        else:
-            first = GenerationalStore.initial(initial)
-        self.stores: list[Generation] = [first]
+        if initial is None:
+            initial = ArrayGeneration(0, [], ())
+        elif not isinstance(initial, ArrayGeneration):
+            raise TypeError(f"an initial generation is an ArrayGeneration, not {type(initial).__name__}")
+        elif initial.generation != 0:
+            raise ValueError(f"an initial generation is generation 0, not {initial.generation}")
+        self.stores: list[ArrayGeneration] = [initial]
         self.metrics: list[RoundMetrics] = []
         self.round_index = 0
 
     @property
-    def store(self) -> Generation:
+    def store(self) -> ArrayGeneration:
         """The latest sealed generation."""
         return self.stores[-1]
 
-    def _read_store(self, generation: Optional[int]) -> Generation:
+    def _read_store(self, generation: Optional[int]) -> ArrayGeneration:
         if generation is None:
             return self.stores[self.round_index]
         if not 0 <= generation <= self.round_index:
@@ -531,21 +458,24 @@ class Simulator:
         return self.stores[generation]
 
     def run_round(self, program: Callable[[MachineContext], None]) -> RoundMetrics:
-        """Execute ``program`` once per machine and seal the next generation."""
-        round_index = self.round_index + 1
-        contexts = [
-            MachineContext(self, mid, round_index)
-            for mid in range(self.config.machines_P)
-        ]
-        for ctx in contexts:
-            program(ctx)
-        new_store = GenerationalStore(round_index)
-        new_store._merge_and_seal([ctx._buffer for ctx in contexts])
-        return self._close_round(
-            new_store,
-            [ctx.query_count for ctx in contexts],
-            [ctx.write_count for ctx in contexts],
-        )
+        """Execute ``program`` once per machine, as one batch round."""
+        with self.batch_round() as rnd:
+            contexts = [
+                MachineContext(self, mid, self.round_index + 1)
+                for mid in range(self.config.machines_P)
+            ]
+            for ctx in contexts:
+                program(ctx)
+            rnd.queries += [ctx.query_count for ctx in contexts]
+            records = [fields for ctx in contexts for fields in ctx._records]
+            if records:
+                widths = sorted({len(fields) for fields in records})
+                if len(widths) > 1:
+                    raise ValueError(f"records of {widths} fields in one round; a round writes one width")
+                columns = [[NONE if f is None else f for f in column] for column in zip(*records)]
+                machines = np.repeat(np.arange(len(contexts)), [ctx.write_count for ctx in contexts])
+                rnd.write_many([key for ctx in contexts for key in ctx._keys], columns, machines)
+        return self.metrics[-1]
 
     @contextmanager
     def batch_round(self) -> Iterator[BatchRound]:
@@ -557,7 +487,7 @@ class Simulator:
             batch._generation(self.round_index + 1), batch.queries.tolist(), batch.writes.tolist()
         )
 
-    def _close_round(self, new_store: Generation, queries: list[int], writes: list[int]) -> RoundMetrics:
+    def _close_round(self, new_store: ArrayGeneration, queries: list[int], writes: list[int]) -> RoundMetrics:
         round_index = self.round_index + 1
         self.stores.append(new_store)
         self.round_index = round_index

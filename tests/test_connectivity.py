@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ampcsim.connectivity import (
@@ -294,3 +295,20 @@ def test_connectivity_and_msf_never_build_edge_tuples(monkeypatch):
     monkeypatch.undo()
     assert compare_labelings(conn.labeling, uf_components(g)).match
     assert tree.edges == kruskal_msf(w)
+
+
+def test_msf_on_float_weights_matches_kruskal():
+    # Store records carry weight ranks; everything returned carries the
+    # graph's own float weights.
+    for seed, (n, m) in enumerate([(300, 900), (120, 5000)]):
+        g = gen_random_graph(n, m, seed=seed)
+        weights = np.random.default_rng(seed).permutation(g.m) / 3.0 - 17.5
+        fg = Graph.from_arrays(g.n, g.src, g.dst, weights)
+        res = msf(fg, config_for(fg, seed=seed))
+        assert res.iterations > 0
+        assert res.edges == kruskal_msf(fg)
+        edge_weight = {(u, v): w for u, v, w in zip(fg.src.tolist(), fg.dst.tolist(), weights.tolist())}
+        forests = msf_increase_degree(fg, 6, config_for(fg, seed=seed))
+        chosen = [(x, u, w) for local in forests.values() for x, u, w in local.edges]
+        assert chosen and all(type(w) is float for _, _, w in chosen)
+        assert all(edge_weight[min(x, u), max(x, u)] == w for x, u, w in chosen)

@@ -99,6 +99,7 @@ def test_reported_costs_cover_every_simulator(spec, monkeypatch):
         ExperimentSpec(algorithm="spanning-forest", n=2000, m=6000, seed=7),
         ExperimentSpec(algorithm="list-rank", n=2000, seed=7),
         ExperimentSpec(algorithm="2ecc", n=500, m=1500, seed=7),
+        ExperimentSpec(algorithm="mis", n=500, m=1500, seed=7),
     ],
     ids=lambda spec: spec.algorithm,
 )

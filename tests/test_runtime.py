@@ -24,6 +24,11 @@ def small_config(**kw):
     return ModelConfig.for_graph(**defaults)
 
 
+def scalars(keys, values):
+    """An initial generation of one scalar value per key."""
+    return ArrayGeneration(0, keys, [values])
+
+
 def test_config_invariants():
     cfg = small_config()
     assert 0 < cfg.epsilon < 1
@@ -39,13 +44,13 @@ def test_config_invariants():
 
 
 def test_query_unique_and_absent():
-    sim = Simulator(small_config(), initial=[("x", 7)])
+    sim = Simulator(small_config(), initial=scalars([1], [7]))
     seen = {}
 
     def program(ctx):
         if ctx.machine_id == 0:
-            seen["x"] = ctx.query("x")
-            seen["missing"] = ctx.query("missing")
+            seen["x"] = ctx.query(1)
+            seen["missing"] = ctx.query(2)
 
     sim.run_round(program)
     assert seen["x"] == 7
@@ -53,17 +58,17 @@ def test_query_unique_and_absent():
 
 
 def test_multivalue_indexed_access():
-    sim = Simulator(small_config(), initial=[("x", "a"), ("x", "b"), ("x", "c")])
+    sim = Simulator(small_config(), initial=scalars([1, 1, 1], [10, 20, 30]))
     out = {}
 
     def program(ctx):
         if ctx.machine_id == 0:
-            out["vals"] = [ctx.query_indexed("x", j) for j in (1, 2, 3)]
-            out["past_end"] = ctx.query_indexed("x", 4)
-            out["all"] = ctx.query_all("x")
+            out["vals"] = [ctx.query_indexed(1, j) for j in (1, 2, 3)]
+            out["past_end"] = ctx.query_indexed(1, 4)
+            out["all"] = ctx.query_all(1)
 
     sim.run_round(program)
-    assert set(out["vals"]) == {"a", "b", "c"}
+    assert set(out["vals"]) == {10, 20, 30}
     assert out["past_end"] is None
     assert out["all"] == out["vals"]
 
@@ -73,11 +78,11 @@ def test_write_then_next_round_reads():
 
     def writer(ctx):
         if ctx.machine_id == 0:
-            ctx.write("y", 1)
+            ctx.write(2, 1)
 
     sim.run_round(writer)
     got = {}
-    sim.run_round(lambda ctx: got.setdefault(ctx.machine_id, ctx.query("y")))
+    sim.run_round(lambda ctx: got.setdefault(ctx.machine_id, ctx.query(2)))
     assert got[0] == 1
 
 
@@ -86,32 +91,32 @@ def test_multimap_accumulation_across_machines():
 
     def writer(ctx):
         if ctx.machine_id == 0:
-            ctx.write("y", 1)
+            ctx.write(2, 1)
         elif ctx.machine_id == 1:
-            ctx.write("y", 2)
+            ctx.write(2, 2)
 
     sim.run_round(writer)
     got = {}
 
     def reader(ctx):
         if ctx.machine_id == 0:
-            got["vals"] = ctx.query_all("y")
+            got["vals"] = ctx.query_all(2)
 
     sim.run_round(reader)
     assert got["vals"] == [1, 2]  # canonical (machine id, sequence) order
 
 
 def test_zero_writes_next_generation_empty():
-    sim = Simulator(small_config(), initial=[("x", 7)])
+    sim = Simulator(small_config(), initial=scalars([1], [7]))
     sim.run_round(lambda ctx: None)
     got = {}
-    sim.run_round(lambda ctx: got.setdefault(ctx.machine_id, ctx.query("x")))
+    sim.run_round(lambda ctx: got.setdefault(ctx.machine_id, ctx.query(1)))
     assert got[0] is None
     assert len(sim.stores[1]) == 0
 
 
 def test_identity_program_metrics():
-    sim = Simulator(small_config(), initial=[("x", 7)])
+    sim = Simulator(small_config(), initial=scalars([1], [7]))
     metrics = sim.run_round(lambda ctx: None)
     assert metrics.max_queries == 0
     assert metrics.max_writes == 0
@@ -126,7 +131,7 @@ def test_budget_violation_names_machine():
     def greedy(ctx):
         if ctx.machine_id == 0:
             for _ in range(cfg.space_S + 1):
-                ctx.query("k")
+                ctx.query(3)
 
     with pytest.raises(BudgetViolationError) as err:
         sim.run_round(greedy)
@@ -141,7 +146,7 @@ def test_budget_violation_recorded_when_not_strict():
     def greedy(ctx):
         if ctx.machine_id == 0:
             for _ in range(cfg.space_S + 1):
-                ctx.query("k")
+                ctx.query(3)
 
     metrics = sim.run_round(greedy)
     assert metrics.violations == [0]
@@ -151,7 +156,7 @@ def test_budget_violation_recorded_when_not_strict():
 def test_chain_following_in_one_round():
     # One machine computes g^k(y) via k sequential, adaptive queries.
     g = {i: (i * 3 + 1) % 50 for i in range(50)}
-    sim = Simulator(small_config(), initial=list(g.items()))
+    sim = Simulator(small_config(), initial=scalars(list(g), list(g.values())))
     k = 9
     out = {}
 
@@ -174,14 +179,14 @@ def test_chain_following_in_one_round():
 
 
 def test_generational_immutability_double_query():
-    sim = Simulator(small_config(), initial=[("x", 1)])
+    sim = Simulator(small_config(), initial=scalars([1], [1]))
     out = {}
 
     def program(ctx):
         if ctx.machine_id == 0:
-            first = ctx.query("x")
-            ctx.write("x", 99)
-            second = ctx.query("x")
+            first = ctx.query(1)
+            ctx.write(1, 99)
+            second = ctx.query(1)
             out["pair"] = (first, second)
 
     sim.run_round(program)
@@ -189,7 +194,7 @@ def test_generational_immutability_double_query():
 
 
 def test_metrics_conservation():
-    sim = Simulator(small_config(), initial=[(i, i) for i in range(20)])
+    sim = Simulator(small_config(), initial=scalars(range(20), range(20)))
     calls = {"q": 0, "w": 0}
 
     def program(ctx):
@@ -197,7 +202,7 @@ def test_metrics_conservation():
             ctx.query(i)
             calls["q"] += 1
         if ctx.machine_id % 2 == 0:
-            ctx.write(("out", ctx.machine_id), 1)
+            ctx.write(100 + ctx.machine_id, 1)
             calls["w"] += 1
 
     metrics = sim.run_round(program)
@@ -207,11 +212,11 @@ def test_metrics_conservation():
 
 def test_determinism_bit_identical():
     def run():
-        sim = Simulator(small_config(seed=123), initial=[(i, i * i) for i in range(10)])
+        sim = Simulator(small_config(seed=123), initial=scalars(range(10), [i * i for i in range(10)]))
 
         def program(ctx):
             draw = int(ctx.rng.integers(0, 100))
-            ctx.write(("r", ctx.machine_id), draw)
+            ctx.write(100 + ctx.machine_id, draw)
             ctx.query(ctx.machine_id)
 
         for _ in range(3):
@@ -302,19 +307,19 @@ def test_item_coins_match_scalar():
 
 
 def test_array_generation_reads_like_a_dict_generation():
-    # Keys out of order, a repeated key and None values.
+    # Keys out of order, a repeated key and None values; the expectations
+    # are what a dict from keys to value lists returns.
     records = [(5, (1, None)), (2, (3, 4)), (5, (6, 7)), (9, (None, 0))]
     keys = [k for k, _ in records]
     columns = [[NONE if v[i] is None else v[i] for _, v in records] for i in range(2)]
-    as_dict = Simulator(small_config(), initial=records).store
     as_array = Simulator(small_config(), initial=ArrayGeneration(0, keys, columns)).store
-    for key in (2, 5, 9, 4, -1, "x", 2**70):
-        assert as_array.get(key) == as_dict.get(key)
-        for j in range(4):
-            assert as_array.get_indexed(key, j) == as_dict.get_indexed(key, j)
-    assert sorted(as_array.items()) == sorted(as_dict.items(), key=lambda kv: kv[0])
+    first = {2: (3, 4), 5: (1, None), 9: (None, 0), 4: None, -1: None, "x": None, 2**70: None}
+    assert {key: as_array.get(key) for key in first} == first
+    indexed = {key: [None, value, None, None] for key, value in first.items()}
+    indexed[5] = [None, (1, None), (6, 7), None]
+    assert {key: [as_array.get_indexed(key, j) for j in range(4)] for key in first} == indexed
     assert list(as_array.items()) == [(2, (3, 4)), (5, (1, None)), (5, (6, 7)), (9, (None, 0))]
-    assert len(as_array) == len(as_dict) == 4
+    assert len(as_array) == 4
     scalar = ArrayGeneration(0, [3, 1], [[NONE, 8]])
     assert list(scalar.items()) == [(1, 8), (3, None)]
     with pytest.raises(TypeError):
@@ -343,7 +348,6 @@ def test_batch_round_reads_writes_and_seals():
 def test_batch_round_budget_violation_matches_closure_round():
     cfg = small_config(budget_slack=1.0, strict_budget=True)
     limit = cfg.budget_limit
-    initial = [(k, k) for k in range(4)]
     # Machine 0 reads past the budget, machine 2 writes past it, machine 3
     # stays inside it.
     reads = {0: [k % 4 for k in range(limit + 2)], 3: [1, 2]}
@@ -356,9 +360,9 @@ def test_batch_round_budget_violation_matches_closure_round():
             ctx.write(key, 1)
 
     with pytest.raises(BudgetViolationError) as closure:
-        Simulator(cfg, initial=initial).run_round(program)
+        Simulator(cfg, initial=scalars(np.arange(4), np.arange(4))).run_round(program)
 
-    sim = Simulator(cfg, initial=ArrayGeneration(0, np.arange(4), [np.arange(4)]))
+    sim = Simulator(cfg, initial=scalars(np.arange(4), np.arange(4)))
     with pytest.raises(BudgetViolationError) as batch:
         with sim.batch_round() as rnd:
             for mid, keys in reads.items():
@@ -391,3 +395,53 @@ def test_reading_an_unsealed_generation_fails_at_the_boundary(generation):
         with sim.batch_round() as rnd:
             rnd.gather(generation, np.array([1]), np.array([0]))
     assert sim.round_index == 1
+
+
+def test_closure_round_seals_through_the_batch_round():
+    # Tuples with None, written by several machines, read back by a gather.
+    sim = Simulator(small_config())
+
+    def writer(ctx):
+        if ctx.machine_id in (0, 2):
+            ctx.write(5, (ctx.machine_id, None))
+            ctx.write(np.int64(3), (np.int64(7), ctx.machine_id))
+
+    metrics = sim.run_round(writer)
+    assert metrics.writes_per_machine[:3] == [2, 0, 2]
+    assert list(sim.store.items()) == [(3, (7, 0)), (3, (7, 2)), (5, (0, None)), (5, (2, None))]
+    with sim.batch_round() as rnd:
+        first, second = rnd.gather(None, np.array([5, 3, 4]), np.zeros(3, dtype=np.int64))
+    assert first.tolist() == [0, 7, NONE] and second.tolist() == [NONE, 0, NONE]
+
+
+@pytest.mark.parametrize("key, value", [(1, "a"), (1, 0.5), (1, (2, 2.5)), ("x", 1), ((1, 2), 1), (1, [1, 2])])
+def test_closure_write_rejects_what_no_int64_column_holds(key, value):
+    sim = Simulator(small_config())
+
+    def program(ctx):
+        if ctx.machine_id == 1:
+            ctx.write(key, value)
+
+    with pytest.raises(TypeError, match="int keys and int or None fields"):
+        sim.run_round(program)
+    assert sim.round_index == 0 and sim.metrics == []
+
+
+def test_closure_round_rejects_mixed_record_widths():
+    sim = Simulator(small_config())
+
+    def program(ctx):
+        if ctx.machine_id < 2:
+            ctx.write(ctx.machine_id, (1, 2) if ctx.machine_id else 3)
+
+    with pytest.raises(ValueError, match=r"\[1, 2\] fields"):
+        sim.run_round(program)
+    assert sim.round_index == 0 and sim.metrics == []
+
+
+def test_initial_generation_is_an_array_generation():
+    with pytest.raises(TypeError, match="ArrayGeneration"):
+        Simulator(small_config(), initial=[(1, 7)])
+    with pytest.raises(ValueError, match="generation 0"):
+        Simulator(small_config(), initial=ArrayGeneration(1, [1], [[7]]))
+    assert len(Simulator(small_config()).store) == 0
