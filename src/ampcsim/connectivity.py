@@ -6,11 +6,13 @@ count by randomized pointer merges (along minimum-id neighbors, or for MSF
 along minimum-weight edges, which join the forest); the merges are
 bulk-synchronous and therefore charged like a primitive. Then each phase
 explores every vertex's neighborhood up to the budget d (BFS, or for MSF a
-local Prim run whose edges join the forest), samples leaders with
-probability min(1, c_L * ln n / d), hooks every vertex onto the lowest-id
-leader in its reach (else onto its lowest-id reached vertex when the
-exploration ran out early), resolves hook chains and cycles to minimum-id
-roots, and contracts. Budgets grow as d**1.4 up to n**(epsilon/3).
+local Prim run whose edges join the forest) and hands the reach over as
+int64 pairs: ``heads[i]`` reached ``tails[i]``. On those arrays it samples
+leaders among the active vertices with probability min(1, c_L * ln n / d),
+hooks every active vertex onto the lowest-id leader in its reach (else onto
+its lowest-id reached vertex when the exploration ran out early), resolves
+hook chains and cycles to minimum-id roots with ``resolve_pointers``, and
+contracts. Budgets grow as d**1.4 up to n**(epsilon/3).
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import LeaderContractionError, NonTerminationError
-from .graphs import ComponentLabeling, Graph, pair_keys, simple_graph, slot_keys
+from .graphs import ComponentLabeling, Graph, pair_keys, resolve_pointers, simple_graph, slot_keys
 from .primitives import contract_graph, mpc_argsort
 from .runtime import ModelConfig, Simulator, _machines_of, item_coins, item_hash, partition_to_machines
 
@@ -56,28 +58,6 @@ class BudgetSchedule:
 
     def exploration_budget(self) -> int:
         return max(2, math.floor(self.d))
-
-
-def resolve_pointers(hook: dict[int, int]) -> dict[int, int]:
-    """Collapse a functional pointer graph to roots.
-
-    Chains follow to their endpoint; each pointer cycle keeps its minimum
-    id as the root. Every hop follows a graph edge, so the resolved map
-    only merges vertices inside one component.
-    """
-    result: dict[int, int] = {}
-    for start in hook:
-        path: list[int] = []
-        pos: dict[int, int] = {}
-        x = start
-        while x not in result and x not in pos:
-            pos[x] = len(path)
-            path.append(x)
-            x = hook[x]
-        root = result[x] if x in result else min(path[pos[x] :])
-        for y in path:
-            result[y] = root
-    return result
 
 
 def _arcs(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -312,36 +292,44 @@ def reduce_small_space(
     return _shrink(graph, config, sim, shrink_vertices_step, 0xD0, "vertex-shrink")
 
 
-def _sample_leaders(vertices, config: ModelConfig, d: float, tag: int) -> set[int]:
-    p = min(1.0, config.leader_constant * math.log(max(config.n, 2)) / max(d, 1.0))
-    if p >= 1.0:
-        return set(vertices)
-    ids = np.fromiter(vertices, dtype=np.int64)
-    return set(ids[item_coins(config.seed, tag, ids) < p].tolist())
-
-
 def _hook_to_leaders(
-    reach: dict[int, Iterable[int]],
-    leaders: set[int],
+    heads: np.ndarray,
+    tails: np.ndarray,
     limit: int,
-) -> dict[int, int]:
-    """The contraction rule: the lowest-id leader in reach, else the
-    lowest-id vertex in reach when the exploration was exhausted (reached
-    fewer than ``limit`` others), else fail unless the vertex leads itself."""
-    hook: dict[int, int] = {}
-    for v, others in reach.items():
-        reached_leaders = [u for u in others if u in leaders]
-        if reached_leaders:
-            hook[v] = min(reached_leaders)
-        elif len(others) < limit:
-            hook[v] = min(others) if others else v
-        elif v in leaders:
-            hook[v] = v
-        else:
-            raise LeaderContractionError(
-                f"vertex {v} reached {len(others)} >= {limit} vertices and no leader"
-            )
-    return hook
+    config: ModelConfig,
+    d: float,
+    tag: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The contraction rule over reach pairs (``heads[i]`` reached
+    ``tails[i]``; every reached vertex is active itself).
+
+    The active vertices, the distinct heads, lead with probability
+    min(1, c_L * ln n / d) by item-keyed coins. Each one hooks onto the
+    lowest-id leader in its reach, else onto its lowest-id reached vertex
+    when the exploration was exhausted (reached fewer than ``limit``
+    others), else onto itself when it leads; otherwise the lowest such
+    vertex fails. Returns the active vertices, ascending, and each one's
+    hook as a position among them.
+    """
+    vertices, owner = np.unique(heads, return_inverse=True)
+    k = len(vertices)
+    p = min(1.0, config.leader_constant * math.log(max(config.n, 2)) / max(d, 1.0))
+    leader = np.ones(k, dtype=bool) if p >= 1.0 else item_coins(config.seed, tag, vertices) < p
+    # Positions order like ids, so the lowest position is the lowest id.
+    reached = np.searchsorted(vertices, tails)
+    led = leader[reached]
+    lowest_leader = np.full(k, k, dtype=np.int64)
+    np.minimum.at(lowest_leader, owner[led], reached[led])
+    lowest = np.full(k, k, dtype=np.int64)
+    np.minimum.at(lowest, owner, reached)
+    count = np.bincount(owner, minlength=k)
+    fallback = np.where(count < limit, lowest, np.where(leader, np.arange(k), k))
+    hook = np.where(lowest_leader < k, lowest_leader, fallback)
+    failing = np.flatnonzero(hook == k)
+    if len(failing):
+        i = failing[0]
+        raise LeaderContractionError(f"vertex {vertices[i]} reached {count[i]} >= {limit} vertices and no leader")
+    return vertices, hook
 
 
 def _leader_contract(
@@ -349,13 +337,15 @@ def _leader_contract(
     mapping: Sequence[int],
     config: ModelConfig,
     sim: Simulator,
-    explore: Callable[[Graph, int], tuple[Graph, dict[int, Iterable[int]], int]],
+    explore: Callable[[Graph, int], tuple[Graph, np.ndarray, np.ndarray, int]],
     tag: int,
 ) -> tuple[list[int], int, BudgetSchedule]:
     """Explore, hook onto sampled leaders and contract until no edge is
-    left. ``explore(current, d)`` returns the graph to contract, each
-    active vertex's reach (the vertex itself not counted) and the
-    exhaustion limit for the hook rule."""
+    left. ``explore(current, d)`` returns the graph to contract, the reach
+    as int64 pairs ``(heads, tails)``, where ``heads[i]`` reached
+    ``tails[i]`` (the vertex itself not counted), and the exhaustion limit
+    for the hook rule. Hooks and their chains resolve among the active
+    vertices only, so that work scales with the reach, not with n."""
     mapping = np.asarray(mapping, dtype=np.int64)
     schedule = BudgetSchedule.start(max(1, _non_isolated(current)), config)
     iterations = 0
@@ -364,12 +354,11 @@ def _leader_contract(
         if iterations > _MAIN_LOOP_CAP:
             raise NonTerminationError("contraction loop exceeded its cap")
         d = schedule.exploration_budget()
-        grown, reach, limit = explore(current, d)
-        leaders = _sample_leaders(reach.keys(), config, schedule.d, (sim.round_index << 8) | tag)
-        f = resolve_pointers(_hook_to_leaders(reach, leaders, limit))
+        grown, heads, tails, limit = explore(current, d)
+        vertices, hook = _hook_to_leaders(heads, tails, limit, config, schedule.d, (sim.round_index << 8) | tag)
         sim.charge(1, 2 * grown.m, "leader-collect")
         rep = np.arange(grown.n)
-        rep[np.fromiter(f.keys(), np.int64, len(f))] = np.fromiter(f.values(), np.int64, len(f))
+        rep[vertices] = vertices[resolve_pointers(hook)]
         current = contract_graph(grown, rep).value
         sim.charge(1, grown.n + 2 * grown.m + 2 * current.m, "contract")
         mapping = rep[mapping]
@@ -397,13 +386,7 @@ def connectivity(graph: Graph, config: ModelConfig) -> ConnectivityResult:
 
     def explore(g: Graph, d: int):
         grown = increase_degree(g, d, config, sim)
-        heads, tails = _arcs(grown)
-        order = np.argsort(heads, kind="stable")
-        vertices, starts = np.unique(heads[order], return_index=True)
-        ends = np.append(starts[1:], len(heads)).tolist()
-        tails = tails[order].tolist()
-        reach = {v: tails[a:b] for v, a, b in zip(vertices.tolist(), starts.tolist(), ends)}
-        return grown, reach, d
+        return (grown, *_arcs(grown), d)
 
     mapping, iterations, schedule = _leader_contract(current, mapping, config, sim, explore, 0x1D)
     return ConnectivityResult(
@@ -535,8 +518,10 @@ def msf(graph: Graph, config: ModelConfig) -> MsfResult:
     def explore(g: Graph, d: int):
         forests = msf_increase_degree(g, d, config, sim)
         commit(w for local in forests.values() for _, _, w in local.edges)
-        reach = {v: local.members - {v} for v, local in forests.items() if len(local.members) > 1}
-        return g, reach, d - 1
+        sizes = np.fromiter((len(local.members) - 1 for local in forests.values()), np.int64, len(forests))
+        heads = np.repeat(np.fromiter(forests, np.int64, len(forests)), sizes)
+        members = (u for local in forests.values() for u in local.members if u != local.center)
+        return g, heads, np.fromiter(members, np.int64, int(sizes.sum())), d - 1
 
     mapping, iterations, schedule = _leader_contract(current, mapping, config, sim, explore, 0x2D)
     return MsfResult(

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, NonTerminationError, StructureError
-from .graphs import ComponentLabeling, Graph
+from .graphs import ComponentLabeling, Graph, resolve_pointers
 from .runtime import NONE, ArrayGeneration, ModelConfig, Simulator, _machines_of, item_coins
 
 
@@ -90,17 +90,6 @@ def _cycle_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
             mapping.values(), dtype=np.int64, count=len(mapping)
         )
     return succ, pred
-
-
-def _cycle_minima(succ_rows: np.ndarray) -> np.ndarray:
-    """For rows linked into cycles by ``succ_rows``, the lowest row of each
-    row's cycle, by pointer jumping."""
-    low = np.arange(len(succ_rows))
-    jump = succ_rows
-    for _ in range(max(1, (len(succ_rows) - 1).bit_length())):
-        low = np.minimum(low, low[jump])
-        jump = jump[jump]
-    return low
 
 
 def _unmarked(ids: np.ndarray, mark: np.ndarray) -> np.ndarray:
@@ -166,7 +155,7 @@ class _Chains:
         if self.heads is not None:
             chosen[np.searchsorted(ids, self.heads)] = True
         if self.closed:
-            low = _cycle_minima(np.searchsorted(ids, self.top.columns[0]))
+            low = resolve_pointers(np.searchsorted(ids, self.top.columns[0]))
             sampled = np.zeros(len(ids), dtype=bool)
             sampled[low[chosen]] = True
             chosen[low[~sampled[low]]] = True
@@ -302,7 +291,7 @@ def two_cycle(graph: Graph, config: ModelConfig) -> TwoCycleResult:
         chains.level(config.epsilon)
     survivors, record = chains.residual()
     return TwoCycleResult(
-        cycles=len(np.unique(_cycle_minima(np.searchsorted(survivors, record[0])))),
+        cycles=len(np.unique(resolve_pointers(np.searchsorted(survivors, record[0])))),
         iterations=chains.iterations,
         residual_vertices=len(survivors),
         simulator=chains.sim,
@@ -367,15 +356,8 @@ def label_cycles(
 
     # Each search stops at a lower rank or at the cycle's rank minimum, which
     # stops at itself, so following stops reaches the representative.
-    rep = np.searchsorted(survivors, stop_at)
-    while True:
-        jumped = rep[rep]
-        if np.array_equal(jumped, rep):
-            break
-        rep = jumped
-
     labels = np.arange(len(succ))
-    labels[survivors] = survivors[rep]
+    labels[survivors] = survivors[resolve_pointers(np.searchsorted(survivors, stop_at))]
     chains.unwind(labels, lambda label, _weight: label)
     return CycleConnResult(
         labeling=ComponentLabeling(labels.tolist()),

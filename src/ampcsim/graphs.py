@@ -140,7 +140,7 @@ class Graph:
             proper = self.src != self.dst
             heads = np.concatenate((self.src, self.dst[proper]))
             tails = np.concatenate((self.dst, self.src[proper]))
-            order = np.lexsort((tails, heads))
+            order = np.argsort(heads * self.n + tails, kind="stable")
             self._adjacency = _split(tails[order].tolist(), np.bincount(heads, minlength=self.n))
         return self._adjacency
 
@@ -272,20 +272,30 @@ class RootedForest:
         for r in self.roots:
             if self.parent[r] != r:
                 raise ValueError(f"root {r} must be its own parent")
-        # Every vertex must reach a root without revisiting.
-        n = len(self.parent)
-        state = [0] * n  # 0 unvisited, 1 on path, 2 done
-        for v in range(n):
-            path = []
-            x = v
-            while state[x] == 0 and self.parent[x] != x:
-                state[x] = 1
-                path.append(x)
-                x = self.parent[x]
-                if state[x] == 1:
-                    raise ValueError("parent pointers contain a cycle")
-            for y in path:
-                state[y] = 2
+        # Every vertex must reach a root: the pointers are acyclic exactly
+        # when every terminal cycle is a fixed point.
+        parent = np.asarray(self.parent, dtype=np.int64)
+        root = resolve_pointers(parent)
+        if (parent[root] != root).any():
+            raise ValueError("parent pointers contain a cycle")
+
+
+def resolve_pointers(ptr: np.ndarray) -> np.ndarray:
+    """Each element's root under a functional pointer array: the lowest id
+    on the cycle its pointer chain ends in, so a fixed point is its own
+    root. ``ptr`` is an int64 array over elements 0..n-1.
+
+    Pointer doubling: after k rounds, ``low[i]`` is the lowest id of the
+    2**k elements from i on and ``jump[i]`` the element 2**k steps on. With
+    2**k > n every jump has left its tail and every window covers its cycle,
+    so the root is ``low[jump]``.
+    """
+    low = np.arange(len(ptr))
+    jump = ptr
+    for _ in range(len(ptr).bit_length()):
+        low = np.minimum(low, low[jump])
+        jump = jump[jump]
+    return low[jump]
 
 
 def _rng(seed: int, tag: int) -> np.random.Generator:

@@ -275,8 +275,11 @@ class ArrayGeneration:
 
     def get(self, key: int) -> Optional[Any]:
         """First value under ``key``; None for an absent key."""
-        lo, hi = self._span(key)
-        return self._value(lo) if hi > lo else None
+        if not isinstance(key, _INTS) or not NONE <= key < -NONE:
+            return None
+        keys = self.key_array
+        row = int(keys.searchsorted(key))
+        return self._value(row) if row < len(keys) and keys.item(row) == key else None
 
     def get_indexed(self, key: int, j: int) -> Optional[Any]:
         lo, hi = self._span(key)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .contraction import CycleConnResult, label_cycles, rank_lists
 from .errors import StructureError
-from .graphs import ComponentLabeling, Graph, RootedForest
+from .graphs import ComponentLabeling, Graph, RootedForest, resolve_pointers
 from .primitives import RMQIndex, mpc_prefix_sum
 from .runtime import ModelConfig, Simulator
 
@@ -65,7 +65,7 @@ def _check_forest(graph: Graph) -> None:
 def _rotation(tour_src: np.ndarray, tour_dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Directed edges grouped by source, each group by ascending target,
     with each vertex's group start and length (its degree)."""
-    rotation = np.lexsort((tour_dst, tour_src))
+    rotation = np.argsort(tour_src * n + tour_dst, kind="stable")
     degree = np.bincount(tour_src, minlength=n)
     return rotation, np.cumsum(degree) - degree, degree
 
@@ -187,18 +187,17 @@ def root_forest(
         raise ValueError("two roots were given inside one tree")
 
     # Each root's tour list starts at its edge to its lowest neighbor and
-    # ends just before it. Every edge finds its list's head by pointer
-    # jumping over predecessors, with heads fixed; an edge whose tour holds
-    # no head never reaches one.
+    # ends just before it. Every edge finds its list's head by following
+    # predecessors, with heads fixed; an edge whose tour holds no head
+    # resolves to a non-head edge of its tour.
     rotation, start, degree = _rotation(tour.src, tour.dst, n)
     heads = rotation[start[roots[degree[roots] > 0]]]
     is_head = np.zeros(tour.size, dtype=bool)
     is_head[heads] = True
-    head_of = np.empty(tour.size, dtype=np.int64)
-    head_of[tour.succ] = np.arange(tour.size)
-    head_of[heads] = heads
-    for _ in range(tour.size.bit_length()):
-        head_of = head_of[head_of]
+    pred = np.empty(tour.size, dtype=np.int64)
+    pred[tour.succ] = np.arange(tour.size)
+    pred[heads] = heads
+    head_of = resolve_pointers(pred)
     tree_of = np.full(n, -1, dtype=np.int64)
     tree_of[roots] = roots
     tree_of[tour.src] = tour.src[head_of]

@@ -2,22 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ampcsim.connectivity import (
     BudgetSchedule,
+    _hook_to_leaders,
     connectivity,
     increase_degree,
     msf,
     msf_increase_degree,
     reduce_small_space,
-    resolve_pointers,
     shrink_vertices_step,
     spanning_forest,
 )
 from ampcsim.errors import LeaderContractionError
-from ampcsim.graphs import Graph, gen_random_forest, gen_random_graph
+from ampcsim.graphs import Graph, gen_random_forest, gen_random_graph, resolve_pointers
 from ampcsim.oracles import compare_labelings, kruskal_msf, uf_components
-from ampcsim.runtime import ModelConfig
+from ampcsim.runtime import ModelConfig, item_coins
 
 
 def config_for(g, seed=0, epsilon=0.5, **kw):
@@ -32,12 +34,74 @@ def dense_graph(n, m, seed):
 
 
 def test_resolve_pointers_chains_and_cycles():
-    # 5 -> 3 -> 1 <-> 2, plus 4 -> 4.
-    hook = {5: 3, 3: 1, 1: 2, 2: 1, 4: 4}
-    assert resolve_pointers(hook) == {5: 1, 3: 1, 1: 1, 2: 1, 4: 4}
+    # 5 -> 3 -> 1 <-> 2, plus 4 -> 4; identity elsewhere.
+    hook = np.array([0, 2, 1, 1, 4, 3])
+    assert resolve_pointers(hook).tolist() == [0, 1, 1, 1, 4, 1]
     # A longer pointer cycle resolves to its minimum id.
-    cycle = {1: 7, 7: 4, 4: 9, 9: 1}
-    assert resolve_pointers(cycle) == {1: 1, 7: 1, 4: 1, 9: 1}
+    cycle = np.arange(10)
+    cycle[[1, 7, 4, 9]] = [7, 4, 9, 1]
+    assert resolve_pointers(cycle).tolist() == [0, 1, 2, 3, 1, 5, 6, 1, 8, 1]
+
+
+@st.composite
+def functional_arrays(draw):
+    """Random pointer arrays: each element points at the one before it (long
+    tails), at itself (a fixed point) or anywhere (cycles), under a random
+    relabeling."""
+    n = draw(st.integers(0, 80))
+    ptr = []
+    for i, kind in enumerate(draw(st.lists(st.sampled_from("tfa"), min_size=n, max_size=n))):
+        if kind == "t" and i:
+            ptr.append(i - 1)
+        elif kind == "f":
+            ptr.append(i)
+        else:
+            ptr.append(draw(st.integers(0, n - 1)))
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    relabeled = np.empty(n, dtype=np.int64)
+    relabeled[perm] = perm[np.array(ptr, dtype=np.int64)]
+    return relabeled
+
+
+@settings(max_examples=200)
+@given(functional_arrays())
+def test_resolve_pointers_matches_a_plain_walk(ptr):
+    want = []
+    for start in range(len(ptr)):
+        path, seen, x = [], {}, start
+        while x not in seen:
+            seen[x] = len(path)
+            path.append(x)
+            x = int(ptr[x])
+        want.append(min(path[seen[x]:]))
+    assert resolve_pointers(ptr).tolist() == want
+
+
+def test_hook_rule_branches_and_lowest_failing_vertex():
+    config = ModelConfig.for_graph(n=64, m=64, seed=5, leader_constant=0.5 / math.log(64))
+    tag, d, limit = 0x1D, 1.0, 2
+    ids = np.arange(64)
+    lead = item_coins(config.seed, tag, ids) < config.leader_constant * math.log(config.n) / d
+    (l0, l1), others = ids[lead][:2].tolist(), ids[~lead].tolist()
+    a, b, n1, n2, n3, n4, e, f, n5, n6, n7, n8 = others[:12]
+
+    def hooks(edges):
+        heads = np.array([u for u, v in edges] + [v for u, v in edges])
+        tails = np.array([v for u, v in edges] + [u for u, v in edges])
+        vertices, hook = _hook_to_leaders(heads, tails, limit, config, d, tag)
+        return dict(zip(vertices.tolist(), vertices[hook].tolist()))
+
+    got = hooks([(a, l0), (a, n1), (b, n2), (l1, n3), (l1, n4)])
+    assert got == {
+        a: l0,  # the lowest leader in reach
+        l0: a, n1: a, b: n2, n2: b,  # exhausted: the lowest reached vertex
+        l1: l1,  # no leader reached, not exhausted, leads itself
+        n3: l1, n4: l1,
+    }
+    # Not exhausted, no leader reached and not a leader: the lowest such
+    # vertex is named, whatever order the pairs come in.
+    with pytest.raises(LeaderContractionError, match=f"^vertex {e} reached 2 >= 2 vertices and no leader$"):
+        hooks([(f, n7), (f, n8), (e, n5), (e, n6)])
 
 
 def test_increase_degree_path_becomes_clique():

@@ -7,6 +7,7 @@ import pytest
 from ampcsim.graphs import (
     Graph,
     GraphFormatError,
+    RootedForest,
     gen_cycles,
     gen_random_forest,
     gen_random_graph,
@@ -210,3 +211,19 @@ GENERATOR_DIGESTS = [
 def test_generators_draw_the_golden_graphs(make, digest):
     edges = make().edges
     assert hashlib.sha256(repr(list(edges)).encode()).hexdigest() == digest
+
+
+def test_rooted_forest_finds_roots_and_accepts_deep_chains():
+    parent = list(range(1, 500)) + [499, 500]  # a 500-vertex path, plus a lone root
+    assert RootedForest(parent).roots == {499, 500}
+
+
+def test_rooted_forest_rejects_a_root_that_is_not_its_own_parent():
+    with pytest.raises(ValueError, match="^root 1 must be its own parent$"):
+        RootedForest([0, 0, 1], roots={0, 1})
+
+
+def test_rooted_forest_rejects_cyclic_parents():
+    # 0 is a root; 1 -> 2 -> 3 -> 1 reaches none.
+    with pytest.raises(ValueError, match="^parent pointers contain a cycle$"):
+        RootedForest([0, 2, 3, 1, 1])
