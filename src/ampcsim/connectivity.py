@@ -6,7 +6,9 @@ count by randomized pointer merges (along minimum-id neighbors, or for MSF
 along minimum-weight edges, which join the forest); the merges are
 bulk-synchronous and therefore charged like a primitive. Then each phase
 explores every vertex's neighborhood up to the budget d (BFS, or for MSF a
-local Prim run whose edges join the forest) and hands the reach over as
+local Prim run whose edges join the forest), one walker per vertex, all
+walkers stepping in lockstep through one batch round that gathers every
+live walker's next adjacency slot per step, and hands the reach over as
 int64 pairs: ``heads[i]`` reached ``tails[i]``. On those arrays it samples
 leaders among the active vertices with probability min(1, c_L * ln n / d),
 hooks every active vertex onto the lowest-id leader in its reach (else onto
@@ -17,7 +19,6 @@ contracts. Budgets grow as d**1.4 up to n**(epsilon/3).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import LeaderContractionError, NonTerminationError
 from .graphs import ComponentLabeling, Graph, pair_keys, resolve_pointers, simple_graph, slot_keys
 from .primitives import contract_graph, mpc_argsort
-from .runtime import ModelConfig, Simulator, _machines_of, item_coins, item_hash, partition_to_machines
+from .runtime import ModelConfig, Simulator, _machines_of, item_coins, item_hash
 
 _MAIN_LOOP_CAP = 64
 # Vertex-shrinking is asymptotic machinery; graphs this small go straight
@@ -69,7 +70,7 @@ def _arcs(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 def _write_adjacency_round(
     sim: Simulator, graph: Graph, config: ModelConfig, weighted: bool
-) -> tuple[int, int, Optional[list]]:
+) -> tuple[int, int, Optional[np.ndarray]]:
     """Store the graph as one record per adjacency slot in one batch round;
     returns the generation, the key stride and, when ``weighted``, the
     weight each weight rank stands for.
@@ -79,11 +80,11 @@ def _write_adjacency_round(
     by weight, then neighbor; int64 columns hold no float weights, so a
     record names its weight by its index among the distinct weights. The
     key is ``v * stride + i`` (``graphs.slot_keys``), the (v, i) pair packed
-    into one int64 as ``pair_keys`` packs an edge. The slots are not v's
-    values read with ``query_indexed`` because the values under one key are
-    ordered by writing machine, which would scramble the slot order that
-    Prim's runs rely on. Records are spread across machines individually
-    so no machine's write load depends on the degree distribution.
+    into one int64 as ``pair_keys`` packs an edge, so a walker reads any
+    slot with one key and the slot order that BFS's visit order and Prim's
+    heap order rely on is part of the key. Records are spread across
+    machines individually so no machine's write load depends on the degree
+    distribution.
     """
     weights = None
     if weighted:
@@ -101,7 +102,15 @@ def _write_adjacency_round(
     columns = [tails[order], rank[order], degree[heads]] if weighted else [tails[order], degree[heads]]
     with sim.batch_round() as rnd:
         rnd.write_many(keys, columns, _machines_of(np.arange(len(keys)), config, sim.round_index + 1))
-    return sim.round_index, stride, None if weights is None else weights.tolist()
+    return sim.round_index, stride, weights
+
+
+def _walkers(graph: Graph, config: ModelConfig, sim: Simulator) -> tuple[np.ndarray, np.ndarray]:
+    """One walker per non-isolated vertex, ascending, and the machine that
+    runs it in the next round: each vertex goes to a machine independently
+    and uniformly at random, as ``partition_to_machines`` assigns it."""
+    starts = _non_isolated_vertices(graph)
+    return starts, _machines_of(starts, config, sim.round_index + 1)
 
 
 def increase_degree(
@@ -112,51 +121,42 @@ def increase_degree(
 ) -> Graph:
     """Add an edge from each vertex to the first d vertices its BFS visits.
 
-    Per-vertex queries are capped at d*d, which the visit limit already
-    implies for simple graphs.
+    Every non-isolated vertex runs one walker, and the walkers step in
+    lockstep inside one batch round: each step gathers the next adjacency
+    slot of every live walker, charged to the walker's machine. A walker's
+    queue row is its start followed by the vertices found so far, so the
+    visited test compares the read neighbor against its own row. Per-walker
+    reads are capped at d*d, which the visit limit already implies for
+    simple graphs.
     """
     if d < 1:
         raise ValueError("budget d must be >= 1")
     if sim is None:
         sim = Simulator(config)
     gen, stride, _ = _write_adjacency_round(sim, graph, config, weighted=False)
-    parts = partition_to_machines(_non_isolated_vertices(graph).tolist(), config, sim.round_index + 1)
-    found_sets: dict[int, list[int]] = {}
-
-    def program(ctx):
-        for v in parts[ctx.machine_id]:
-            visited = {v}
-            found: list[int] = []
-            queue = [v]
-            head = 0
-            reads = 0
-            cap = d * d
-            while head < len(queue) and len(found) < d and reads < cap:
-                x = queue[head]
-                head += 1
-                record = ctx.query(x * stride, generation=gen)
-                reads += 1
-                if record is None:
-                    continue
-                u, deg = record
-                i = 0
-                while True:
-                    if u not in visited:
-                        visited.add(u)
-                        found.append(u)
-                        queue.append(u)
-                        if len(found) >= d:
-                            break
-                    i += 1
-                    if i >= deg or reads >= cap:
-                        break
-                    u, deg = ctx.query(x * stride + i, generation=gen)
-                    reads += 1
-            found_sets[v] = found
-
-    sim.run_round(program)
-    tails = np.fromiter((v for v, found in found_sets.items() for _ in found), dtype=np.int64)
-    heads = np.fromiter((u for found in found_sets.values() for u in found), dtype=np.int64)
+    starts, machines = _walkers(graph, config, sim)
+    k = len(starts)
+    queue = np.full((k, d + 1), -1, dtype=np.int64)
+    queue[:, 0] = starts
+    length = np.ones(k, dtype=np.int64)
+    head, slot, reads = (np.zeros(k, dtype=np.int64) for _ in range(3))
+    live = np.arange(k)
+    with sim.batch_round() as rnd:
+        while len(live):
+            u, degree = rnd.gather(gen, queue[live, head[live]] * stride + slot[live], machines[live])
+            reads[live] += 1
+            unseen = (queue[live] != u[:, None]).all(axis=1)
+            grow = live[unseen]
+            queue[grow, length[grow]] = u[unseen]
+            length[grow] += 1
+            slot[live] += 1
+            scanned = live[slot[live] >= degree]
+            head[scanned] += 1
+            slot[scanned] = 0
+            live = live[(length[live] <= d) & (reads[live] < d * d) & (head[live] < length[live])]
+    found = length - 1
+    tails = np.repeat(starts, found)
+    heads = queue[:, 1:][np.arange(d) < found[:, None]]
     return simple_graph(graph.n, np.concatenate((graph.src, tails)), np.concatenate((graph.dst, heads)))
 
 
@@ -398,63 +398,76 @@ def connectivity(graph: Graph, config: ModelConfig) -> ConnectivityResult:
     )
 
 
-@dataclass
-class LocalForest:
-    """One vertex's budgeted Prim run: visited set and chosen tree edges."""
-
-    center: int
-    members: set[int]
-    edges: list[tuple[int, int, float]]
-
-
 def msf_increase_degree(
     graph: Graph,
     d: int,
     config: ModelConfig,
     sim: Optional[Simulator] = None,
-) -> dict[int, LocalForest]:
-    """Per-vertex Prim runs over weight-sorted adjacency, stopping once the
-    local forest reaches d vertices (or the component is exhausted)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Budgeted Prim runs over weight-sorted adjacency, one from each
+    non-isolated vertex, each stopping once its local forest has d vertices,
+    its heap is empty or it has made d*d reads.
+
+    Returns ``(centers, parents, members, weights)``: the run from
+    ``centers[i]`` took edge ``(parents[i], members[i])`` of weight
+    ``weights[i]``. Runs come by ascending centre, each run's edges in the
+    order chosen.
+
+    The runs step in lockstep inside one batch round, every read charged to
+    the run's machine. A member has at most one pending heap entry, its next
+    unread slot: slot 0 is pushed when it joins and slot i+1 when slot i
+    pops. So a run's heap is one row of d columns, column j holding member
+    j's entry, and a pop is the row's argmin by ``rank * n + member``: as
+    members are distinct, the order of a binary heap of ``(rank, member,
+    slot, ...)`` tuples.
+    """
     if d < 1:
         raise ValueError("budget d must be >= 1")
     if sim is None:
         sim = Simulator(config)
     gen, stride, weights = _write_adjacency_round(sim, graph, config, weighted=True)
-    parts = partition_to_machines(_non_isolated_vertices(graph).tolist(), config, sim.round_index + 1)
-    forests: dict[int, LocalForest] = {}
+    starts, machines = _walkers(graph, config, sim)
+    k, n, cap = len(starts), graph.n, d * d
+    empty = np.iinfo(np.int64).max
+    member = np.full((k, d), -1, dtype=np.int64)
+    member[:, 0] = starts
+    parent, taken, neighbor, slot, degree = (np.zeros((k, d), dtype=np.int64) for _ in range(5))
+    key = np.full((k, d), empty, dtype=np.int64)
+    size = np.ones(k, dtype=np.int64)
+    reads = np.zeros(k, dtype=np.int64)
 
-    def program(ctx):
-        # Heap entries are (weight rank, x, slot, neighbor, degree of x);
-        # every slot decision uses the degree carried by x's records.
-        for v in parts[ctx.machine_id]:
-            members = {v}
-            chosen: list[tuple[int, int, float]] = []
-            cap = d * d
-            u, w, deg = ctx.query(v * stride, generation=gen)
-            reads = 1
-            heap = [(w, v, 0, u, deg)]
-            while heap and len(members) < d and reads < cap:
-                w, x, i, u, deg = heapq.heappop(heap)
-                if i + 1 < deg and reads < cap:
-                    u2, w2, _ = ctx.query(x * stride + i + 1, generation=gen)
-                    reads += 1
-                    heapq.heappush(heap, (w2, x, i + 1, u2, deg))
-                if u in members:
-                    continue
-                members.add(u)
-                chosen.append((x, u, weights[w]))
-                if len(members) >= d or reads >= cap:
-                    break
-                u2, w2, deg2 = ctx.query(u * stride, generation=gen)
-                reads += 1
-                heapq.heappush(heap, (w2, u, 0, u2, deg2))
-            forests[v] = LocalForest(center=v, members=members, edges=chosen)
+    def push(rnd, runs, columns, x, i):
+        """Read slot i of member x and make it the heap entry in its column."""
+        u, rank, deg = rnd.gather(gen, x * stride + i, machines[runs])
+        reads[runs] += 1
+        key[runs, columns] = rank * n + x
+        neighbor[runs, columns], slot[runs, columns], degree[runs, columns] = u, i, deg
 
-    sim.run_round(program)
-    for v in range(graph.n):
-        if v not in forests:
-            forests[v] = LocalForest(center=v, members={v}, edges=[])
-    return forests
+    live = np.arange(k)
+    with sim.batch_round() as rnd:
+        push(rnd, live, 0, starts, 0)
+        while True:
+            live = live[(key[live].min(axis=1) < empty) & (size[live] < d) & (reads[live] < cap)]
+            if not len(live):
+                break
+            col = key[live].argmin(axis=1)
+            x, i, u, rank = member[live, col], slot[live, col], neighbor[live, col], key[live, col] // n
+            more = i + 1 < degree[live, col]
+            key[live, col] = empty
+            push(rnd, live[more], col[more], x[more], i[more] + 1)
+            unseen = (member[live] != u[:, None]).all(axis=1)
+            grow, joined, c = live[unseen], u[unseen], size[live[unseen]]
+            member[grow, c], parent[grow, c], taken[grow, c] = joined, x[unseen], rank[unseen]
+            size[grow] += 1
+            go_on = (size[grow] < d) & (reads[grow] < cap)
+            push(rnd, grow[go_on], c[go_on], joined[go_on], 0)
+    chosen = np.arange(1, d) < size[:, None]
+    return (
+        np.repeat(starts, size - 1),
+        parent[:, 1:][chosen],
+        member[:, 1:][chosen],
+        weights[taken[:, 1:][chosen]],
+    )
 
 
 def _min_weight_subgraph(graph: Graph) -> Graph:
@@ -494,8 +507,8 @@ def msf(graph: Graph, config: ModelConfig) -> MsfResult:
     forest: set[tuple[int, int, float]] = set()
     committed: list[set[tuple[int, int, float]]] = []
 
-    def commit(weights) -> None:
-        idx = by_weight[np.searchsorted(sorted_weights, np.fromiter(weights, dtype=graph.weight.dtype))]
+    def commit(weights: np.ndarray) -> None:
+        idx = by_weight[np.searchsorted(sorted_weights, weights)]
         batch = set(zip(graph.src[idx].tolist(), graph.dst[idx].tolist(), graph.weight[idx].tolist()))
         forest.update(batch)
         committed.append(batch)
@@ -516,12 +529,9 @@ def msf(graph: Graph, config: ModelConfig) -> MsfResult:
 
     # Prim's budget counts the centre vertex, so the reach limit is d - 1.
     def explore(g: Graph, d: int):
-        forests = msf_increase_degree(g, d, config, sim)
-        commit(w for local in forests.values() for _, _, w in local.edges)
-        sizes = np.fromiter((len(local.members) - 1 for local in forests.values()), np.int64, len(forests))
-        heads = np.repeat(np.fromiter(forests, np.int64, len(forests)), sizes)
-        members = (u for local in forests.values() for u in local.members if u != local.center)
-        return g, heads, np.fromiter(members, np.int64, int(sizes.sum())), d - 1
+        centers, _, members, weights = msf_increase_degree(g, d, config, sim)
+        commit(weights)
+        return g, centers, members, d - 1
 
     mapping, iterations, schedule = _leader_contract(current, mapping, config, sim, explore, 0x2D)
     return MsfResult(

@@ -24,7 +24,9 @@ A round runs in one of two ways:
   ``MachineContext``, whose ``query``/``query_indexed`` read one record and
   whose ``write`` buffers one. It is a batch round underneath: the
   machines' buffers go to ``write_many`` under their machine ids and their
-  query counts to the round's.
+  query counts to the round's. Only MIS still runs its rounds this way;
+  every other algorithm, the budgeted explorations included, runs batch
+  rounds.
 
 Either way one query costs one unit of its machine's communication and one
 write costs one, and both are budgeted at ``budget_slack * space_S`` per
@@ -295,7 +297,7 @@ class ArrayGeneration:
 
 
 class MachineContext:
-    """Per-machine view of one round: metered reads, buffered writes, RNG."""
+    """Per-machine view of one round: metered reads and buffered writes."""
 
     def __init__(self, simulator: "Simulator", machine_id: int, round_index: int):
         self._sim = simulator
@@ -305,18 +307,6 @@ class MachineContext:
         self.write_count = 0
         self._keys: list[int] = []
         self._records: list[tuple] = []
-        self._rng: Optional[np.random.Generator] = None
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """Stream derived from (seed, round, machine_id); identical across runs."""
-        if self._rng is None:
-            seq = np.random.SeedSequence(
-                entropy=self._sim.config.seed & _MASK64,
-                spawn_key=(self.round, self.machine_id),
-            )
-            self._rng = np.random.default_rng(seq)
-        return self._rng
 
     def query(self, key: int, generation: Optional[int] = None) -> Optional[Any]:
         """Read a unique key; an absent key is an empty result, not an error.
@@ -333,17 +323,6 @@ class MachineContext:
         store = self._sim._read_store(generation)
         self.query_count += 1
         return store.get_indexed(key, j)
-
-    def query_all(self, key: int, generation: Optional[int] = None) -> list[Any]:
-        """Read (key, 1), (key, 2), ... until an empty response; costs k+1."""
-        out = []
-        j = 1
-        while True:
-            val = self.query_indexed(key, j, generation)
-            if val is None:
-                return out
-            out.append(val)
-            j += 1
 
     def write(self, key: int, value: Any) -> None:
         """Buffer ``value`` under ``key``: an int key and an int, None or
@@ -581,20 +560,14 @@ def _machines_of(ids: np.ndarray, config: ModelConfig, round_index: int) -> np.n
     return (item_hashes(config.seed, tag, ids) % np.uint64(p)).astype(np.int64)
 
 
-def assign_to_machines(items: Iterable[int], config: ModelConfig, round_index: int) -> dict[int, int]:
-    """Map each item independently and uniformly at random to a machine.
-
-    Deterministic under a fixed seed; independent of processing order.
-    """
-    ids = np.fromiter(items, dtype=np.int64)
-    return dict(zip(ids.tolist(), _machines_of(ids, config, round_index).tolist()))
-
-
 def partition_to_machines(
     items: Iterable[int], config: ModelConfig, round_index: int
 ) -> list[list[int]]:
-    """assign_to_machines, grouped into one item list per machine, each in
-    input order."""
+    """Map each item independently and uniformly at random to a machine,
+    and return one item list per machine, each in input order.
+
+    Deterministic under a fixed seed; independent of processing order.
+    """
     ids = np.fromiter(items, dtype=np.int64)
     parts: list[list[int]] = [[] for _ in range(config.machines_P)]
     for item, machine in zip(ids.tolist(), _machines_of(ids, config, round_index).tolist()):

@@ -77,8 +77,13 @@ def _msf_increase_degree(name):
          "msf_increase_degree_float": float_weighted}[name]()
     c = cfg(g, 4)
     sim = Simulator(c)
-    forests = msf_increase_degree(g, 6, c, sim)
-    return _digest(sim, sorted((v, sorted(f.members), f.edges) for v, f in forests.items()))
+    centers, parents, members, weights = msf_increase_degree(g, 6, c, sim)
+    # One (vertex, sorted members, chosen edges) entry per vertex, a vertex
+    # that runs no Prim run included.
+    runs = {v: [] for v in range(g.n)}
+    for v, x, u, w in zip(centers.tolist(), parents.tolist(), members.tolist(), weights.tolist()):
+        runs[v].append((x, u, w))
+    return _digest(sim, [(v, sorted([v] + [u for _, u, _ in edges]), edges) for v, edges in runs.items()])
 
 
 def _connectivity(name):

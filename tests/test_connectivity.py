@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -18,8 +19,10 @@ from ampcsim.connectivity import (
 )
 from ampcsim.errors import LeaderContractionError
 from ampcsim.graphs import Graph, gen_random_forest, gen_random_graph, resolve_pointers
-from ampcsim.oracles import compare_labelings, kruskal_msf, uf_components
-from ampcsim.runtime import ModelConfig, item_coins
+from ampcsim.biconnectivity import bc_pipeline
+from ampcsim.harness import with_leader_retries
+from ampcsim.oracles import compare_labelings, kruskal_msf, tarjan_bridges_aps, uf_components
+from ampcsim.runtime import MachineContext, ModelConfig, Simulator, _machines_of, item_coins
 
 
 def config_for(g, seed=0, epsilon=0.5, **kw):
@@ -264,31 +267,29 @@ def test_reduce_small_space_shrinks_vertex_count():
 
 def test_msf_increase_degree_triangle():
     g = Graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)], weighted=True)
-    forests = msf_increase_degree(g, 3, config_for(g))
+    centers, _, members, weights = msf_increase_degree(g, 3, config_for(g))
     for v in range(3):
-        weights = {w for _, _, w in forests[v].edges}
-        assert weights == {1, 2}
-        assert forests[v].members == {0, 1, 2}
+        assert set(weights[centers == v].tolist()) == {1, 2}
+        assert {v, *members[centers == v].tolist()} == {0, 1, 2}
 
 
 def test_msf_increase_degree_d1_degenerate():
     g = Graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)], weighted=True)
-    forests = msf_increase_degree(g, 1, config_for(g))
+    centers, parents, members, weights = msf_increase_degree(g, 1, config_for(g))
     for v in range(3):
-        assert forests[v].members == {v}
-        assert forests[v].edges == []
+        assert {v, *members[centers == v].tolist()} == {v}
+        assert parents[centers == v].tolist() == [] and weights[centers == v].tolist() == []
 
 
 def test_msf_increase_degree_edges_subset_of_msf():
     for seed in range(5):
         g = gen_random_graph(60, 300, seed=seed, weighted=True)
         want = kruskal_msf(g)
-        forests = msf_increase_degree(g, 5, config_for(g, seed=seed))
-        for local in forests.values():
-            for x, u, w in local.edges:
-                assert (min(x, u), max(x, u), w) in {
-                    (min(a, b), max(a, b), w2) for a, b, w2 in want
-                }
+        _, parents, members, weights = msf_increase_degree(g, 5, config_for(g, seed=seed))
+        for x, u, w in zip(parents.tolist(), members.tolist(), weights.tolist()):
+            assert (min(x, u), max(x, u), w) in {
+                (min(a, b), max(a, b), w2) for a, b, w2 in want
+            }
 
 
 def test_msf_tree_input_returns_all_edges():
@@ -372,7 +373,141 @@ def test_msf_on_float_weights_matches_kruskal():
         assert res.iterations > 0
         assert res.edges == kruskal_msf(fg)
         edge_weight = {(u, v): w for u, v, w in zip(fg.src.tolist(), fg.dst.tolist(), weights.tolist())}
-        forests = msf_increase_degree(fg, 6, config_for(fg, seed=seed))
-        chosen = [(x, u, w) for local in forests.values() for x, u, w in local.edges]
+        _, parents, members, chosen_weights = msf_increase_degree(fg, 6, config_for(fg, seed=seed))
+        chosen = list(zip(parents.tolist(), members.tolist(), chosen_weights.tolist()))
         assert chosen and all(type(w) is float for _, _, w in chosen)
         assert all(edge_weight[min(x, u), max(x, u)] == w for x, u, w in chosen)
+
+
+def test_explorations_run_no_machine_programs(monkeypatch):
+    # BFS and Prim run as lockstep batch rounds. The dense graph takes no
+    # vertex shrink, so its exploration rounds carry all the work.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-machine program ran")
+
+    shapes = [(300, 10000, 8), (2000, 6000, 7)]
+    graphs = [(gen_random_graph(n, m, seed=s), gen_random_graph(n, m, seed=s, weighted=True)) for n, m, s in shapes]
+    small = gen_random_graph(300, 900, seed=3)
+    monkeypatch.setattr(MachineContext, "__init__", refuse)
+    runs = [
+        (
+            with_leader_retries(lambda s: connectivity(g, config_for(g, seed=s)), 11),
+            with_leader_retries(lambda s: msf(w, config_for(w, seed=s)), 12),
+            with_leader_retries(lambda s: spanning_forest(g, config_for(g, seed=s)), 13),
+        )
+        for g, w in graphs
+    ]
+    _, got_bridges, got_aps, _ = bc_pipeline(small, config_for(small, seed=3))
+    monkeypatch.undo()
+    assert runs[0][0].reduction is None and runs[0][0].iterations > 0
+    for (g, w), (conn, tree, (_, span_labels, span)) in zip(graphs, runs):
+        assert conn.iterations > 0 and tree.iterations > 0 and span.iterations > 0
+        assert compare_labelings(conn.labeling, uf_components(g)).match
+        assert tree.edges == kruskal_msf(w)
+        assert compare_labelings(span_labels, uf_components(g)).match
+    assert (got_bridges, got_aps) == tarjan_bridges_aps(small)
+
+
+def _reference_bfs(adj, v, d, cap):
+    """The first d vertices a plain BFS from v visits, reading one adjacency
+    slot per query and stopping after ``cap`` reads; returns them and the
+    read count."""
+    visited, found, queue, head, reads = {v}, [], [v], 0, 0
+    while head < len(queue) and len(found) < d and reads < cap:
+        x = queue[head]
+        head += 1
+        for u in adj[x]:
+            reads += 1
+            if u not in visited:
+                visited.add(u)
+                found.append(u)
+                queue.append(u)
+            if len(found) >= d or reads >= cap:
+                break
+    return found, reads
+
+
+def _reference_prim(wadj, v, d, cap):
+    """A heapq Prim run from v over weight-sorted ``(weight, neighbor)``
+    lists, reading one slot per query: a member's next slot is pushed when
+    its current one pops. Stops at d members or ``cap`` reads; returns the
+    chosen ``(parent, member, weight)`` edges in order and the read count."""
+    members, chosen, reads = {v}, [], 1
+    heap = [(wadj[v][0][0], v, 0)]
+    while heap and len(members) < d and reads < cap:
+        w, x, i = heapq.heappop(heap)
+        if i + 1 < len(wadj[x]) and reads < cap:
+            reads += 1
+            heapq.heappush(heap, (wadj[x][i + 1][0], x, i + 1))
+        u = wadj[x][i][1]
+        if u in members:
+            continue
+        members.add(u)
+        chosen.append((x, u, w))
+        if len(members) >= d or reads >= cap:
+            break
+        reads += 1
+        heapq.heappush(heap, (wadj[u][0][0], u, 0))
+    return chosen, reads
+
+
+def _equivalence_graphs():
+    """Small random graphs with distinct weights: simple ones, and
+    multigraphs whose parallel edges and self-loops waste reads."""
+    for seed in range(4):
+        g = gen_random_graph(40, 90, seed=seed)
+        yield Graph.from_arrays(g.n, g.src, g.dst, np.random.default_rng(seed).permutation(g.m) + 1)
+        rng = np.random.default_rng(100 + seed)
+        repeat = rng.integers(0, g.m, 60)
+        loops = rng.integers(0, g.n, 12)
+        src = np.concatenate((g.src, g.src[repeat], loops))
+        dst = np.concatenate((g.dst, g.dst[repeat], loops))
+        weights = rng.permutation(len(src)) / 4.0 + 0.5
+        yield Graph.from_arrays(g.n, src, dst, weights, multigraph=True)
+
+
+def test_lockstep_explorations_match_per_vertex_references():
+    capped = {"bfs": 0, "prim": 0}
+    for case, g in enumerate(_equivalence_graphs()):
+        adj = [[] for _ in range(g.n)]
+        wadj = [[] for _ in range(g.n)]
+        for a, b, w in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()):
+            # Graph.adjacency lists a self-loop once; the weight-sorted
+            # slots list every edge from both ends, a self-loop twice.
+            adj[a].append(b)
+            if a != b:
+                adj[b].append(a)
+            wadj[a].append((w, b))
+            wadj[b].append((w, a))
+        adj, wadj = [sorted(a) for a in adj], [sorted(a) for a in wadj]
+        starts = [v for v in range(g.n) if adj[v]]
+        for d in (1, 2, 3, 5):
+            cfg = config_for(g, seed=case)
+            machines = _machines_of(np.array(starts), cfg, 2).tolist()
+
+            sim = Simulator(cfg)
+            grown = increase_degree(g, d, cfg, sim)
+            want_pairs, want_reads = set(), np.zeros(cfg.machines_P, dtype=np.int64)
+            for v, machine in zip(starts, machines):
+                found, reads = _reference_bfs(adj, v, d, d * d)
+                want_pairs |= {(min(v, u), max(v, u)) for u in found}
+                want_reads[machine] += reads
+                capped["bfs"] += len(_reference_bfs(adj, v, d, math.inf)[0]) > len(found)
+            simple = {(a, b) for a, b in zip(g.src.tolist(), g.dst.tolist()) if a != b}
+            simple = {(min(a, b), max(a, b)) for a, b in simple}
+            assert set(zip(grown.src.tolist(), grown.dst.tolist())) == simple | want_pairs
+            assert sim.metrics[-1].queries_per_machine == want_reads.tolist()
+
+            sim = Simulator(cfg)
+            centers, parents, members, weights = msf_increase_degree(g, d, cfg, sim)
+            got = list(zip(centers.tolist(), parents.tolist(), members.tolist(), weights.tolist()))
+            want, want_reads = [], np.zeros(cfg.machines_P, dtype=np.int64)
+            for v, machine in zip(starts, machines):
+                chosen, reads = _reference_prim(wadj, v, d, d * d)
+                want += [(v, *edge) for edge in chosen]
+                want_reads[machine] += reads
+                capped["prim"] += len(_reference_prim(wadj, v, d, math.inf)[0]) > len(chosen)
+            assert got == want
+            assert sim.metrics[-1].queries_per_machine == want_reads.tolist()
+    # The d*d read cap, not the visit budget, ended some walks early.
+    assert capped["bfs"] > 0 and capped["prim"] > 0

@@ -11,8 +11,8 @@ from ampcsim.runtime import (
     ModelConfig,
     RecordSizeError,
     Simulator,
-    assign_to_machines,
     item_coins,
+    item_hash,
     item_hashes,
     partition_to_machines,
 )
@@ -65,12 +65,12 @@ def test_multivalue_indexed_access():
         if ctx.machine_id == 0:
             out["vals"] = [ctx.query_indexed(1, j) for j in (1, 2, 3)]
             out["past_end"] = ctx.query_indexed(1, 4)
-            out["all"] = ctx.query_all(1)
 
-    sim.run_round(program)
+    metrics = sim.run_round(program)
     assert set(out["vals"]) == {10, 20, 30}
     assert out["past_end"] is None
-    assert out["all"] == out["vals"]
+    # Reading every value and the empty response past them costs k + 1.
+    assert metrics.queries_per_machine[0] == 4
 
 
 def test_write_then_next_round_reads():
@@ -100,10 +100,10 @@ def test_multimap_accumulation_across_machines():
 
     def reader(ctx):
         if ctx.machine_id == 0:
-            got["vals"] = ctx.query_all(2)
+            got["vals"] = [ctx.query_indexed(2, j) for j in (1, 2, 3)]
 
     sim.run_round(reader)
-    assert got["vals"] == [1, 2]  # canonical (machine id, sequence) order
+    assert got["vals"] == [1, 2, None]  # canonical (machine id, sequence) order
 
 
 def test_zero_writes_next_generation_empty():
@@ -215,7 +215,7 @@ def test_determinism_bit_identical():
         sim = Simulator(small_config(seed=123), initial=scalars(range(10), [i * i for i in range(10)]))
 
         def program(ctx):
-            draw = int(ctx.rng.integers(0, 100))
+            draw = item_hash(123, ctx.round, ctx.machine_id) % 100
             ctx.write(100 + ctx.machine_id, draw)
             ctx.query(ctx.machine_id)
 
@@ -263,15 +263,15 @@ def test_metrics_export_schema():
 
 def test_assign_single_machine():
     cfg = ModelConfig(n=4, m=0, input_size_N=4, epsilon=0.5, space_S=4, machines_P=1, total_T=4)
-    assert assign_to_machines([1, 2, 3], cfg, 0) == {1: 0, 2: 0, 3: 0}
+    assert partition_to_machines([1, 2, 3], cfg, 0) == [[1, 2, 3]]
 
 
 def test_assign_deterministic():
     cfg = small_config()
     items = list(range(200))
-    assert assign_to_machines(items, cfg, 3) == assign_to_machines(items, cfg, 3)
+    assert partition_to_machines(items, cfg, 3) == partition_to_machines(items, cfg, 3)
     # Different rounds shuffle differently.
-    assert assign_to_machines(items, cfg, 3) != assign_to_machines(items, cfg, 4)
+    assert partition_to_machines(items, cfg, 3) != partition_to_machines(items, cfg, 4)
 
 
 def test_assign_load_within_three_times_mean():
