@@ -2,11 +2,16 @@
 counting, cycle connectivity and list ranking, all run by one engine.
 
 A chain is closed (a cycle) or open (a linked list whose last successor is
-None). The engine, ``_Chains``, keeps one record per element in the store:
-``(successor, weight)`` on open chains and ``(successor, weight,
-predecessor)`` on closed ones, where a weight counts the input elements the
-record stands for. Every level is one array generation of the store, keyed
-by element id. The engine runs three operations, each one batch round:
+None). Closed chains arrive as int64 successor and predecessor arrays, -1
+at an element on no chain: ``orient_cycles`` fixes them for an undirected
+union of cycles, and ``trees`` passes an Euler tour's. Open chains arrive
+as a successor array and their heads. Every level's records and every
+result stay int64 arrays. The engine, ``_Chains``, keeps one record per
+element in the store: ``(successor, weight)`` on open chains and
+``(successor, weight, predecessor)`` on closed ones, where a weight counts
+the input elements the record stands for. Every level is one array
+generation of the store, keyed by element id. The engine runs three
+operations, each one batch round:
 
 - level: sample elements with item-keyed coins (every open chain keeps its
   head, and a closed chain that drew no sample keeps its lowest id, so no
@@ -44,51 +49,39 @@ from .graphs import ComponentLabeling, Graph, resolve_pointers
 from .runtime import NONE, ArrayGeneration, ModelConfig, Simulator, _machines_of, item_coins
 
 
-def orient_cycles(graph: Graph) -> tuple[dict[int, int], dict[int, int]]:
-    """Fix a traversal orientation (succ, pred) on a disjoint union of cycles.
+def orient_cycles(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Fix a traversal orientation on a disjoint union of cycles: int64
+    ``succ`` and ``pred`` arrays over the vertices, -1 at a vertex on no
+    cycle.
 
-    Every vertex must have degree exactly 2 counting multiplicity; parallel
-    edges form 2-cycles and a self-loop is a legal 1-cycle. Each cycle is
-    walked from its first vertex in edge order, leaving every vertex by the
-    incident edge it did not arrive on.
+    Every vertex with an edge must have degree exactly 2 counting
+    multiplicity; parallel edges form 2-cycles and a self-loop is a legal
+    1-cycle. Edge i gives two darts: 2i runs src -> dst and 2i+1 back, so
+    dart d leaves ``ends[d]``, the (src0, dst0, src1, dst1, ...) sequence.
+    A dart arriving at a vertex continues by the vertex's other dart out,
+    which splits every cycle into its two directions. Each cycle keeps the
+    direction holding its lowest dart: it starts at the cycle's first vertex
+    in that sequence and leaves it by its lower-indexed edge.
     """
-    incidence: dict[int, list[tuple[int, int]]] = {}
-    for idx, (u, v) in enumerate(zip(graph.src.tolist(), graph.dst.tolist())):
-        incidence.setdefault(u, []).append((idx, v))
-        incidence.setdefault(v, []).append((idx, u))
-    for v, inc in incidence.items():
-        if len(inc) != 2:
-            raise StructureError(f"vertex {v} has degree {len(inc)}, expected 2")
-    succ: dict[int, int] = {}
-    pred: dict[int, int] = {}
-    for start in incidence:
-        if start in succ:
-            continue
-        v, arrived = start, None
-        while v not in succ:
-            first, second = incidence[v]
-            arrived, w = second if first[0] == arrived else first
-            succ[v] = w
-            pred[w] = v
-            v = w
-    return succ, pred
-
-
-def orientation_graph(succ: dict[int, int], n: int) -> Graph:
-    """The multigraph carried by an orientation: one edge per succ pointer."""
-    return Graph(n, [(v, w) for v, w in succ.items()], multigraph=True)
-
-
-def _cycle_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """``orient_cycles`` as int64 arrays over the vertices, -1 at a vertex
-    on no cycle."""
-    succ_map, pred_map = orient_cycles(graph)
+    ends = np.empty(2 * graph.m, dtype=np.int64)
+    ends[0::2], ends[1::2] = graph.src, graph.dst
+    degree = np.bincount(ends, minlength=graph.n)
+    bad = np.flatnonzero(degree[ends] != 2)
+    if len(bad):
+        v = ends[bad[0]]
+        raise StructureError(f"vertex {v} has degree {degree[v]}, expected 2")
+    # other[d] is the second dart out of d's vertex; d's successor dart
+    # leaves its head by other[d ^ 1].
+    by_vertex = np.argsort(ends).reshape(-1, 2)
+    other = np.empty(len(ends), dtype=np.int64)
+    other[by_vertex[:, 0]], other[by_vertex[:, 1]] = by_vertex[:, 1], by_vertex[:, 0]
+    darts = np.arange(len(ends))
+    lowest = resolve_pointers(other[darts ^ 1])
+    kept = darts[lowest < lowest[darts ^ 1]]
     succ = np.full(graph.n, -1, dtype=np.int64)
     pred = np.full(graph.n, -1, dtype=np.int64)
-    for out, mapping in ((succ, succ_map), (pred, pred_map)):
-        out[np.fromiter(mapping, dtype=np.int64, count=len(mapping))] = np.fromiter(
-            mapping.values(), dtype=np.int64, count=len(mapping)
-        )
+    succ[ends[kept]] = ends[kept ^ 1]
+    pred[ends[kept ^ 1]] = ends[kept]
     return succ, pred
 
 
@@ -231,10 +224,9 @@ class _Chains:
 
 @dataclass
 class ShrinkResult:
-    graph: Graph
-    sample_map: dict[int, tuple[int, int]]  # last level: sample -> (left, right)
+    graph: Graph                          # one edge per top-level successor pointer
     iteration_sizes: list[int]
-    levels: list[dict[int, int]]          # succ map per level, level 0 = input
+    levels: list[ArrayGeneration]         # (successor, weight, predecessor) records per level
     simulator: Simulator = field(repr=False, default=None)
 
 
@@ -252,16 +244,13 @@ def shrink(
     vertex in each direction. ``sample_sets`` overrides the per-iteration
     samples, which makes hand traces reproducible.
     """
-    chains = _Chains.cycles(config, *_cycle_arrays(graph))
+    chains = _Chains.cycles(config, *orient_cycles(graph))
     for i in range(t):
         chains.level(delta, None if sample_sets is None else sample_sets[i])
-    levels = [dict(zip(level.key_array.tolist(), level.columns[0].tolist())) for level in chains.levels]
-    right, _, left = chains.top.columns
     return ShrinkResult(
-        graph=orientation_graph(levels[-1], graph.n),
-        sample_map=dict(zip(chains.top.key_array.tolist(), zip(left.tolist(), right.tolist()))) if t else {},
-        iteration_sizes=[len(level) for level in levels],
-        levels=levels,
+        graph=Graph.from_arrays(graph.n, chains.top.key_array, chains.top.columns[0], multigraph=True),
+        iteration_sizes=[len(level) for level in chains.levels],
+        levels=chains.levels,
         simulator=chains.sim,
     )
 
@@ -284,7 +273,7 @@ def two_cycle(graph: Graph, config: ModelConfig) -> TwoCycleResult:
     Shrinks for ceil(2(1-eps)/eps) iterations, allows one catch-up
     iteration, then solves the residual on a single designated machine.
     """
-    chains = _Chains.cycles(config, *_cycle_arrays(graph))
+    chains = _Chains.cycles(config, *orient_cycles(graph))
     for _ in range(shrink_iteration_budget(config.epsilon)):
         chains.level(config.epsilon)
     if len(chains.top) > config.budget_limit:
@@ -313,8 +302,7 @@ def cycle_conn(
 ) -> CycleConnResult:
     """Label the components of a disjoint union of cycles (see
     ``label_cycles``)."""
-    succ, pred = _cycle_arrays(graph)
-    return label_cycles(succ, pred, config, shrink_iterations)
+    return label_cycles(*orient_cycles(graph), config, shrink_iterations)
 
 
 def label_cycles(

@@ -394,6 +394,8 @@ class BatchRound:
             return ArrayGeneration(generation, np.empty(0, dtype=np.int64), ())
         keys = np.concatenate(self._keys)
         columns = [np.concatenate(c) for c in zip(*self._columns)]
+        if (keys[1:] > keys[:-1]).all():
+            return ArrayGeneration(generation, keys, columns)
         order = np.argsort(keys)
         if (keys[order[1:]] == keys[order[:-1]]).any():
             # Equal keys keep (machine id, per-machine write order).

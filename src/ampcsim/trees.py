@@ -3,10 +3,13 @@ sizes, preorder numbers, and range-query subtree minima/maxima.
 
 Every tree edge k appears as two directed twins, 2k and 2k+1, so the twin
 of directed edge e is e ^ 1; successor pointers chain each tree's twins
-into one closed tour. Rooting breaks the tour at an edge incident to the
-root, ranks the resulting list, and classifies each twin pair by rank order
-(the parent-to-child occurrence ranks lower). The tour and every annotation
-are int64 arrays, indexed by directed edge or by vertex.
+into one closed tour. The tour also checks its input: the input is a
+forest exactly when its tour has one cycle per tree (see ``euler_tour``),
+so no separate acyclicity pass runs. Rooting breaks the tour at an edge
+incident to the root, ranks the resulting list, and classifies each twin
+pair by rank order (the parent-to-child occurrence ranks lower). The tour
+and every annotation are int64 arrays, indexed by directed edge or by
+vertex.
 
 Annotations work on the whole forest at once and are charged per batch,
 not per tree or per vertex: in the AMPC model every machine of a round
@@ -46,22 +49,6 @@ class EulerTour:
         return len(self.src)
 
 
-def _check_forest(graph: Graph) -> None:
-    parent = list(range(graph.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in zip(graph.src.tolist(), graph.dst.tolist()):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise StructureError(f"input contains a cycle through edge ({u}, {v})")
-        parent[ru] = rv
-
-
 def _rotation(tour_src: np.ndarray, tour_dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Directed edges grouped by source, each group by ascending target,
     with each vertex's group start and length (its degree)."""
@@ -72,8 +59,14 @@ def _rotation(tour_src: np.ndarray, tour_dst: np.ndarray, n: int) -> tuple[np.nd
 
 def euler_tour(forest: Graph) -> EulerTour:
     """Closed tour per tree: the successor of u->v is the edge out of v
-    whose target follows u in v's ascending neighbor rotation."""
-    _check_forest(forest)
+    whose target follows u in v's ascending neighbor rotation.
+
+    On any multigraph these successors form a permutation, with at least one
+    cycle per component. A component of n_c vertices and m_c edges has
+    n_c - m_c <= 1, with equality only for a tree, whose tour is one cycle.
+    So the input is a forest exactly when (vertices with an edge) - m equals
+    the number of tour cycles; otherwise ``StructureError`` is raised.
+    """
     size = 2 * forest.m
     src = np.empty(size, dtype=np.int64)
     dst = np.empty(size, dtype=np.int64)
@@ -86,6 +79,13 @@ def euler_tour(forest: Graph) -> EulerTour:
     slot[rotation] = np.arange(size) - start[src[rotation]]
     twin = np.arange(size) ^ 1
     succ = rotation[start[dst] + (slot[twin] + 1) % degree[dst]]
+    cycles = np.count_nonzero(resolve_pointers(succ) == np.arange(size))
+    touched = np.count_nonzero(degree)
+    if touched - forest.m != cycles:
+        raise StructureError(
+            f"input is not a forest: {touched} vertices with edges and {forest.m} edges "
+            f"leave {cycles} tour cycles, not {touched - forest.m}"
+        )
     return EulerTour(n=forest.n, src=src, dst=dst, succ=succ)
 
 

@@ -93,8 +93,10 @@ def _shrink(name):
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
         c, kw = cfg(6, 0), dict(sample_sets=[{0, 3, 4}, {0, 3}, {3}])
     r = shrink(g, delta=c.epsilon, t=3, config=c, **kw)
-    return _digest([r.simulator], (r.iteration_sizes, [sorted(lv.items()) for lv in r.levels],
-                                   sorted(r.sample_map.items()), sorted(r.graph.edges)))
+    levels = [sorted(zip(lv.key_array.tolist(), lv.columns[0].tolist())) for lv in r.levels]
+    right, _, left = r.levels[-1].columns
+    sample_map = sorted(zip(r.levels[-1].key_array.tolist(), zip(left.tolist(), right.tolist())))
+    return _digest([r.simulator], (r.iteration_sizes, levels, sample_map, sorted(r.graph.edges)))
 
 
 def _rank_lists(name):

@@ -8,7 +8,6 @@ from ampcsim.contraction import (
     cycle_conn,
     list_ranking,
     orient_cycles,
-    orientation_graph,
     rank_lists,
     shrink,
     shrink_iteration_budget,
@@ -29,18 +28,96 @@ def path_successors(n):
     return {i: (i + 1 if i + 1 < n else None) for i in range(n)}
 
 
+def dict_orientation(graph):
+    """Reference orientation: a per-edge walk over dict incidence lists.
+    Each cycle is walked from its first vertex in (src0, dst0, src1, dst1,
+    ...) order, leaving it by its lower-indexed edge and every later vertex
+    by the incident edge it did not arrive on."""
+    incidence = {}
+    for idx, (u, v) in enumerate(zip(graph.src.tolist(), graph.dst.tolist())):
+        incidence.setdefault(u, []).append((idx, v))
+        incidence.setdefault(v, []).append((idx, u))
+    for v, inc in incidence.items():
+        if len(inc) != 2:
+            raise StructureError(f"vertex {v} has degree {len(inc)}, expected 2")
+    succ = np.full(graph.n, -1, dtype=np.int64)
+    pred = np.full(graph.n, -1, dtype=np.int64)
+    for start in incidence:
+        if succ[start] >= 0:
+            continue
+        v, arrived = start, None
+        while succ[v] < 0:
+            first, second = incidence[v]
+            arrived, w = second if first[0] == arrived else first
+            succ[v] = w
+            pred[w] = v
+            v = w
+    return succ, pred
+
+
+def assert_same_orientation(graph):
+    try:
+        expected = dict_orientation(graph)
+    except StructureError as error:
+        with pytest.raises(StructureError) as got:
+            orient_cycles(graph)
+        assert str(got.value) == str(error)
+        return
+    succ, pred = orient_cycles(graph)
+    assert succ.dtype == pred.dtype == np.int64
+    assert np.array_equal(succ, expected[0]) and np.array_equal(pred, expected[1])
+
+
 def test_orient_cycles_rejects_non_cycles():
-    with pytest.raises(StructureError):
-        orient_cycles(Graph(3, [(0, 1), (1, 2)]))
-    with pytest.raises(StructureError):
-        orient_cycles(Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]))
+    for graph in (Graph(3, [(0, 1), (1, 2)]), Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])):
+        with pytest.raises(StructureError):
+            orient_cycles(graph)
+        assert_same_orientation(graph)
 
 
 def test_orient_cycles_handles_multigraph_forms():
     succ, pred = orient_cycles(Graph(2, [(0, 1), (0, 1)], multigraph=True))
-    assert succ == {0: 1, 1: 0}
-    succ, _ = orient_cycles(Graph(1, [(0, 0)], multigraph=True))
-    assert succ == {0: 0}
+    assert succ.tolist() == [1, 0] and pred.tolist() == [1, 0]
+    succ, pred = orient_cycles(Graph(1, [(0, 0)], multigraph=True))
+    assert succ.tolist() == [0] and pred.tolist() == [0]
+    succ, pred = orient_cycles(Graph(3, [], multigraph=True))
+    assert succ.tolist() == pred.tolist() == [-1, -1, -1]
+
+
+def random_cycle_union(rng, n):
+    """Vertices 0..n-1 shuffled and cut into 1-cycles (self-loops),
+    2-cycles (parallel edges), longer cycles and isolated vertices; edges
+    shuffled, each with a random end first."""
+    vertices = rng.permutation(n).tolist()
+    edges = []
+    while vertices:
+        k = min(int(rng.choice([0, 1, 2, 2, 3, 4, 7])), len(vertices))
+        if k == 0:
+            vertices.pop()
+            continue
+        cycle, vertices = vertices[:k], vertices[k:]
+        edges += [(cycle[j], cycle[(j + 1) % k]) for j in range(k)]
+    edges = [edges[i] for i in rng.permutation(len(edges))]
+    return [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+
+
+def test_orient_cycles_matches_dict_walk_on_random_cycle_unions():
+    rng = np.random.default_rng(12)
+    for trial in range(400):
+        n = int(rng.integers(1, 25))
+        edges = random_cycle_union(rng, n)
+        if trial % 4 == 3:
+            # Break the degree condition: drop an edge or add one.
+            if edges and rng.random() < 0.5:
+                edges.pop(int(rng.integers(len(edges))))
+            else:
+                edges.append((int(rng.integers(n)), int(rng.integers(n))))
+        assert_same_orientation(Graph(n, edges, multigraph=True))
+
+
+def level_graph(level, n):
+    """The multigraph of a shrink level: one edge per successor pointer."""
+    return Graph.from_arrays(n, level.key_array, level.columns[0], multigraph=True)
 
 
 def test_shrink_forced_hand_trace():
@@ -50,8 +127,10 @@ def test_shrink_forced_hand_trace():
     res = shrink(g, delta=0.5, t=1, config=cycle_config(6), sample_sets=[{0, 3}])
     assert res.iteration_sizes == [6, 2]
     assert sorted(res.graph.edges) == [(0, 3), (0, 3)]
-    assert res.sample_map[0] == (3, 3)
-    assert res.sample_map[3] == (0, 0)
+    # Each sample's (successor, weight, predecessor) record at the top level.
+    top = res.levels[-1]
+    assert top.key_array.tolist() == [0, 3]
+    assert list(top.items()) == [(0, (3, 3, 3)), (3, (0, 3, 0))]
 
 
 def test_shrink_all_sampled_is_identity():
@@ -70,14 +149,15 @@ def test_shrink_preserves_components_and_cycle_structure():
         before = uf_components(g).component_count()
         # Every level is a union of cycles covering the same components.
         for level in res.levels:
-            graph = orientation_graph(level, g.n)
+            graph = level_graph(level, g.n)
             degrees = {}
             for u, v in graph.edges:
                 degrees[u] = degrees.get(u, 0) + 1
                 degrees[v] = degrees.get(v, 0) + 1
             assert all(d == 2 for d in degrees.values())
             labels = uf_components(graph).label
-            assert len({labels[v] for v in level}) == before
+            assert len({labels[v] for v in level.key_array.tolist()}) == before
+        assert sorted(res.graph.edges) == sorted(level_graph(res.levels[-1], g.n).edges)
 
 
 def test_shrink_size_bound_desk_scale():

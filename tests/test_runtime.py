@@ -345,6 +345,24 @@ def test_batch_round_reads_writes_and_seals():
     assert seen[0] == ((10, 2), 50)
 
 
+def test_batch_round_seal_orders_only_what_needs_it():
+    sim = Simulator(small_config())
+    # Strictly ascending keys across writes are sealed as written.
+    with sim.batch_round() as rnd:
+        rnd.write_many(np.array([1, 4]), [np.array([10, 40])], np.array([2, 0]))
+        rnd.write_many(np.array([6]), [np.array([60])], np.array([1]))
+    assert list(sim.store.items()) == [(1, 10), (4, 40), (6, 60)]
+    # Ascending keys that repeat still order a key's values by (machine,
+    # write order).
+    with sim.batch_round() as rnd:
+        rnd.write_many(np.array([1, 1, 2, 2]), [np.array([10, 11, 20, 21])], np.array([2, 0, 1, 1]))
+    assert list(sim.store.items()) == [(1, 11), (1, 10), (2, 20), (2, 21)]
+    # Unsorted keys are sorted.
+    with sim.batch_round() as rnd:
+        rnd.write_many(np.array([5, 3]), [np.array([50, 30])], np.array([0, 0]))
+    assert list(sim.store.items()) == [(3, 30), (5, 50)]
+
+
 def test_batch_round_budget_violation_matches_closure_round():
     cfg = small_config(budget_slack=1.0, strict_budget=True)
     limit = cfg.budget_limit

@@ -27,6 +27,54 @@ def test_euler_tour_rejects_cycles():
         euler_tour(Graph(3, [(0, 1), (1, 2), (0, 2)]))
 
 
+def is_forest(n, edges):
+    """Plain union-find: no edge joins two vertices already connected."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def test_euler_tour_forest_check_matches_union_find():
+    rng = random.Random(21)
+    kinds = {True: 0, False: 0}
+    for trial in range(600):
+        n = rng.randint(1, 12)
+        # A random forest on a random subset of the vertices, the rest isolated.
+        order = rng.sample(range(n), n)
+        edges = [(order[i], order[rng.randrange(i)]) for i in range(1, n) if rng.random() < 0.7]
+        extra = trial % 5
+        if extra == 1 and n > 1:  # one more edge, usually closing a cycle
+            edges.append(tuple(rng.sample(range(n), 2)))
+        elif extra == 2:  # a self-loop
+            v = rng.randrange(n)
+            edges.append((v, v))
+        elif extra == 3 and edges:  # a parallel edge
+            edges.append(rng.choice(edges))
+        elif extra == 4 and n > 1:  # a few random edges
+            edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 3))]
+        rng.shuffle(edges)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        graph = Graph(n, edges, multigraph=True)
+        forest = is_forest(n, edges)
+        kinds[forest] += 1
+        if forest:
+            assert euler_tour(graph).size == 2 * len(edges)
+        else:
+            with pytest.raises(StructureError):
+                euler_tour(graph)
+    assert min(kinds.values()) > 100
+
+
 def test_euler_tour_single_edge():
     tour = euler_tour(Graph(2, [(0, 1)]))
     assert tour.size == 2
