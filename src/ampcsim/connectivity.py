@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import LeaderContractionError, NonTerminationError
-from .graphs import ComponentLabeling, Graph, pair_keys, resolve_pointers, simple_graph, slot_keys
+from .graphs import ComponentLabeling, Graph, _arcs, pair_keys, resolve_pointers, simple_graph, slot_keys
 from .primitives import contract_graph, mpc_argsort
 from .runtime import ModelConfig, Simulator, _machines_of, item_coins, item_hash
 
@@ -59,13 +59,6 @@ class BudgetSchedule:
 
     def exploration_budget(self) -> int:
         return max(2, math.floor(self.d))
-
-
-def _arcs(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Every edge in both directions, ``heads[i] -> tails[i]``; a self-loop
-    once, as ``Graph.adjacency`` lists it."""
-    proper = graph.src != graph.dst
-    return np.concatenate((graph.src, graph.dst[proper])), np.concatenate((graph.dst, graph.src[proper]))
 
 
 def _write_adjacency_round(

@@ -137,9 +137,7 @@ class Graph:
         """Neighbor lists sorted ascending (the fixed rotation order). A
         self-loop lists its vertex once; parallel edges repeat."""
         if self._adjacency is None:
-            proper = self.src != self.dst
-            heads = np.concatenate((self.src, self.dst[proper]))
-            tails = np.concatenate((self.dst, self.src[proper]))
+            heads, tails = _arcs(self)
             order = np.argsort(heads * self.n + tails, kind="stable")
             self._adjacency = _split(tails[order].tolist(), np.bincount(heads, minlength=self.n))
         return self._adjacency
@@ -152,6 +150,13 @@ class Graph:
     def __repr__(self) -> str:
         kind = "multigraph" if self.multigraph else "graph"
         return f"<{kind} n={self.n} m={self.m} weighted={self.weighted}>"
+
+
+def _arcs(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge in both directions, ``heads[i] -> tails[i]``; a self-loop
+    once, as ``Graph.adjacency`` lists it."""
+    proper = graph.src != graph.dst
+    return np.concatenate((graph.src, graph.dst[proper])), np.concatenate((graph.dst, graph.src[proper]))
 
 
 def _vertex_ids(ids: np.ndarray) -> np.ndarray:

@@ -220,7 +220,7 @@ def _run_tree_ops(spec: ExperimentSpec, seed: int):
     rooted = trees_mod.root_forest(g, config=cfg)
     pn, sizes = trees_mod.preorder_and_sizes(rooted)
     rng = np.random.default_rng(np.random.SeedSequence(seed & ((1 << 64) - 1), spawn_key=(0x1B,)))
-    values = [int(rng.integers(-(10**6), 10**6)) for _ in range(g.n)]
+    values = rng.integers(-(10**6), 10**6, size=g.n).tolist()
     smm = trees_mod.SubtreeMinMax(rooted, pn, sizes, values, values)
 
     correct = True

@@ -4,20 +4,27 @@ iterated whole-graph driver.
 
 Each vertex draws a random priority; the permutation sorts by priority.
 A vertex belongs to the greedy MIS exactly when no earlier-ranked neighbor
-does, and the membership test recurses on earlier-ranked neighbors only.
+does, and the membership test recurses on earlier-ranked neighbors only
+(the random-order query process of Yoshida, Yamamoto and Ito, STOC 2009).
+
+``maximal_independent_set`` keeps one status list, published between
+rounds. Each machine runs its queries on ``ChainMap({}, status)``: its own
+settlements go into a private dict in front of the shared list, so a round
+holds O(n + m) words however many machines run, and no machine copies the
+list.
 """
 
 from __future__ import annotations
 
 import math
+from collections import ChainMap
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .errors import NonTerminationError
-from .graphs import Graph, slot_keys
+from .graphs import Graph, _arcs, _split, slot_keys
 from .primitives import mpc_sort
 from .runtime import ArrayGeneration, ModelConfig, Simulator, item_coins, partition_to_machines
 
@@ -34,20 +41,17 @@ class Permutation:
     @classmethod
     def random(cls, n: int, seed: int, tag: int = 0x31) -> "Permutation":
         coins = item_coins(seed, tag, np.arange(n))
-        priority = tuple(coins.tolist())
-        order = np.argsort(coins, kind="stable").tolist()
-        rank = [0] * n
-        for pos, v in enumerate(order):
-            rank[v] = pos
-        return cls(priority=priority, rank=tuple(rank))
+        rank = _ranks(np.argsort(coins, kind="stable"))
+        return cls(priority=tuple(coins.tolist()), rank=tuple(rank.tolist()))
 
     @classmethod
     def from_order(cls, order: list[int]) -> "Permutation":
         n = len(order)
-        rank = [0] * n
-        for pos, v in enumerate(order):
-            rank[v] = pos
-        return cls(priority=tuple(rank[v] / max(1, n) for v in range(n)), rank=tuple(rank))
+        ids = np.asarray(order, dtype=np.int64).reshape(n)
+        if not np.array_equal(np.sort(ids), np.arange(n)):
+            raise ValueError(f"order is not a permutation of 0..{n - 1}")
+        rank = _ranks(ids)
+        return cls(priority=tuple((rank / max(1, n)).tolist()), rank=tuple(rank.tolist()))
 
     def order(self) -> list[int]:
         out = [0] * len(self.rank)
@@ -56,22 +60,28 @@ class Permutation:
         return out
 
 
-@dataclass
-class MisStatus:
-    """Per-vertex settlement state plus per-iteration query counts."""
+def _ranks(order: np.ndarray) -> np.ndarray:
+    """The position of each vertex in ``order``, a permutation of 0..n-1."""
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank
 
-    status: list[int]
-    q_count: dict[int, int] = field(default_factory=dict)
 
-    def unknown(self) -> list[int]:
-        return [v for v, s in enumerate(self.status) if s == UNKNOWN]
+def _rank_sorted_arcs(graph: Graph, perm: Permutation) -> tuple[np.ndarray, np.ndarray]:
+    """Every arc ``heads[i] -> tails[i]`` (a self-loop once), grouped by head
+    ascending and, within a head, by the tail's rank ascending; one stable
+    argsort of ``head * n + rank[tail]``, so parallel arcs keep input order."""
+    heads, tails = _arcs(graph)
+    rank = np.asarray(perm.rank, dtype=np.int64)
+    order = np.argsort(heads * graph.n + rank[tails], kind="stable")
+    return heads[order], tails[order]
 
 
 def sorted_adjacency(graph: Graph, perm: Permutation) -> list[list[int]]:
     """Neighbor lists sorted by permutation rank ascending (the preprocessing
     step; every later adjacency scan walks these lists in order)."""
-    rank = perm.rank
-    return [sorted(neigh, key=lambda u: rank[u]) for neigh in graph.adjacency()]
+    heads, tails = _rank_sorted_arcs(graph, perm)
+    return _split(tails.tolist(), np.bincount(heads, minlength=graph.n))
 
 
 def lfmis_oracle(graph: Graph, perm: Permutation) -> set[int]:
@@ -132,19 +142,20 @@ def truncated_query(
     v: int,
     perm: Permutation,
     capacity: int,
-    status: list[int],
+    status: list[int] | ChainMap[int, int],
     adj: Optional[list[list[int]]] = None,
-    settled_log: Optional[list[int]] = None,
     depth_tracker: Optional[list[int]] = None,
     _depth: int = 1,
 ) -> int:
     """Capacity-limited membership query; returns the queries consumed.
 
-    Settles vertices only when the greedy logic is certain: a vertex joins
-    when its next unsettled neighbor ranks higher (or none remain), and
-    leaves when a recursive call puts a neighbor in. Neighbors already
-    settled out are skipped as removed from the graph. ``depth_tracker``
-    records the deepest recursion reached; nothing branches on it.
+    Settles vertices in ``status`` only when the greedy logic is certain: a
+    vertex joins when its next unsettled neighbor ranks higher (or none
+    remain), and leaves when a neighbor is in. Neighbors already settled
+    out are skipped as removed from the graph. A query settles each vertex
+    at most once, so on a ``ChainMap`` the front dict lists the settlements
+    in the order they were made. ``depth_tracker`` records the deepest
+    recursion reached; nothing branches on it.
     """
     if capacity == 0:
         return 0
@@ -155,29 +166,20 @@ def truncated_query(
     rank = perm.rank
     q = 1
     for u in adj[v]:
-        if status[u] == NOT_IN_MIS:
+        s = status[u]
+        if s == NOT_IN_MIS:
             continue
-        if status[u] == IN_MIS:
+        if s == UNKNOWN:
+            if rank[v] < rank[u]:
+                break
+            q += truncated_query(graph, u, perm, capacity - q, status, adj, depth_tracker, _depth + 1)
+            s = status[u]
+        if s == IN_MIS:
             status[v] = NOT_IN_MIS
-            if settled_log is not None:
-                settled_log.append(v)
-            return q
-        if rank[v] < rank[u]:
-            break
-        q += truncated_query(
-            graph, u, perm, capacity - q, status, adj, settled_log,
-            depth_tracker, _depth + 1,
-        )
-        if status[u] == IN_MIS:
-            status[v] = NOT_IN_MIS
-            if settled_log is not None:
-                settled_log.append(v)
             return q
         if q >= capacity:
             return q
     status[v] = IN_MIS
-    if settled_log is not None:
-        settled_log.append(v)
     return q
 
 
@@ -186,7 +188,7 @@ class MisResult:
     members: set[int]
     iterations: int
     permutation: Permutation
-    status: MisStatus
+    status: list[int]
     q_per_iteration: list[dict[int, int]]
     max_recursion_depth: int = 0
     simulator: Simulator = field(repr=False, default=None)
@@ -200,89 +202,70 @@ def maximal_independent_set(graph: Graph, config: ModelConfig) -> MisResult:
     """Iterated capacity-truncated queries until every vertex settles.
 
     Each iteration runs one round: every still-unknown vertex issues a
-    truncated query with capacity floor(n**epsilon) against the previous
-    iteration's published statuses plus the machine's own discoveries.
-    Vertices that enter the set knock their neighbors out at the publish
-    boundary.
+    truncated query with capacity floor(n**epsilon) on its machine's
+    ``ChainMap({}, status)``, the previous iteration's published statuses
+    behind the machine's own settlements. A machine writes its settlements,
+    and each is merged into one ``settled`` dict as it is written: the
+    lowest machine id wins, and two machines that disagree on a vertex
+    raise. Vertices that enter the set knock their neighbors out at the
+    publish boundary.
     """
     n = graph.n
     perm = Permutation.random(n, config.seed)
-    adj = sorted_adjacency(graph, perm)
     capacity = max(1, math.floor(max(n, 2) ** config.epsilon))
     # The initial generation holds slot i of v's sorted list under
     # v * stride + i, as connectivity stores its adjacency.
-    owners = np.repeat(np.arange(n), [len(neighbors) for neighbors in adj])
-    keys, _, _ = slot_keys(n, owners)
-    neighbors = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=len(owners))
-    sim = Simulator(config, initial=ArrayGeneration(0, keys, [neighbors]))
+    heads, tails = _rank_sorted_arcs(graph, perm)
+    adj = _split(tails.tolist(), np.bincount(heads, minlength=n))
+    keys, _, _ = slot_keys(n, heads)
+    sim = Simulator(config, initial=ArrayGeneration(0, keys, [tails]))
     sort_charge = mpc_sort(range(graph.m), epsilon=config.epsilon)
     sim.charge(sort_charge.rounds_charged, sort_charge.communication_charged, "adjacency-sort")
 
-    status = MisStatus(status=[UNKNOWN] * n)
+    status = [UNKNOWN] * n
     q_per_iteration: list[dict[int, int]] = []
     iterations = 0
     cap = 10 * iteration_budget(config.epsilon)
-    full_adj = graph.adjacency()
     depth_tracker = [0]
 
     while True:
-        unknown = status.unknown()
+        unknown = [v for v, s in enumerate(status) if s == UNKNOWN]
         if not unknown:
             break
         iterations += 1
         if iterations > cap:
             raise NonTerminationError(f"no settlement after {cap} iterations")
         parts = partition_to_machines(unknown, config, sim.round_index + 1)
-        overlays: dict[int, tuple[list[int], list[int], dict[int, int]]] = {}
+        settled: dict[int, int] = {}
+        q_counts: dict[int, int] = {}
 
         def program(ctx):
-            mine = parts[ctx.machine_id]
-            if not mine:
-                return
-            local = list(status.status)
-            log: list[int] = []
-            q_used: dict[int, int] = {}
-            for v in mine:
-                if local[v] != UNKNOWN:
-                    continue
-                q = truncated_query(
-                    graph, v, perm, capacity, local, adj, log, depth_tracker
-                )
-                q_used[v] = q
-                ctx.query_count += q
-            for v in log:
-                ctx.write(v, local[v])
-            overlays[ctx.machine_id] = (local, log, q_used)
+            local = ChainMap({}, status)
+            for v in parts[ctx.machine_id]:
+                if local[v] == UNKNOWN:
+                    q = truncated_query(graph, v, perm, capacity, local, adj, depth_tracker)
+                    q_counts[v] = q
+                    ctx.query_count += q
+            for v, s in local.maps[0].items():
+                ctx.write(v, s)
+                if settled.setdefault(v, s) != s:
+                    raise AssertionError(f"machines disagree on vertex {v}: {settled[v]} vs {s}")
 
         sim.run_round(program)
-
-        newly: list[int] = []
-        q_counts: dict[int, int] = {}
-        for mid in sorted(overlays):
-            local, log, q_used = overlays[mid]
-            q_counts.update(q_used)
-            for v in log:
-                if status.status[v] == UNKNOWN:
-                    status.status[v] = local[v]
-                    newly.append(v)
-                elif status.status[v] != local[v]:
-                    raise AssertionError(
-                        f"machines disagree on vertex {v}: {status.status[v]} vs {local[v]}"
-                    )
         q_per_iteration.append(q_counts)
-        status.q_count = q_counts
-        if not newly:
+        if not settled:
             raise NonTerminationError("iteration settled no vertex")
+        for v, s in settled.items():
+            status[v] = s
         # Publish-boundary removal: members knock out their neighbors.
-        for v in newly:
-            if status.status[v] == IN_MIS:
-                for u in full_adj[v]:
-                    if status.status[u] == UNKNOWN:
-                        status.status[u] = NOT_IN_MIS
+        for v, s in settled.items():
+            if s == IN_MIS:
+                for u in adj[v]:
+                    if status[u] == UNKNOWN:
+                        status[u] = NOT_IN_MIS
 
-    members = {v for v in range(n) if status.status[v] == IN_MIS}
     return MisResult(
-        members=members,
+        members={v for v, s in enumerate(status) if s == IN_MIS},
         iterations=iterations,
         permutation=perm,
         status=status,

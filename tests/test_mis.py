@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -29,6 +30,14 @@ def test_permutation_sorts_by_priority():
     priorities = [perm.priority[v] for v in order]
     assert priorities == sorted(priorities)
     assert sorted(perm.rank) == list(range(50))
+
+
+def test_from_order_rejects_a_non_permutation():
+    # A repeat would leave a vertex missing from the order ranked 0, and an
+    # order over too few ids would index past its end.
+    for order in ([0, 0, 2], [1, 2]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation.from_order(order)
 
 
 def test_lfmis_path_star_triangle():
@@ -163,11 +172,11 @@ def test_mis_matches_oracle_and_structure():
 
 def test_mis_preprocessing_is_rank_sorted():
     g = gen_random_graph(50, 120, seed=2)
+    multi = Graph(50, [*g.edges, (3, 7), (7, 3), (3, 7), (5, 5)], multigraph=True)
     perm = Permutation.random(50, seed=9)
-    adj = sorted_adjacency(g, perm)
-    for neigh in adj:
-        ranks = [perm.rank[u] for u in neigh]
-        assert ranks == sorted(ranks)
+    for graph in (g, multi):
+        adj = sorted_adjacency(graph, perm)
+        assert adj == [sorted(neigh, key=perm.rank.__getitem__) for neigh in graph.adjacency()]
 
 
 def test_mis_monotone_settling():
@@ -209,3 +218,21 @@ def test_mis_reports_recursion_depth():
     assert res.max_recursion_depth >= 1
     # Depth can never exceed the per-vertex capacity.
     assert res.max_recursion_depth <= max(1, int(100**cfg.epsilon))
+
+
+def test_mis_memory_is_linear_in_input():
+    # Traced peak bytes per input element (n + m) stay flat as n grows
+    # fourfold; a per-machine copy of the status list would grow them with
+    # the machine count.
+    per_element = []
+    for n in (2**11, 2**13):
+        g = gen_random_graph(n, 5 * n, seed=1)
+        cfg = mis_config(n, g.m, seed=1)
+        tracemalloc.start()
+        try:
+            maximal_independent_set(g, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_element.append(peak / (n + g.m))
+    assert per_element[1] <= 1.2 * per_element[0], per_element
