@@ -208,14 +208,15 @@ def _pointer_map(graph: Graph, seed: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return mapping, tails, heads
 
 
-def shrink_vertices_step(graph: Graph, seed: int) -> tuple[Graph, list[int]]:
+def shrink_vertices_step(graph: Graph, seed: int) -> tuple[Graph, np.ndarray]:
     """Apply one vertex-merging round and contract the graph accordingly.
 
     The mapping covers every vertex (identity where nothing merged) and
     only ever merges along edges, so components are preserved exactly.
+    The mapping is an int64 array over the vertices.
     """
     mapping, _, _ = _pointer_map(graph, seed)
-    return contract_graph(graph, mapping).value, mapping.tolist()
+    return contract_graph(graph, mapping).value, mapping
 
 
 def _non_isolated_vertices(graph: Graph) -> np.ndarray:
@@ -249,7 +250,7 @@ def _shrink(
     graph: Graph,
     config: ModelConfig,
     sim: Optional[Simulator],
-    step: Callable[[Graph, int], tuple[Graph, list[int] | np.ndarray]],
+    step: Callable[[Graph, int], tuple[Graph, np.ndarray]],
     tag: int,
     label: str,
 ) -> ReduceResult:
@@ -266,7 +267,7 @@ def _shrink(
     rounds = max(1, math.ceil(1.0 / config.epsilon))
     while steps < cap and history[-1] > max(target, _REDUCTION_FLOOR):
         current, f = step(current, item_hash(config.seed, tag, steps))
-        mapping = np.asarray(f)[mapping]
+        mapping = f[mapping]
         steps += 1
         history.append(_non_isolated(current))
         if sim is not None:

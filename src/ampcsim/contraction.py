@@ -148,7 +148,13 @@ class _Chains:
         if self.heads is not None:
             chosen[np.searchsorted(ids, self.heads)] = True
         if self.closed:
-            low = resolve_pointers(np.searchsorted(ids, self.top.columns[0]))
+            successor = self.top.columns[0]
+            # A level's ids are sorted, distinct and nonnegative, so ids
+            # ending at len - 1 are exactly 0..len-1 and the successors
+            # already are row positions.
+            if len(ids) and ids[-1] != len(ids) - 1:
+                successor = np.searchsorted(ids, successor)
+            low = resolve_pointers(successor)
             sampled = np.zeros(len(ids), dtype=bool)
             sampled[low[chosen]] = True
             chosen[low[~sampled[low]]] = True

@@ -98,7 +98,10 @@ class Graph:
             if loops.any():
                 i = int(np.argmax(loops))
                 errors.append((i, 1, f"self-loop at vertex {lo[i]}"))
-            i = _first_repeat(pair_keys(n, lo, hi))
+            # Keys strictly ascending in either endpoint order prove every
+            # pair distinct, since equal pairs give equal keys; generated
+            # graphs come sorted by (hi, lo).
+            i = None if _ascending(hi * n + lo) else _first_repeat(pair_keys(n, lo, hi))
             if i is not None:
                 errors.append((i, 2, f"duplicate edge ({lo[i]}, {hi[i]})"))
         if weight is not None:
@@ -219,9 +222,30 @@ def _first_of_runs(ordered: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _ascending(values: np.ndarray) -> bool:
+    """Whether ``values`` is strictly ascending, so its values are distinct."""
+    return len(values) < 2 or bool((values[1:] > values[:-1]).all())
+
+
+def _absent(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Mask of the ``values`` that do not occur in the sorted array ``ordered``."""
+    if not len(ordered):
+        return np.ones(len(values), dtype=bool)
+    return ordered[np.searchsorted(ordered, values).clip(max=len(ordered) - 1)] != values
+
+
+def _first_draws(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``draws``, ascending, and the index of each
+    one's first occurrence."""
+    order = np.argsort(draws)
+    ordered = draws[order]
+    starts = np.flatnonzero(_first_of_runs(ordered))
+    return ordered[starts], np.minimum.reduceat(order, starts)
+
+
 def _first_repeat(values: np.ndarray) -> Optional[int]:
     """The lowest index whose value occurs at an earlier index, if any."""
-    if len(values) < 2 or (values[1:] > values[:-1]).all() or _first_of_runs(np.sort(values)).all():
+    if _ascending(values) or _first_of_runs(np.sort(values)).all():
         return None
     order = np.argsort(values, kind="stable")
     return int(order[~_first_of_runs(values[order])].min())
@@ -328,8 +352,27 @@ def gen_random_graph(n: int, m: int, seed: int, weighted: bool = False) -> Graph
     """Uniform simple graph with m edges; weights are a seeded permutation
     of 1..m when requested, so they are distinct by construction.
 
-    Codes in 0..n(n-1)/2 - 1 are drawn in batches and the first m distinct
-    ones, in draw order, are kept; edges come out sorted by code."""
+    Edge (v, u), v < u, is the code u(u-1)/2 + v in 0..n(n-1)/2 - 1. Codes
+    are drawn in batches of max(64, 1.3 * need) while fewer than m are
+    chosen, and each batch keeps its first ``need`` distinct codes not
+    chosen before, in draw order (all of them if it has fewer). Edges come
+    out sorted by code, that is by (u, v).
+
+    No batch is argsorted whole. Its first ``need`` draws are sorted in
+    place; dropping repeats and codes chosen before leaves the fresh codes
+    first drawn there, and all of them are kept, since there are at most
+    ``need`` and each is drawn before any code first drawn later. When m is
+    far below n(n-1)/2 few of those draws repeat, and the shortfall is
+    topped up from the draws that follow, in chunks that double in size:
+    each chunk finds its codes' first draws by an argsort and keeps, in
+    draw order, those not kept or chosen before, up to the shortfall.
+    Chunk by chunk this is the rule above, so the kept codes, and with them
+    the later batches, the edges and the weight permutation, are exactly
+    those of one first-occurrence pass over each whole batch. Doubling
+    keeps a batch that needs many chunks (near saturation) at
+    O(batch log batch); topping up by the shortfall alone and sorting again
+    would be quadratic there.
+    """
     limit = n * (n - 1) // 2
     if m > limit:
         raise ValueError(f"m={m} infeasible for n={n} (max {limit})")
@@ -338,29 +381,35 @@ def gen_random_graph(n: int, m: int, seed: int, weighted: bool = False) -> Graph
     while len(chosen) < m:
         need = m - len(chosen)
         draw = rng.integers(0, limit, size=max(64, int(need * 1.3)))
-        # Distinct codes of the batch with the index of their first draw.
-        order = np.argsort(draw)
-        draw = draw[order]
-        starts = np.flatnonzero(_first_of_runs(draw))
-        codes, first = draw[starts], np.minimum.reduceat(order, starts)
-        # Each batch's m-sized temporaries go as soon as they are used, so
-        # they do not stay alive through the next batch and the decode.
-        del draw, order, starts
+        head = draw[:need]
+        head.sort()
+        kept = head[_first_of_runs(head)]
         if len(chosen):
-            fresh = chosen[np.searchsorted(chosen, codes).clip(max=len(chosen) - 1)] != codes
+            kept = kept[_absent(chosen, kept)]
+        topped = np.zeros(0, dtype=np.int64)  # sorted
+        short = need - len(kept)
+        start, size = need, short
+        while short and start < len(draw):
+            codes, first = _first_draws(draw[start : start + size])
+            fresh = _absent(chosen, codes) & _absent(kept, codes) & _absent(topped, codes)
             codes, first = codes[fresh], first[fresh]
-        if len(codes) > need:
-            codes = codes[first <= np.partition(first, need - 1)[need - 1]]
-        del first
-        chosen = np.sort(np.concatenate((chosen, codes)))
-        del codes
-    # Decode code c into the pair v < u with c = u(u-1)/2 + v: u is the
-    # largest integer with u(u-1)/2 <= c. The float estimate is corrected
-    # exactly in integers.
-    u = ((1 + np.sqrt(1 + 8 * chosen.astype(np.float64))) // 2).astype(np.int64)
-    u -= u * (u - 1) // 2 > chosen
-    u += (u + 1) * u // 2 <= chosen
-    v = chosen - u * (u - 1) // 2
+            if len(codes) > short:
+                codes = codes[first <= np.partition(first, short - 1)[short - 1]]
+            topped = np.sort(np.concatenate((topped, codes)))
+            short -= len(codes)
+            start, size = start + size, 2 * size
+        del draw, head
+        chosen = np.concatenate((chosen, kept, topped))
+        del kept, topped
+        # Three sorted runs: the stable sort (timsort) merges them.
+        chosen.sort(kind="stable")
+    # Decode code c into the pair v < u with c = u(u-1)/2 + v: the codes of
+    # u lie in [u(u-1)/2, u(u+1)/2), found by one search of the sorted codes.
+    vertices = np.arange(n)
+    triangle = vertices * (vertices - 1) // 2
+    u = np.repeat(vertices, np.diff(np.searchsorted(chosen, triangle), append=m))
+    v = chosen  # decoded in place
+    v -= triangle[u]
     weights = rng.permutation(m) + 1 if weighted else None
     return Graph.from_arrays(n, v, u, weights)
 

@@ -227,3 +227,52 @@ def test_rooted_forest_rejects_cyclic_parents():
     # 0 is a root; 1 -> 2 -> 3 -> 1 reaches none.
     with pytest.raises(ValueError, match="^parent pointers contain a cycle$"):
         RootedForest([0, 2, 3, 1, 1])
+
+
+# sha256 over the src, dst and weight bytes of gen_random_graph(n, m, seed,
+# weighted) for seeds 1 and 7, unweighted then weighted, captured before the
+# generator's batches were sorted in place; equal digests mean the same
+# arrays and the same RNG state before the weight permutation. The sizes
+# run from complete graphs through near saturation to sparse ones.
+RANDOM_GRAPH_DIGESTS = {
+    (3, 3): "265ce1f6e6843d78f5503194d18dab7299c32e012449b41ced1f727e1a4a2af5",
+    (10, 45): "23dc6e4df4e578d3c0bcde236c9355b43bc902e91486b47abe1981fa05549bc0",
+    (60, 1770): "8265d166ea6449b0610f800389cfed642543f9b7188c21729b9cff14191d7d66",
+    (200, 19000): "fb8d67ed982b3714c5f8ca297669deba80af3545f0252b467511dc205f6c1a65",
+    (1024, 4096): "2ecc7595098cdc56151e3e4ddb15725582b8c53cb4bc21e1d3ea8a96118c99f5",
+    (8000, 24000): "5c8caacc0bc43ef116bf78c2d5f4d32bcbd3653d7a5a4ab9506cf4b96e28921c",
+    (20000, 200000): "70fcde9ea42fac0b45268e9b141d6acd0e26749ad7e98366030c51ed6312269e",
+}
+
+
+@pytest.mark.parametrize("n, m", list(RANDOM_GRAPH_DIGESTS))
+def test_gen_random_graph_draws_the_golden_arrays(n, m):
+    digest = hashlib.sha256()
+    for seed in (1, 7):
+        for weighted in (False, True):
+            g = gen_random_graph(n, m, seed, weighted)
+            digest.update(g.src.tobytes())
+            digest.update(g.dst.tobytes())
+            if weighted:
+                digest.update(g.weight.tobytes())
+    assert digest.hexdigest() == RANDOM_GRAPH_DIGESTS[n, m]
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 60])
+def test_gen_random_graph_with_every_pair_is_complete(n):
+    g = gen_random_graph(n, n * (n - 1) // 2, seed=7)
+    # Every code 0..n(n-1)/2 - 1 once, in code order: sorted by (u, v).
+    assert list(zip(g.src.tolist(), g.dst.tolist())) == [(v, u) for u in range(n) for v in range(u)]
+
+
+def test_validator_names_a_duplicate_in_edges_sorted_by_larger_endpoint():
+    # Sorted by (hi, lo): the duplicate (1, 3) is the fourth edge, and it
+    # breaks the strict ascent that proves the other pairs distinct.
+    src, dst = [0, 0, 1, 3, 2], [1, 3, 3, 1, 3]
+    with pytest.raises(GraphFormatError) as error:
+        Graph.from_arrays(4, src, dst)
+    assert str(error.value) == "duplicate edge (1, 3)"
+    g = Graph.from_arrays(4, src[:3] + src[4:], dst[:3] + dst[4:])
+    assert g.src.tolist() == [0, 0, 1, 2] and g.dst.tolist() == [1, 3, 3, 3]
+    with pytest.raises(GraphFormatError, match=r"^duplicate edge \(1, 3\)$"):
+        Graph.from_arrays(4, [2, 1, 0, 3, 0], [3, 3, 1, 1, 3])
