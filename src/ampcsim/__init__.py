@@ -1,6 +1,6 @@
 """Desk-scale simulator of the adaptive massively parallel computation model."""
 
-from .graphs import ComponentLabeling, Graph, RootedForest
+from .graphs import ComponentLabeling, Graph
 from .runtime import ModelConfig, Simulator
 
-__all__ = ["ComponentLabeling", "Graph", "ModelConfig", "RootedForest", "Simulator"]
+__all__ = ["ComponentLabeling", "Graph", "ModelConfig", "Simulator"]

@@ -59,7 +59,7 @@ class BCLabeling:
 def _tree_edges(rooted: RootedTour) -> tuple[np.ndarray, np.ndarray]:
     """Every non-root vertex and its parent."""
     child = np.flatnonzero(rooted.enter >= 0)
-    return child, rooted.tour.src[rooted.enter[child]]
+    return child, rooted.parent[child]
 
 
 def _pairs(u: np.ndarray, v: np.ndarray) -> set[tuple[int, int]]:
@@ -141,7 +141,7 @@ def bridges(bc: BCLabeling) -> set[tuple[int, int]]:
     labeling, and an edge is a bridge exactly when its endpoints lie in
     different 2-edge components.
     """
-    label = np.asarray(bc.labels.label)
+    label = bc.labels.label
     child, parent = _tree_edges(bc.rooted)
     cut = label[child] != label[parent]
     return _pairs(child[cut], parent[cut])
@@ -175,7 +175,7 @@ def articulation_points(bc: BCLabeling) -> set[int]:
     )
     block_result = connectivity(aux, bc.config)
     bc.simulators.append(block_result.simulator)
-    blocks = np.asarray(block_result.labeling.label)
+    blocks = block_result.labeling.label
 
     # The preorder-minimal vertex of each block of non-root vertices, and
     # how many blocks each vertex heads.

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import LeaderContractionError, NonTerminationError
-from .graphs import ComponentLabeling, Graph, _arcs, pair_keys, resolve_pointers, simple_graph, slot_keys
-from .primitives import contract_graph, mpc_argsort
+from .graphs import ComponentLabeling, Graph, _arcs, _rng, pair_keys, resolve_pointers, simple_graph, slot_keys
+from .primitives import _bulk_rounds, contract_graph, mpc_argsort
 from .runtime import ModelConfig, Simulator, _machines_of, item_coins, item_hash
 
 _MAIN_LOOP_CAP = 64
@@ -236,8 +236,11 @@ def reduction_step_cap(n: int) -> int:
 
 @dataclass
 class ReduceResult:
+    """The shrunk graph and the merge map onto it: ``mapping[v]`` is the
+    vertex of ``graph`` that input vertex v merged into, as an int64 array."""
+
     graph: Graph
-    mapping: list[int]
+    mapping: np.ndarray
     steps: int
     non_isolated_history: list[int]
 
@@ -264,7 +267,7 @@ def _shrink(
     target = max(1, math.ceil(n / max(1, math.ceil(math.log2(max(n, 2)))) ** 2))
     steps = 0
     cap = reduction_step_cap(n)
-    rounds = max(1, math.ceil(1.0 / config.epsilon))
+    rounds = _bulk_rounds(config.epsilon)
     while steps < cap and history[-1] > max(target, _REDUCTION_FLOOR):
         current, f = step(current, item_hash(config.seed, tag, steps))
         mapping = f[mapping]
@@ -272,7 +275,7 @@ def _shrink(
         history.append(_non_isolated(current))
         if sim is not None:
             sim.charge(rounds, history[-2] + 2 * current.m, label)
-    return ReduceResult(graph=current, mapping=mapping.tolist(), steps=steps, non_isolated_history=history)
+    return ReduceResult(graph=current, mapping=mapping, steps=steps, non_isolated_history=history)
 
 
 def reduce_small_space(
@@ -328,19 +331,20 @@ def _hook_to_leaders(
 
 def _leader_contract(
     current: Graph,
-    mapping: Sequence[int],
+    mapping: np.ndarray,
     config: ModelConfig,
     sim: Simulator,
     explore: Callable[[Graph, int], tuple[Graph, np.ndarray, np.ndarray, int]],
     tag: int,
-) -> tuple[list[int], int, BudgetSchedule]:
+) -> tuple[np.ndarray, int, BudgetSchedule]:
     """Explore, hook onto sampled leaders and contract until no edge is
     left. ``explore(current, d)`` returns the graph to contract, the reach
     as int64 pairs ``(heads, tails)``, where ``heads[i]`` reached
     ``tails[i]`` (the vertex itself not counted), and the exhaustion limit
     for the hook rule. Hooks and their chains resolve among the active
-    vertices only, so that work scales with the reach, not with n."""
-    mapping = np.asarray(mapping, dtype=np.int64)
+    vertices only, so that work scales with the reach, not with n.
+    ``mapping`` is the int64 merge map onto ``current``; the map onto the
+    final roots is returned."""
     schedule = BudgetSchedule.start(max(1, _non_isolated(current)), config)
     iterations = 0
     while current.m > 0:
@@ -358,7 +362,7 @@ def _leader_contract(
         mapping = rep[mapping]
         sim.charge(1, len(mapping), "map-compose")
         schedule.advance()
-    return mapping.tolist(), iterations, schedule
+    return mapping, iterations, schedule
 
 
 @dataclass
@@ -373,7 +377,7 @@ class ConnectivityResult:
 def connectivity(graph: Graph, config: ModelConfig) -> ConnectivityResult:
     """Component labels by iterated budgeted exploration and contraction."""
     sim = Simulator(config)
-    current, mapping, reduction = graph, list(range(graph.n)), None
+    current, mapping, reduction = graph, np.arange(graph.n), None
     if _is_sparse(graph):
         reduction = reduce_small_space(graph, config, sim)
         current, mapping = reduction.graph, reduction.mapping
@@ -516,7 +520,7 @@ def msf(graph: Graph, config: ModelConfig) -> MsfResult:
             commit(pointer_graph.weight[np.searchsorted(keys, pair_keys(g.n, tails, heads))])
         return contract_graph(g, f).value, f
 
-    current, mapping = graph, list(range(graph.n))
+    current, mapping = graph, np.arange(graph.n)
     if _is_sparse(graph):
         reduction = _shrink(graph, config, sim, boruvka_step, 0xB0, "boruvka-shrink")
         current, mapping = reduction.graph, reduction.mapping
@@ -543,10 +547,8 @@ def spanning_forest(
 ) -> tuple[set[tuple[int, int]], ComponentLabeling, MsfResult]:
     """Spanning forest via seeded distinct weights; also returns the full
     weighted result for callers that need the contraction metadata."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=config.seed & ((1 << 64) - 1), spawn_key=(0x5F,))
-    )
-    weighted = Graph.from_arrays(graph.n, graph.src, graph.dst, rng.permutation(graph.m) + 1)
+    weights = _rng(config.seed, 0x5F).permutation(graph.m) + 1
+    weighted = Graph.from_arrays(graph.n, graph.src, graph.dst, weights)
     result = msf(weighted, config)
     edges = {(u, v) for u, v, _ in result.edges}
     return edges, result.labeling, result

@@ -354,7 +354,7 @@ def label_cycles(
     labels[survivors] = survivors[resolve_pointers(np.searchsorted(survivors, stop_at))]
     chains.unwind(labels, lambda label, _weight: label)
     return CycleConnResult(
-        labeling=ComponentLabeling(labels.tolist()),
+        labeling=ComponentLabeling(labels),
         search_lengths=dict(zip(survivors.tolist(), steps.tolist())),
         residual_size=len(survivors),
         simulator=sim,

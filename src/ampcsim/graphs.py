@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -259,9 +259,14 @@ def _split(flat: list, counts: np.ndarray) -> list[list]:
 
 @dataclass
 class ComponentLabeling:
-    """Mapping from vertices to component representatives."""
+    """Component labels: ``label[v]`` is the representative of vertex v's
+    component, as an int64 array. The constructor converts any sequence of
+    ints once; every algorithm hands over its array as it is."""
 
-    label: list[int]
+    label: np.ndarray
+
+    def __post_init__(self):
+        self.label = np.asarray(self.label, dtype=np.int64)
 
     def canonical(self) -> list[int]:
         """Relabel by first occurrence so representative choice is immaterial."""
@@ -270,43 +275,21 @@ class ComponentLabeling:
     def canonical_array(self) -> np.ndarray:
         """``canonical()`` as an int64 array: each distinct representative
         is renumbered by the rank of its first occurrence."""
-        label = np.asarray(self.label, dtype=np.int64)
-        reps, first, which = np.unique(label, return_index=True, return_inverse=True)
+        reps, first, which = np.unique(self.label, return_index=True, return_inverse=True)
         rank = np.empty(len(reps), dtype=np.int64)
         rank[np.argsort(first)] = np.arange(len(reps))
         return rank[which]
 
     def same_component(self, u: int, v: int) -> bool:
-        return self.label[u] == self.label[v]
+        return bool(self.label[u] == self.label[v])
 
     def component_count(self) -> int:
-        return len(set(self.label))
+        return len(np.unique(self.label))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ComponentLabeling):
             return NotImplemented
         return np.array_equal(self.canonical_array(), other.canonical_array())
-
-
-@dataclass
-class RootedForest:
-    """Parent mapping with self-looped roots; acyclic apart from the roots."""
-
-    parent: list[int]
-    roots: set[int] = field(default_factory=set)
-
-    def __post_init__(self):
-        if not self.roots:
-            self.roots = {v for v, p in enumerate(self.parent) if p == v}
-        for r in self.roots:
-            if self.parent[r] != r:
-                raise ValueError(f"root {r} must be its own parent")
-        # Every vertex must reach a root: the pointers are acyclic exactly
-        # when every terminal cycle is a fixed point.
-        parent = np.asarray(self.parent, dtype=np.int64)
-        root = resolve_pointers(parent)
-        if (parent[root] != root).any():
-            raise ValueError("parent pointers contain a cycle")
 
 
 def resolve_pointers(ptr: np.ndarray) -> np.ndarray:
@@ -327,8 +310,10 @@ def resolve_pointers(ptr: np.ndarray) -> np.ndarray:
     return low[jump]
 
 
-def _rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed & ((1 << 64) - 1), spawn_key=(tag,)))
+def _rng(seed: int, *tags: int) -> np.random.Generator:
+    """The generator seeded by ``seed`` (taken mod 2**64) and spawn key
+    ``tags``: one independent stream per tag tuple."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed & ((1 << 64) - 1), spawn_key=tags))
 
 
 def gen_cycles(n: int, pieces: int, seed: int) -> Graph:

@@ -25,7 +25,7 @@ from . import contraction as contr_mod
 from . import mis as mis_mod
 from . import trees as trees_mod
 from .errors import LeaderContractionError
-from .graphs import ComponentLabeling, Graph, gen_cycles, gen_random_forest, gen_random_graph, pair_keys
+from .graphs import Graph, _rng, gen_cycles, gen_random_forest, gen_random_graph, pair_keys
 from .oracles import (
     compare_labelings,
     kruskal_msf,
@@ -203,8 +203,7 @@ def _run_forest_conn(spec: ExperimentSpec, seed: int):
 
 
 def _run_list_rank(spec: ExperimentSpec, seed: int):
-    rng = np.random.default_rng(np.random.SeedSequence(seed & ((1 << 64) - 1), spawn_key=(0x1A,)))
-    order = rng.permutation(spec.n)
+    order = _rng(seed, 0x1A).permutation(spec.n)
     succ = np.full(spec.n, -1, dtype=np.int64)
     succ[order[:-1]] = order[1:]
     head = int(order[0])
@@ -219,32 +218,38 @@ def _run_tree_ops(spec: ExperimentSpec, seed: int):
     cfg = spec.config(seed, m=max(1, g.m))
     rooted = trees_mod.root_forest(g, config=cfg)
     pn, sizes = trees_mod.preorder_and_sizes(rooted)
-    rng = np.random.default_rng(np.random.SeedSequence(seed & ((1 << 64) - 1), spawn_key=(0x1B,)))
-    values = rng.integers(-(10**6), 10**6, size=g.n).tolist()
+    rng = _rng(seed, 0x1B)
+    values = rng.integers(-(10**6), 10**6, size=g.n)
     smm = trees_mod.SubtreeMinMax(rooted, pn, sizes, values, values)
 
+    # Each tree against one DFS from its root; the oracle's dicts share one
+    # key order, the tree's preorder.
     correct = True
-    for root in rooted.forest.roots:
+    children: list[list[int]] = [[] for _ in range(g.n)]
+    for root in rooted.roots.tolist():
         parent, want_pn, want_sizes = seq_dfs_tree(g, root)
-        for v in np.flatnonzero(rooted.tree_of == root).tolist():
-            if rooted.forest.parent[v] != parent[v] or pn[v] != want_pn[v] or sizes[v] != want_sizes[v]:
-                correct = False
-    # Spot-check subtree min/max on sampled vertices via a DFS oracle.
-    children: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for v in range(g.n):
-        p = rooted.forest.parent[v]
-        if p != v:
-            children[p].append(v)
-    sample = [int(v) for v in rng.choice(g.n, size=min(g.n, 64), replace=False)]
-    for v, got in zip(sample, zip(*smm.query(sample))):
+        members = np.fromiter(parent, dtype=np.int64, count=len(parent))
+        correct &= (
+            np.array_equal(np.sort(members), np.flatnonzero(rooted.tree_of == root))
+            and np.array_equal(rooted.parent[members], np.fromiter(parent.values(), dtype=np.int64))
+            and np.array_equal(pn[members], np.fromiter(want_pn.values(), dtype=np.int64))
+            and np.array_equal(sizes[members], np.fromiter(want_sizes.values(), dtype=np.int64))
+        )
+        for v, p in parent.items():
+            if p != v:
+                children[p].append(v)
+    # Spot-check subtree min/max on sampled vertices against the DFS trees.
+    sample = rng.choice(g.n, size=min(g.n, 64), replace=False)
+    listed = values.tolist()
+    for v, got in zip(sample.tolist(), zip(*smm.query(sample))):
         stack, vals = [v], []
         while stack:
             x = stack.pop()
-            vals.append(values[x])
+            vals.append(listed[x])
             stack.extend(children[x])
         if got != (min(vals), max(vals)):
             correct = False
-    return correct, rooted.simulators, {"trees": len(rooted.forest.roots)}
+    return correct, rooted.simulators, {"trees": len(rooted.roots)}
 
 
 def _run_bridges(spec: ExperimentSpec, seed: int):
@@ -468,10 +473,7 @@ def contention_sim(
     arr = np.asarray(weights, dtype=np.int64)
     max_loads: list[int] = []
     for trial in range(trials):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed & ((1 << 64) - 1), spawn_key=(0xBB, trial))
-        )
-        targets = rng.integers(0, bins, size=len(arr))
+        targets = _rng(seed, 0xBB, trial).integers(0, bins, size=len(arr))
         loads = np.bincount(targets, weights=arr, minlength=bins)
         max_loads.append(int(loads.max()))
     exceedance = {

@@ -105,7 +105,7 @@ def uf_components(graph: Graph) -> ComponentLabeling:
                 if np.array_equal(jumped, f):
                     break
                 f = jumped
-    return ComponentLabeling(f.tolist())
+    return ComponentLabeling(f)
 
 
 def bfs_components(graph: Graph) -> ComponentLabeling:
@@ -268,47 +268,33 @@ def seq_list_rank(successor: np.ndarray, head: int) -> np.ndarray:
 def seq_dfs_tree(
     graph: Graph, root: int
 ) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-    """Parents, preorder numbers, and subtree sizes of one tree by DFS.
+    """Parents, preorder numbers, and subtree sizes of one tree by DFS, as
+    three dicts over the tree's vertices, each keyed in preorder.
 
     Child order matches the simulator's tour rotation: neighbors ascending,
-    starting just after the parent's position (cyclically).
+    starting just after the parent's position (cyclically). One walk finds
+    parents and preorder; sizes are then summed in reverse preorder, each
+    vertex's into its parent's.
     """
     adj = graph.adjacency()
     parent = {root: root}
-    stack = [(root, -1)]
+    order = []
+    stack = [root]
     while stack:
-        v, came_from = stack.pop()
+        v = stack.pop()
+        order.append(v)
         neighbors = adj[v]
-        if came_from >= 0:
-            pivot = neighbors.index(came_from)
-            rotation = neighbors[pivot + 1 :] + neighbors[:pivot]
+        if v == root:
+            rotation = neighbors
         else:
-            rotation = list(neighbors)
+            pivot = neighbors.index(parent[v])
+            rotation = neighbors[pivot + 1 :] + neighbors[:pivot]
         # Push in reverse so the first child in rotation order pops first.
         for w in reversed(rotation):
             if w not in parent:
                 parent[w] = v
-                stack.append((w, v))
-    preorder = {}
-    sizes = {}
-    counter = 0
-    stack2: list[tuple[int, int, bool]] = [(root, -1, False)]
-    post: list[int] = []
-    while stack2:
-        v, came_from, processed = stack2.pop()
-        if processed:
-            sizes[v] = 1 + sum(sizes[w] for w in adj[v] if parent.get(w) == v and w != v)
-            continue
-        preorder[v] = counter
-        counter += 1
-        stack2.append((v, came_from, True))
-        neighbors = adj[v]
-        if came_from >= 0:
-            pivot = neighbors.index(came_from)
-            rotation = neighbors[pivot + 1 :] + neighbors[:pivot]
-        else:
-            rotation = list(neighbors)
-        for w in reversed(rotation):
-            if parent.get(w) == v and w != v:
-                stack2.append((w, v, False))
-    return parent, preorder, sizes
+                stack.append(w)
+    sizes = dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):
+        sizes[parent[v]] += sizes[v]
+    return {v: parent[v] for v in order}, {v: i for i, v in enumerate(order)}, sizes

@@ -47,6 +47,14 @@ def mpc_argsort(keys: np.ndarray, *, epsilon: float) -> ChargedResult[np.ndarray
     return ChargedResult(np.argsort(keys, kind="stable"), _bulk_rounds(epsilon), 2 * len(keys))
 
 
+def mpc_cumsum(values: np.ndarray, *, epsilon: float) -> ChargedResult[np.ndarray]:
+    """Exclusive prefix sums of an integer or boolean array, as int64;
+    the array form of ``mpc_prefix_sum`` under ``+``, charged the same."""
+    prefix = np.zeros(len(values), dtype=np.int64)
+    np.cumsum(values[:-1], out=prefix[1:])
+    return ChargedResult(prefix, _bulk_rounds(epsilon), 2 * len(values))
+
+
 def mpc_filter(
     items: Sequence[T],
     predicate: Callable[[T], bool],
@@ -139,8 +147,12 @@ class RMQIndex:
         return float(self.query(i, j)[1])
 
 
-def rmq_build(values: Sequence[float], *, epsilon: float) -> ChargedResult[RMQIndex]:
-    return ChargedResult(RMQIndex(values), _bulk_rounds(epsilon), max(1, len(values)))
+def rmq_build(
+    values: Sequence[float], *, epsilon: float, max_values: Optional[Sequence[float]] = None
+) -> ChargedResult[RMQIndex]:
+    """The ``RMQIndex`` of ``values`` (and ``max_values``), charged
+    ceil(1/epsilon) rounds and communication max(1, len) for both tables."""
+    return ChargedResult(RMQIndex(values, max_values), _bulk_rounds(epsilon), max(1, len(values)))
 
 
 def rmq_query(index: RMQIndex, i: int, j: int) -> ChargedResult[float]:

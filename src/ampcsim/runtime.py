@@ -30,9 +30,10 @@ A round runs in one of two ways:
 
 Either way one query costs one unit of its machine's communication and one
 write costs one, and both are budgeted at ``budget_slack * space_S`` per
-machine and round. Every round closes through one path: the new
-generation is sealed, per-machine counts go to ``RoundMetrics``, and
-violations are recorded (and raised under ``strict_budget``).
+machine and round. A round closes by sealing the new generation; then it,
+like a charged round (``Simulator.charge``), is recorded through one path:
+per-machine counts go to ``RoundMetrics``, and violations are recorded (and
+raised under ``strict_budget``).
 """
 
 from __future__ import annotations
@@ -467,70 +468,50 @@ class Simulator:
         without an exception."""
         batch = BatchRound(self)
         yield batch
-        self._close_round(
-            batch._generation(self.round_index + 1), batch.queries.tolist(), batch.writes.tolist()
-        )
-
-    def _close_round(self, new_store: ArrayGeneration, queries: list[int], writes: list[int]) -> RoundMetrics:
-        round_index = self.round_index + 1
-        self.stores.append(new_store)
-        self.round_index = round_index
-        limit = self.config.budget_limit
-        violations = [
-            mid
-            for mid, (q, w) in enumerate(zip(queries, writes))
-            if q > limit or w > limit
-        ]
-        metrics = RoundMetrics(
-            round=round_index,
-            queries_per_machine=queries,
-            writes_per_machine=writes,
-            max_queries=max(queries),
-            max_writes=max(writes),
-            total_communication=sum(queries) + sum(writes),
-            violations=violations,
-        )
-        self.metrics.append(metrics)
-        if violations and self.config.strict_budget:
-            raise BudgetViolationError(
-                round_index,
-                [(mid, queries[mid], writes[mid]) for mid in violations],
-            )
-        return metrics
+        self.stores.append(batch._generation(self.round_index + 1))
+        self.round_index += 1
+        self._record(self.round_index, batch.queries.tolist(), batch.writes.tolist())
 
     def charge(self, rounds: int, communication: int, label: str = "") -> None:
         """Account for a centrally-computed primitive.
 
         The documented round and communication costs are recorded as if the
-        work had been spread uniformly over the machines.
+        work had been spread uniformly over the machines. Charged rounds
+        carry the current round index and seal no generation.
         """
         rounds = max(1, rounds)
         p = self.config.machines_P
         per_round = max(0, communication) // rounds
         for i in range(rounds):
             comm = per_round if i < rounds - 1 else communication - per_round * (rounds - 1)
-            per_machine = comm // p
-            extra = comm - per_machine * p
-            counts = [per_machine + (1 if mid < extra else 0) for mid in range(p)]
-            limit = self.config.budget_limit
-            violations = [mid for mid, q in enumerate(counts) if q > limit]
-            self.metrics.append(
-                RoundMetrics(
-                    round=self.round_index,
-                    queries_per_machine=counts,
-                    writes_per_machine=[0] * p,
-                    max_queries=max(counts),
-                    max_writes=0,
-                    total_communication=comm,
-                    violations=violations,
-                    charged=True,
-                    label=label,
-                )
-            )
-            if violations and self.config.strict_budget:
-                raise BudgetViolationError(
-                    self.round_index, [(mid, counts[mid], 0) for mid in violations]
-                )
+            per_machine, extra = divmod(comm, p)
+            counts = [per_machine + 1] * extra + [per_machine] * (p - extra)
+            self._record(self.round_index, counts, [0] * p, charged=True, label=label)
+
+    def _record(
+        self, round_index: int, queries: list[int], writes: list[int], charged: bool = False, label: str = ""
+    ) -> None:
+        """Append one round's metrics, adaptive or charged, recording every
+        machine over its budget (and raising under ``strict_budget``)."""
+        limit = self.config.budget_limit
+        max_queries, max_writes = max(queries), max(writes)
+        violations = []
+        if max_queries > limit or max_writes > limit:
+            violations = [mid for mid, (q, w) in enumerate(zip(queries, writes)) if q > limit or w > limit]
+        metrics = RoundMetrics(
+            round=round_index,
+            queries_per_machine=queries,
+            writes_per_machine=writes,
+            max_queries=max_queries,
+            max_writes=max_writes,
+            total_communication=sum(queries) + sum(writes),
+            violations=violations,
+            charged=charged,
+            label=label,
+        )
+        self.metrics.append(metrics)
+        if violations and self.config.strict_budget:
+            raise BudgetViolationError(round_index, [(mid, queries[mid], writes[mid]) for mid in violations])
 
     def adaptive_rounds(self) -> int:
         return sum(1 for m in self.metrics if not m.charged)

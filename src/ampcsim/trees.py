@@ -7,9 +7,14 @@ into one closed tour. The tour also checks its input: the input is a
 forest exactly when its tour has one cycle per tree (see ``euler_tour``),
 so no separate acyclicity pass runs. Rooting breaks the tour at an edge
 incident to the root, ranks the resulting list, and classifies each twin
-pair by rank order (the parent-to-child occurrence ranks lower). The tour
-and every annotation are int64 arrays, indexed by directed edge or by
-vertex.
+pair by rank order (the parent-to-child occurrence ranks lower). The
+rooted forest is those tour arrays: each vertex's entering edge, the
+forward edge from its parent, gives its parent, and the vertices with no
+entering edge are the roots. The parent map needs no acyclicity check,
+since a parent's entering edge ranks before its child's. Preorder numbers
+and subtree sizes come from one prefix sum over the ranked tours that
+weighs forward edges 1 and reverse edges 0. The tour and every annotation
+are int64 arrays, indexed by directed edge or by vertex.
 
 Annotations work on the whole forest at once and are charged per batch,
 not per tree or per vertex: in the AMPC model every machine of a round
@@ -19,8 +24,6 @@ tours and any batch of independent subtree queries costs one round.
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,8 +31,8 @@ import numpy as np
 
 from .contraction import CycleConnResult, label_cycles, rank_lists
 from .errors import StructureError
-from .graphs import ComponentLabeling, Graph, RootedForest, resolve_pointers
-from .primitives import RMQIndex, mpc_prefix_sum
+from .graphs import ComponentLabeling, Graph, resolve_pointers
+from .primitives import mpc_cumsum, rmq_build
 from .runtime import ModelConfig, Simulator
 
 
@@ -101,7 +104,7 @@ def _tour_connectivity(
     tour: EulerTour, config: ModelConfig
 ) -> tuple[ComponentLabeling, Optional[CycleConnResult]]:
     if tour.size == 0:
-        return ComponentLabeling(list(range(tour.n))), None
+        return ComponentLabeling(np.arange(tour.n)), None
     sub_config = ModelConfig.for_graph(
         n=tour.size,
         m=tour.size,
@@ -117,18 +120,18 @@ def _tour_connectivity(
     res = label_cycles(tour.succ, pred, sub_config)
     # Reduce each edge component to its minimum vertex id; every vertex of a
     # tree with edges is the source of one of its tour's edges.
-    edge_label = np.asarray(res.labeling.label, dtype=np.int64)
+    edge_label = res.labeling.label
     rep_vertex = np.full(tour.size, tour.n, dtype=np.int64)
     np.minimum.at(rep_vertex, edge_label, tour.src)
     res.simulator.charge(1, tour.size, "component-min")
     label = np.arange(tour.n)
     label[tour.src] = rep_vertex[edge_label]
-    return ComponentLabeling(label.tolist()), res
+    return ComponentLabeling(label), res
 
 
 @dataclass
 class RootedTour:
-    """Ranked, oriented Euler tour plus the parent map it induces.
+    """Ranked, oriented Euler tour: the rooted forest as int64 arrays.
 
     Arrays over directed edges: ``rank`` is the edge's position in its
     tree's tour list, which starts at the root's edge to its lowest
@@ -136,6 +139,9 @@ class RootedTour:
     vertices: ``tree_of`` is the vertex's root and ``enter`` its entering
     edge (the forward edge parent -> v), -1 at roots. Laying the edges out
     by (tree_of, rank) gives every tree's tour in order, trees end to end.
+    Both remaining arrays are read off ``enter``: ``parent`` is the source
+    of the entering edge, and a root is its own parent; ``roots`` are the
+    vertices with no entering edge, ascending.
 
     ``simulators`` holds every simulator rooting ran, in order: forest
     connectivity when no roots were supplied, then list ranking.
@@ -144,11 +150,12 @@ class RootedTour:
     """
 
     tour: EulerTour
-    forest: RootedForest
     rank: np.ndarray
     forward: np.ndarray
     tree_of: np.ndarray
     enter: np.ndarray
+    parent: np.ndarray
+    roots: np.ndarray
     config: ModelConfig
     simulators: list[Simulator]
 
@@ -224,11 +231,12 @@ def root_forest(
 
     return RootedTour(
         tour=tour,
-        forest=RootedForest(parent=parent.tolist(), roots=set(roots.tolist())),
         rank=rank,
         forward=forward,
         tree_of=tree_of,
         enter=enter,
+        parent=parent,
+        roots=np.flatnonzero(enter < 0),
         config=config,
         simulators=simulators,
     )
@@ -248,13 +256,10 @@ def preorder_and_sizes(rooted: RootedTour) -> tuple[np.ndarray, np.ndarray]:
     tour, n = rooted.tour, rooted.tour.n
     tree = rooted.tree_of[tour.src]
     order = np.lexsort((rooted.rank, tree))
-    scan = mpc_prefix_sum(
-        rooted.forward[order].astype(np.int64).tolist(), operator.add, 0,
-        epsilon=rooted.config.epsilon,
-    )
+    scan = mpc_cumsum(rooted.forward[order], epsilon=rooted.config.epsilon)
     rooted.charge(scan.rounds_charged, scan.communication_charged, "tour-prefix")
     prefix = np.empty(tour.size, dtype=np.int64)
-    prefix[order] = [p for _, p in scan.value]
+    prefix[order] = scan.value
     # A tree's tour starts at its rank-0 edge.
     first = rooted.rank == 0
     tree_start = np.zeros(n, dtype=np.int64)
@@ -298,10 +303,13 @@ class SubtreeMinMax:
         self._first = np.empty(n, dtype=np.int64)
         self._first[layout] = np.arange(n)
         self._last = self._first + sizes - 1
-        self._index = RMQIndex(np.asarray(min_values)[layout], np.asarray(max_values)[layout])
-        # rmq_build's cost, charged once for both tables.
-        rounds = max(1, math.ceil(1.0 / rooted.config.epsilon))
-        rooted.charge(rounds, max(1, n), "rmq-build")
+        build = rmq_build(
+            np.asarray(min_values)[layout],
+            max_values=np.asarray(max_values)[layout],
+            epsilon=rooted.config.epsilon,
+        )
+        rooted.charge(build.rounds_charged, build.communication_charged, "rmq-build")
+        self._index = build.value
 
     def query(self, vertices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Subtree minima and subtree maxima of the vertices, in order."""

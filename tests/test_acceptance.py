@@ -203,10 +203,10 @@ def test_criterion_07_list_ranking_and_tree_ops():
             cfg = ModelConfig.for_graph(n=n, m=max(1, g.m), epsilon=0.5, seed=trial)
             rooted = root_forest(g, config=cfg)
             pn, sizes = preorder_and_sizes(rooted)
-            for root in rooted.forest.roots:
+            for root in rooted.roots:
                 parent, want_pn, want_sizes = seq_dfs_tree(g, root)
                 members = [v for v in range(n) if rooted.tree_of[v] == root]
-                got_pairs = {(v, rooted.forest.parent[v]) for v in members}
+                got_pairs = {(v, rooted.parent[v]) for v in members}
                 want_pairs = {(v, parent[v]) for v in members}
                 assert got_pairs == want_pairs
                 for v in members:
@@ -216,7 +216,7 @@ def test_criterion_07_list_ranking_and_tree_ops():
             smm = SubtreeMinMax(rooted, pn, sizes, values, values)
             children = {v: [] for v in range(n)}
             for v in range(n):
-                p = rooted.forest.parent[v]
+                p = rooted.parent[v]
                 if p != v:
                     children[p].append(v)
             sample = rng.sample(range(n), min(n, 32))

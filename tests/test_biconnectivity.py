@@ -90,7 +90,7 @@ def test_critical_interval_matches_subtree_scan_oracle():
         g = gen_random_graph(40, 60, seed=seed + 3)
         bc = bc_labeling(g, cfg_for(g, seed=seed))
         pn, sizes = bc.preorder, bc.sizes
-        parent = bc.rooted.forest.parent
+        parent = bc.rooted.parent
         tree_of = bc.rooted.tree_of
         for v in range(g.n):
             p = parent[v]
@@ -127,7 +127,7 @@ def test_calibration_freezes_unique_convention():
     def check(g, seed):
         bc = bc_labeling(g, cfg_for(g, seed=seed))
         want, _ = tarjan_bridges_aps(g)
-        pn, sizes, parent = bc.preorder, bc.sizes, bc.rooted.forest.parent
+        pn, sizes, parent = bc.preorder, bc.sizes, bc.rooted.parent
         tree_edges = [(v, parent[v]) for v in range(g.n) if parent[v] != v]
         for parent_base, incl in survivors:
             if not survivors[(parent_base, incl)]:
@@ -192,8 +192,8 @@ def test_bc_rooting_matches_root_forest_without_roots():
             bas_min[u], bas_max[u] = min(bas_min[u], pn[v]), max(bas_max[u], pn[v])
             bas_min[v], bas_max[v] = min(bas_min[v], pn[u]), max(bas_max[v], pn[u])
         low, high = SubtreeMinMax(rooted, pn, sizes, bas_min, bas_max).query(range(g.n))
-        assert bc.rooted.forest.parent == rooted.forest.parent
-        assert bc.rooted.forest.roots == rooted.forest.roots
+        assert bc.rooted.parent.tolist() == rooted.parent.tolist()
+        assert bc.rooted.roots.tolist() == rooted.roots.tolist()
         for got, want in ((bc.preorder, pn), (bc.sizes, sizes), (bc.low, low), (bc.high, high)):
             assert got.tolist() == want.tolist()
 

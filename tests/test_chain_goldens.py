@@ -83,7 +83,7 @@ def _two_cycle(name):
 def _cycle_conn(name):
     kw = {"cycle_conn_a": {}, "cycle_conn_b": dict(shrink_iterations=0)}[name]
     r = cycle_conn(cycles_with_extras(), cfg(158, 6), **kw)
-    return _digest([r.simulator], (r.labeling.label, sorted(r.search_lengths.items()), r.residual_size))
+    return _digest([r.simulator], (r.labeling.label.tolist(), sorted(r.search_lengths.items()), r.residual_size))
 
 
 def _shrink(name):
@@ -110,7 +110,7 @@ def _forest_conn(name):
     g, seed = {"forest_conn_a": (gen_random_forest(300, 4, seed=2), 2),
                "forest_conn_b": (gen_random_forest(120, 30, seed=8), 8)}[name]
     labeling, r = forest_connectivity(g, cfg(g.n, seed, m=max(1, g.m)))
-    return _digest([r.simulator], labeling.label)
+    return _digest([r.simulator], labeling.label.tolist())
 
 
 def _root_forest(name):
@@ -126,7 +126,7 @@ def _root_forest(name):
         roots = sorted(best.values())
     rooted = root_forest(g, roots=roots, config=cfg(g.n, seed, m=max(1, g.m)))
     pn, sizes = preorder_and_sizes(rooted)
-    return _digest(rooted.simulators, (rooted.forest.parent, rooted.rank.tolist(), pn.tolist(), sizes.tolist()))
+    return _digest(rooted.simulators, (rooted.parent.tolist(), rooted.rank.tolist(), pn.tolist(), sizes.tolist()))
 
 
 RUNS = {

@@ -89,20 +89,20 @@ def _msf_increase_degree(name):
 def _connectivity(name):
     g = {"connectivity_sparse": sparse, "connectivity_dense": dense}[name]()
     r = with_leader_retries(lambda s: connectivity(g, cfg(g, s)), 11)
-    return _digest(r.simulator, (r.labeling.label, r.iterations, r.schedule.history))
+    return _digest(r.simulator, (r.labeling.label.tolist(), r.iterations, r.schedule.history))
 
 
 def _msf(name):
     g = {"msf_sparse": sparse, "msf_dense": dense}[name](weighted=True)
     r = with_leader_retries(lambda s: msf(g, cfg(g, s)), 12)
     return _digest(r.simulator, (sorted(r.edges), r.iterations, [sorted(b) for b in r.committed_per_iteration],
-                                 r.labeling.label, r.schedule.history))
+                                 r.labeling.label.tolist(), r.schedule.history))
 
 
 def _spanning_forest(name):
     g = sparse()
     edges, labeling, r = with_leader_retries(lambda s: spanning_forest(g, cfg(g, s)), 13)
-    return _digest(r.simulator, (sorted(edges), labeling.label, r.iterations))
+    return _digest(r.simulator, (sorted(edges), labeling.label.tolist(), r.iterations))
 
 
 def _mis(name):

@@ -250,7 +250,7 @@ def test_reduce_small_space_empty_graph():
     g = Graph(10, [])
     red = reduce_small_space(g, config_for(g))
     assert red.steps == 0
-    assert red.mapping == list(range(10))
+    assert red.mapping.tolist() == list(range(10))
 
 
 def test_reduce_small_space_shrinks_vertex_count():

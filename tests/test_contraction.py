@@ -310,4 +310,4 @@ def test_chain_engine_runs_no_machine_programs(monkeypatch):
     assert list_ranking(np.array([2, -1, 1]), 0, cycle_config(3)).ranks.tolist() == [0, 2, 1]
     forest = gen_random_forest(60, 3, seed=1)
     rooted = root_forest(forest)  # forest connectivity over the tours, then list ranking
-    assert len(rooted.simulators) == 2 and len(rooted.forest.roots) == 3
+    assert len(rooted.simulators) == 2 and len(rooted.roots) == 3

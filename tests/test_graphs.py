@@ -7,14 +7,17 @@ import pytest
 from ampcsim.graphs import (
     Graph,
     GraphFormatError,
-    RootedForest,
     gen_cycles,
     gen_random_forest,
     gen_random_graph,
     read_graph,
     write_graph,
 )
+from ampcsim.connectivity import connectivity, msf, reduce_small_space, spanning_forest
+from ampcsim.contraction import cycle_conn
 from ampcsim.oracles import uf_components
+from ampcsim.runtime import ModelConfig
+from ampcsim.trees import forest_connectivity, root_forest
 
 
 def test_graph_rejects_self_loop_and_duplicate():
@@ -213,22 +216,6 @@ def test_generators_draw_the_golden_graphs(make, digest):
     assert hashlib.sha256(repr(list(edges)).encode()).hexdigest() == digest
 
 
-def test_rooted_forest_finds_roots_and_accepts_deep_chains():
-    parent = list(range(1, 500)) + [499, 500]  # a 500-vertex path, plus a lone root
-    assert RootedForest(parent).roots == {499, 500}
-
-
-def test_rooted_forest_rejects_a_root_that_is_not_its_own_parent():
-    with pytest.raises(ValueError, match="^root 1 must be its own parent$"):
-        RootedForest([0, 0, 1], roots={0, 1})
-
-
-def test_rooted_forest_rejects_cyclic_parents():
-    # 0 is a root; 1 -> 2 -> 3 -> 1 reaches none.
-    with pytest.raises(ValueError, match="^parent pointers contain a cycle$"):
-        RootedForest([0, 2, 3, 1, 1])
-
-
 # sha256 over the src, dst and weight bytes of gen_random_graph(n, m, seed,
 # weighted) for seeds 1 and 7, unweighted then weighted, captured before the
 # generator's batches were sorted in place; equal digests mean the same
@@ -276,3 +263,31 @@ def test_validator_names_a_duplicate_in_edges_sorted_by_larger_endpoint():
     assert g.src.tolist() == [0, 0, 1, 2] and g.dst.tolist() == [1, 3, 3, 3]
     with pytest.raises(GraphFormatError, match=r"^duplicate edge \(1, 3\)$"):
         Graph.from_arrays(4, [2, 1, 0, 3, 0], [3, 3, 1, 1, 3])
+
+
+def test_results_are_int64_arrays():
+    # Labels, merge maps and parent maps pass between stages as int64
+    # arrays, with no list round trip.
+    def is_int64(x):
+        return isinstance(x, np.ndarray) and x.dtype == np.int64
+
+    g = gen_random_graph(300, 600, seed=2)
+    cfg = ModelConfig.for_graph(n=g.n, m=g.m, seed=2)
+    weighted = gen_random_graph(300, 600, seed=2, weighted=True)
+    forest = gen_random_forest(200, 3, seed=2)
+    forest_cfg = ModelConfig.for_graph(n=forest.n, m=forest.m, seed=2)
+    cycles = gen_cycles(64, 2, seed=2)
+    labelings = {
+        "connectivity": connectivity(g, cfg).labeling,
+        "msf": msf(weighted, cfg).labeling,
+        "spanning_forest": spanning_forest(g, cfg)[1],
+        "forest_connectivity": forest_connectivity(forest, forest_cfg)[0],
+        "cycle_conn": cycle_conn(cycles, ModelConfig.for_graph(n=64, m=64, seed=2)).labeling,
+        "uf_components": uf_components(g),
+    }
+    for name, labeling in labelings.items():
+        assert is_int64(labeling.label), name
+    assert is_int64(reduce_small_space(g, cfg).mapping)
+    rooted = root_forest(forest, config=forest_cfg)
+    assert is_int64(rooted.parent) and is_int64(rooted.roots)
+    assert rooted.roots.tolist() == np.flatnonzero(rooted.parent == np.arange(forest.n)).tolist()

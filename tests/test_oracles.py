@@ -77,7 +77,7 @@ def permuted_path(n, seed):
 )
 def test_uf_components_two_routes(graph):
     got = uf_components(graph)
-    assert got.label == union_find_labeling(graph)
+    assert got.label.tolist() == union_find_labeling(graph)
     assert compare_labelings(got, bfs_components(graph)).match
 
 

@@ -9,6 +9,7 @@ from ampcsim.graphs import Graph, GraphFormatError
 from ampcsim.primitives import (
     contract_graph,
     mpc_argsort,
+    mpc_cumsum,
     mpc_dedup,
     mpc_filter,
     mpc_predecessor,
@@ -72,6 +73,15 @@ def test_prefix_sum_examples():
 
 
 @given(st.lists(st.integers(-100, 100), max_size=80))
+def test_cumsum_matches_prefix_sum_and_its_charge(xs):
+    got = mpc_cumsum(np.array(xs, dtype=np.int64), epsilon=EPS)
+    want = mpc_prefix_sum(xs, lambda a, b: a + b, 0, epsilon=EPS)
+    assert got.value.dtype == np.int64
+    assert got.value.tolist() == [p for _, p in want.value]
+    assert (got.rounds_charged, got.communication_charged) == (want.rounds_charged, want.communication_charged)
+
+
+@given(st.lists(st.integers(-100, 100), max_size=80))
 def test_prefix_max_matches_running_oracle(xs):
     out = mpc_prefix_sum(xs, max, -(10**9), epsilon=EPS).value
     running = -(10**9)
@@ -113,6 +123,13 @@ def test_rmq_examples():
     assert rmq_query_max(idx, 0, 4).value == 5
     assert rmq_build([3, 1], epsilon=EPS).rounds_charged == 2
     assert rmq_query(idx, 0, 0).rounds_charged == 1
+
+
+def test_rmq_build_takes_a_separate_max_table():
+    built = rmq_build([3, 1, 2], max_values=[0, 5, 4], epsilon=EPS)
+    assert (built.rounds_charged, built.communication_charged) == (2, 3)
+    lo, hi = built.value.query([0, 2], [2, 2])
+    assert (lo.tolist(), hi.tolist()) == ([1, 2], [5, 4])
 
 
 def test_rmq_range_errors():

@@ -115,14 +115,14 @@ def test_euler_tour_closed_per_tree_random():
 def test_root_forest_single_edge():
     g = Graph(2, [(0, 1)])
     rooted = root_forest(g, roots=[0], config=cfg_for(g))
-    assert rooted.forest.parent == [0, 0]
-    assert rooted.forest.roots == {0}
+    assert rooted.parent.tolist() == [0, 0]
+    assert rooted.roots.tolist() == [0]
 
 
 def test_root_forest_star():
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     rooted = root_forest(g, roots=[0], config=cfg_for(g))
-    assert rooted.forest.parent == [0, 0, 0, 0, 0]
+    assert rooted.parent.tolist() == [0, 0, 0, 0, 0]
 
 
 def test_root_forest_forward_before_reverse():
@@ -150,10 +150,10 @@ def test_root_forest_matches_dfs_oracle():
         g = gen_random_forest(150, 1 + seed % 3, seed=seed)
         cfg = cfg_for(g, seed=seed)
         rooted = root_forest(g, config=cfg)
-        for root in rooted.forest.roots:
+        for root in rooted.roots:
             members = [v for v in range(g.n) if rooted.tree_of[v] == root]
             parent, _, _ = seq_dfs_tree(g, root)
-            got = {(v, rooted.forest.parent[v]) for v in members}
+            got = {(v, rooted.parent[v]) for v in members}
             want = {(v, parent[v]) for v in members}
             assert got == want
 
@@ -182,7 +182,7 @@ def test_annotations_match_dfs_oracle_random():
         cfg = cfg_for(g, seed=seed)
         rooted = root_forest(g, config=cfg)
         pn, sizes = preorder_and_sizes(rooted)
-        for root in rooted.forest.roots:
+        for root in rooted.roots:
             parent, want_pn, want_sizes = seq_dfs_tree(g, root)
             members = [v for v in range(g.n) if rooted.tree_of[v] == root]
             assert sorted(pn[v] for v in members) == list(range(len(members)))
@@ -199,7 +199,7 @@ def test_preorder_interval_identity():
     pn, sizes = preorder_and_sizes(rooted)
     children: dict[int, list[int]] = {v: [] for v in range(g.n)}
     for v in range(g.n):
-        p = rooted.forest.parent[v]
+        p = rooted.parent[v]
         if p != v:
             children[p].append(v)
 
@@ -227,7 +227,7 @@ def test_subtree_min_max_queries():
     smm = SubtreeMinMax(rooted, *preorder_and_sizes(rooted), values, values)
     children: dict[int, list[int]] = {v: [] for v in range(g.n)}
     for v in range(g.n):
-        p = rooted.forest.parent[v]
+        p = rooted.parent[v]
         if p != v:
             children[p].append(v)
 
@@ -261,7 +261,7 @@ def test_forest_connectivity_matches_oracle():
     # Edgeless forest labels itself.
     g = Graph(5, [])
     labeling, _ = forest_connectivity(g, cfg_for(g))
-    assert labeling.label == list(range(5))
+    assert labeling.label.tolist() == list(range(5))
 
 
 def _charged(simulators, label):
@@ -275,7 +275,7 @@ def test_tour_prefix_charged_once_per_forest():
     assert sum(1 for v in g.adjacency() if not v) >= 2
     cfg = cfg_for(g, seed=4, epsilon=0.4)
     rooted = root_forest(g, config=cfg)
-    assert len(rooted.forest.roots) == 24
+    assert len(rooted.roots) == 24
     preorder_and_sizes(rooted)
     assert _charged(rooted.simulators, "tour-prefix") == (math.ceil(1 / 0.4), 2 * rooted.tour.size)
 
