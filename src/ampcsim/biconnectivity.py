@@ -6,6 +6,9 @@ aggregates of non-tree edge endpoints, the critical-edge interval test,
 and component labels of the graph with critical edges removed. Bridges,
 articulation points, and 2-edge-connected components read off the result.
 Every stage works on int64 arrays; the graph's edge tuples are never built.
+Edge sets (spanning forest, critical edges, bridges) are sorted int64 indices
+into the input graph's edges, so on a multigraph a parallel copy of a tree
+edge is a non-tree edge. Articulation points are a sorted int64 array.
 
 Critical-edge convention (frozen by calibration against the sequential
 bridge oracle on exhaustive small graphs, see the test suite): a tree edge
@@ -39,20 +42,21 @@ class BCLabeling:
     The annotations are int64 arrays over vertices: ``preorder`` numbers,
     subtree ``sizes`` (counting the vertex), and ``low``/``high``, the
     least and greatest preorder number that the vertex's subtree holds or
-    reaches by one non-tree edge. ``non_tree_edges`` is a (k, 2) array of
-    the graph's edges outside the spanning forest, in input order.
+    reaches by one non-tree edge. ``tree[k]`` is the input index of edge k
+    of the rooted forest, whose edges go by endpoint pair; every other input
+    edge is a non-tree edge. ``critical`` holds sorted input indices.
     """
 
     graph: Graph
     config: ModelConfig
     labels: ComponentLabeling
     rooted: RootedTour
-    non_tree_edges: np.ndarray
     preorder: np.ndarray
     sizes: np.ndarray
     low: np.ndarray
     high: np.ndarray
-    critical: set[tuple[int, int]] = field(default_factory=set)
+    tree: np.ndarray
+    critical: np.ndarray
     simulators: list = field(default_factory=list)
 
 
@@ -62,27 +66,19 @@ def _tree_edges(rooted: RootedTour) -> tuple[np.ndarray, np.ndarray]:
     return child, rooted.parent[child]
 
 
-def _pairs(u: np.ndarray, v: np.ndarray) -> set[tuple[int, int]]:
-    return set(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
-
-
-def _keys(n: int, pairs: set[tuple[int, int]]) -> np.ndarray:
-    """The ``pair_keys`` of a set of vertex pairs, ascending."""
-    edges = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
-    return np.sort(pair_keys(n, edges[:, 0], edges[:, 1]))
-
-
 def critical_set(
     rooted: RootedTour,
+    tree: np.ndarray,
     pn: np.ndarray,
     sizes: np.ndarray,
     low: np.ndarray,
     high: np.ndarray,
-) -> set[tuple[int, int]]:
-    """Tree edges (v, parent(v)) that pass the frozen interval test."""
-    child, parent = _tree_edges(rooted)
+) -> np.ndarray:
+    """Tree edges (v, parent(v)) that pass the frozen interval test, as sorted
+    input indices: v enters by forest edge ``enter[v] >> 1``, which ``tree`` maps."""
+    child, _ = _tree_edges(rooted)
     inside = (pn[child] <= low[child]) & (high[child] <= pn[child] + sizes[child] - 1)
-    return _pairs(child[inside], parent[inside])
+    return np.sort(tree[rooted.enter[child[inside]] >> 1])
 
 
 def bc_labeling(graph: Graph, config: ModelConfig) -> BCLabeling:
@@ -94,16 +90,14 @@ def bc_labeling(graph: Graph, config: ModelConfig) -> BCLabeling:
     charged round, so rooting needs no second connectivity pass.
     """
     n = graph.n
-    forest_edges, forest_labels, sf_result = spanning_forest(graph, config)
+    forest, forest_labels, sf_result = spanning_forest(graph, config)
     roots = np.unique(forest_labels.label, return_index=True)[1]
     sf_result.simulator.charge(1, n, "component-min")
-    tree_keys = _keys(n, forest_edges)
-    rooted = root_forest(Graph.from_arrays(n, tree_keys // n, tree_keys % n), roots=roots, config=config)
+    tree = forest[np.argsort(pair_keys(n, graph.src[forest], graph.dst[forest]))]
+    rooted = root_forest(Graph.from_arrays(n, graph.src[tree], graph.dst[tree]), roots=roots, config=config)
     pn, sizes = preorder_and_sizes(rooted)
 
-    keys = pair_keys(n, graph.src, graph.dst)
-    non_tree = ~np.isin(keys, tree_keys)
-    u, v = graph.src[non_tree], graph.dst[non_tree]
+    u, v = np.delete(graph.src, forest), np.delete(graph.dst, forest)
     # Per-vertex base values: own preorder number merged with the preorder
     # numbers of non-tree neighbors.
     bas_min, bas_max = pn.copy(), pn.copy()
@@ -115,27 +109,27 @@ def bc_labeling(graph: Graph, config: ModelConfig) -> BCLabeling:
     subtree = SubtreeMinMax(rooted, pn, sizes, bas_min, bas_max)
     low, high = subtree.query(np.arange(n))
 
-    critical = critical_set(rooted, pn, sizes, low, high)
-    kept = ~np.isin(keys, _keys(n, critical))
-    label_result = connectivity(Graph.from_arrays(n, graph.src[kept], graph.dst[kept]), config)
+    critical = critical_set(rooted, tree, pn, sizes, low, high)
+    src, dst = np.delete(graph.src, critical), np.delete(graph.dst, critical)
+    label_result = connectivity(Graph.from_arrays(n, src, dst, multigraph=graph.multigraph), config)
     return BCLabeling(
         graph=graph,
         config=config,
         labels=label_result.labeling,
         rooted=rooted,
-        non_tree_edges=np.stack((u, v), axis=1),
         preorder=pn,
         sizes=sizes,
         low=low,
         high=high,
+        tree=tree,
         critical=critical,
         simulators=[sf_result.simulator, *rooted.simulators, label_result.simulator],
     )
 
 
-def bridges(bc: BCLabeling) -> set[tuple[int, int]]:
+def bridges(bc: BCLabeling) -> np.ndarray:
     """Tree edges whose endpoints land in different components of the
-    critical-edges-removed labeling.
+    critical-edges-removed labeling, as sorted input edge indices.
 
     Under the frozen convention the labeling is the 2-edge-component
     labeling, and an edge is a bridge exactly when its endpoints lie in
@@ -144,11 +138,11 @@ def bridges(bc: BCLabeling) -> set[tuple[int, int]]:
     label = bc.labels.label
     child, parent = _tree_edges(bc.rooted)
     cut = label[child] != label[parent]
-    return _pairs(child[cut], parent[cut])
+    return np.sort(bc.tree[bc.rooted.enter[child[cut]] >> 1])
 
 
-def articulation_points(bc: BCLabeling) -> set[int]:
-    """Head-counting rule over co-block components.
+def articulation_points(bc: BCLabeling) -> np.ndarray:
+    """Head-counting rule over co-block components; sorted vertex ids.
 
     Two non-root vertices share a co-block component when their parent
     edges lie on a common cycle: either a non-tree edge joins two
@@ -160,7 +154,7 @@ def articulation_points(bc: BCLabeling) -> set[int]:
     n = bc.graph.n
     pn, sizes, tree_of = bc.preorder, bc.sizes, bc.rooted.tree_of
     is_root = bc.rooted.enter < 0
-    u, v = bc.non_tree_edges[:, 0], bc.non_tree_edges[:, 1]
+    u, v = np.delete(bc.graph.src, bc.tree), np.delete(bc.graph.dst, bc.tree)
     a = np.where(pn[u] < pn[v], u, v)
     b = u + v - a
     unrelated = (tree_of[a] == tree_of[b]) & (pn[b] >= pn[a] + sizes[a])
@@ -183,7 +177,7 @@ def articulation_points(bc: BCLabeling) -> set[int]:
     by_block = np.lexsort((pn[child], block_of))
     first = by_block[np.unique(block_of[by_block], return_index=True)[1]]
     head_counts = np.bincount(parent[first], minlength=n)
-    return set(np.flatnonzero(head_counts >= np.where(is_root, 2, 1)).tolist())
+    return np.flatnonzero(head_counts >= np.where(is_root, 2, 1))
 
 
 def two_edge_components(graph: Graph, config: ModelConfig) -> ComponentLabeling:
@@ -196,7 +190,8 @@ def two_edge_components(graph: Graph, config: ModelConfig) -> ComponentLabeling:
     return bc.labels
 
 
-def bc_pipeline(graph: Graph, config: ModelConfig) -> tuple[BCLabeling, set, set, ComponentLabeling]:
-    """Convenience: one BC labeling plus all three extractions."""
+def bc_pipeline(graph: Graph, config: ModelConfig) -> tuple[BCLabeling, np.ndarray, np.ndarray, ComponentLabeling]:
+    """Convenience: one BC labeling plus all three extractions, each in the
+    form ``bridges``, ``articulation_points`` and ``labels`` return."""
     bc = bc_labeling(graph, config)
     return bc, bridges(bc), articulation_points(bc), bc.labels

@@ -483,9 +483,14 @@ def _min_weight_subgraph(graph: Graph) -> Graph:
 
 @dataclass
 class MsfResult:
-    edges: set[tuple[int, int, float]]
+    """The minimum spanning forest as sorted int64 indices into the input
+    graph's ``src``, ``dst`` and ``weight``: the union of
+    ``committed_per_iteration``, each shrink step's or exploration's
+    commits in the same form."""
+
+    forest: np.ndarray
     iterations: int
-    committed_per_iteration: list[set[tuple[int, int, float]]]
+    committed_per_iteration: list[np.ndarray]
     labeling: ComponentLabeling
     schedule: Optional[BudgetSchedule]
     simulator: Simulator = field(repr=False, default=None)
@@ -502,14 +507,10 @@ def msf(graph: Graph, config: ModelConfig) -> MsfResult:
     # Committed edges are named by weight and looked up in weight order.
     by_weight = sort_charge.value
     sorted_weights = graph.weight[by_weight]
-    forest: set[tuple[int, int, float]] = set()
-    committed: list[set[tuple[int, int, float]]] = []
+    committed: list[np.ndarray] = []
 
     def commit(weights: np.ndarray) -> None:
-        idx = by_weight[np.searchsorted(sorted_weights, weights)]
-        batch = set(zip(graph.src[idx].tolist(), graph.dst[idx].tolist(), graph.weight[idx].tolist()))
-        forest.update(batch)
-        committed.append(batch)
+        committed.append(np.unique(by_weight[np.searchsorted(sorted_weights, weights)]))
 
     # Sparse instances: merge along per-vertex minimum-weight edges first.
     def boruvka_step(g: Graph, seed: int):
@@ -533,7 +534,7 @@ def msf(graph: Graph, config: ModelConfig) -> MsfResult:
 
     mapping, iterations, schedule = _leader_contract(current, mapping, config, sim, explore, 0x2D)
     return MsfResult(
-        edges=forest,
+        forest=np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *committed])),
         iterations=iterations,
         committed_per_iteration=committed,
         labeling=ComponentLabeling(mapping),
@@ -542,13 +543,11 @@ def msf(graph: Graph, config: ModelConfig) -> MsfResult:
     )
 
 
-def spanning_forest(
-    graph: Graph, config: ModelConfig
-) -> tuple[set[tuple[int, int]], ComponentLabeling, MsfResult]:
-    """Spanning forest via seeded distinct weights; also returns the full
-    weighted result for callers that need the contraction metadata."""
+def spanning_forest(graph: Graph, config: ModelConfig) -> tuple[np.ndarray, ComponentLabeling, MsfResult]:
+    """Spanning forest via seeded distinct weights, as sorted indices into the
+    input graph's edges; also returns the labels and the full weighted
+    result for callers that need the contraction metadata."""
     weights = _rng(config.seed, 0x5F).permutation(graph.m) + 1
-    weighted = Graph.from_arrays(graph.n, graph.src, graph.dst, weights)
+    weighted = Graph.from_arrays(graph.n, graph.src, graph.dst, weights, multigraph=graph.multigraph)
     result = msf(weighted, config)
-    edges = {(u, v) for u, v, _ in result.edges}
-    return edges, result.labeling, result
+    return result.forest, result.labeling, result

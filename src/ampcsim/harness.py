@@ -25,7 +25,7 @@ from . import contraction as contr_mod
 from . import mis as mis_mod
 from . import trees as trees_mod
 from .errors import LeaderContractionError
-from .graphs import Graph, _rng, gen_cycles, gen_random_forest, gen_random_graph, pair_keys
+from .graphs import Graph, _ascending, _rng, gen_cycles, gen_random_forest, gen_random_graph
 from .oracles import (
     compare_labelings,
     kruskal_msf,
@@ -163,16 +163,20 @@ def _run_connectivity(spec: ExperimentSpec, seed: int):
     return correct, [res.simulator], {"iterations": res.iterations}
 
 
+def _edge_tuples(g: Graph, edges: np.ndarray) -> set[tuple]:
+    """An edge index set in the oracles' form, ``(u, v[, w])`` with u <= v."""
+    columns = (g.src, g.dst) if g.weight is None else (g.src, g.dst, g.weight)
+    return set(zip(*(column[edges].tolist() for column in columns)))
+
+
 def _run_msf(spec: ExperimentSpec, seed: int):
     g = gen_random_graph(spec.n, spec.m, seed, weighted=True)
     res = with_leader_retries(lambda s: conn_mod.msf(g, spec.config(s)), seed)
-    want = {(min(u, v), max(u, v), w) for u, v, w in kruskal_msf(g)}
-    got = {(min(u, v), max(u, v), w) for u, v, w in res.edges}
-    committed_ok = all(
-        {(min(u, v), max(u, v), w) for u, v, w in batch} <= want
-        for batch in res.committed_per_iteration
+    # Weights are distinct, so an edge set equal to the oracle's names
+    # exactly its edges, and a batch inside it commits only MSF edges.
+    correct = _edge_tuples(g, res.forest) == kruskal_msf(g) and all(
+        np.isin(batch, res.forest).all() for batch in res.committed_per_iteration
     )
-    correct = got == want and committed_ok
     return correct, [res.simulator], {"iterations": res.iterations}
 
 
@@ -182,10 +186,10 @@ def _run_spanning_forest(spec: ExperimentSpec, seed: int):
         lambda s: conn_mod.spanning_forest(g, spec.config(s)), seed
     )
     comps = uf_components(g)
-    ends = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
-    forest = Graph.from_arrays(g.n, ends[:, 0], ends[:, 1])
+    forest = Graph.from_arrays(g.n, g.src[edges], g.dst[edges])
     correct = (
-        np.isin(pair_keys(g.n, forest.src, forest.dst), pair_keys(g.n, g.src, g.dst)).all()
+        edges.dtype == np.int64 and _ascending(edges)
+        and ((edges >= 0) & (edges < g.m)).all()
         and forest.m == g.n - comps.component_count()
         and compare_labelings(labeling, comps).match
         and compare_labelings(uf_components(forest), comps).match
@@ -256,7 +260,7 @@ def _run_bridges(spec: ExperimentSpec, seed: int):
     g = gen_random_graph(spec.n, spec.m, seed)
     bc = with_leader_retries(lambda s: bc_mod.bc_labeling(g, spec.config(s)), seed)
     want_bridges, _ = tarjan_bridges_aps(g)
-    correct = bc_mod.bridges(bc) == want_bridges
+    correct = _edge_tuples(g, bc_mod.bridges(bc)) == want_bridges
     return correct, list(bc.simulators), {"bridges": len(want_bridges)}
 
 
@@ -267,8 +271,8 @@ def _run_2ecc(spec: ExperimentSpec, seed: int):
     )
     want_bridges, want_aps = tarjan_bridges_aps(g)
     correct = (
-        got_bridges == want_bridges
-        and got_aps == want_aps
+        _edge_tuples(g, got_bridges) == want_bridges
+        and set(got_aps.tolist()) == want_aps
         and compare_labelings(got_labels, two_edge_component_oracle(g, want_bridges)).match
     )
     return correct, list(bc.simulators), {"bridges": len(want_bridges)}

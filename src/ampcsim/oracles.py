@@ -132,12 +132,13 @@ def kruskal_msf(graph: Graph) -> set[tuple[int, int, float]]:
     """The unique minimum spanning forest of a distinct-weight graph."""
     if not graph.weighted:
         raise ValueError("kruskal_msf needs a weighted graph")
-    if len(np.unique(graph.weight)) != graph.m:
-        raise ValueError("duplicate edge weights")
     order = np.argsort(graph.weight, kind="stable")
+    weights = graph.weight[order]
+    if (weights[1:] == weights[:-1]).any():
+        raise ValueError("duplicate edge weights")
     uf = UnionFind(graph.n)
     forest = set()
-    for u, v, w in zip(graph.src[order].tolist(), graph.dst[order].tolist(), graph.weight[order].tolist()):
+    for u, v, w in zip(graph.src[order].tolist(), graph.dst[order].tolist(), weights.tolist()):
         if uf.union(u, v):
             forest.add((u, v, w))
     return forest

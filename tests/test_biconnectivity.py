@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import numpy as np
+
 from ampcsim.biconnectivity import (
     articulation_points,
     bc_labeling,
@@ -11,6 +13,7 @@ from ampcsim.biconnectivity import (
 )
 from ampcsim.connectivity import spanning_forest
 from ampcsim.graphs import Graph, gen_random_graph
+from ampcsim.harness import _edge_tuples
 from ampcsim.oracles import (
     compare_labelings,
     tarjan_bridges_aps,
@@ -25,6 +28,13 @@ def cfg_for(g, seed=0):
     return ModelConfig.for_graph(n=g.n, m=max(1, g.m), epsilon=0.5, seed=seed)
 
 
+def assert_edge_set(edges, m):
+    """Sorted, duplicate-free int64 indices into an m-edge graph."""
+    assert edges.dtype == np.int64
+    assert (np.diff(edges) > 0).all()
+    assert ((edges >= 0) & (edges < m)).all()
+
+
 def connected_graphs(n):
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
@@ -37,35 +47,35 @@ def connected_graphs(n):
 def test_cycle_has_no_bridges():
     g = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
     bc = bc_labeling(g, cfg_for(g))
-    assert bridges(bc) == set()
-    assert bc.critical == set()
+    assert bridges(bc).tolist() == []
+    assert bc.critical.tolist() == []
 
 
 def test_path_all_edges_bridge():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     bc = bc_labeling(g, cfg_for(g))
-    assert bridges(bc) == {(0, 1), (1, 2), (2, 3)}
-    assert articulation_points(bc) == {1, 2}
+    assert _edge_tuples(g, bridges(bc)) == {(0, 1), (1, 2), (2, 3)}
+    assert articulation_points(bc).tolist() == [1, 2]
 
 
 def test_triangle_plus_pendant():
     g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     bc = bc_labeling(g, cfg_for(g))
-    assert bridges(bc) == {(2, 3)}
-    assert articulation_points(bc) == {2}
+    assert _edge_tuples(g, bridges(bc)) == {(2, 3)}
+    assert articulation_points(bc).tolist() == [2]
 
 
 def test_two_triangles_sharing_a_vertex():
     g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
     bc = bc_labeling(g, cfg_for(g))
-    assert bridges(bc) == set()
-    assert articulation_points(bc) == {2}
+    assert bridges(bc).tolist() == []
+    assert articulation_points(bc).tolist() == [2]
 
 
 def test_tree_every_edge_bridge_every_vertex_singleton():
     g = Graph(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)])
     bc = bc_labeling(g, cfg_for(g))
-    assert bridges(bc) == {(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)}
+    assert _edge_tuples(g, bridges(bc)) == {(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)}
     labels = two_edge_components(g, cfg_for(g))
     assert labels.component_count() == 6
 
@@ -80,7 +90,7 @@ def test_bridges_equal_critical_set():
     for seed in range(10):
         g = gen_random_graph(60, 90, seed=seed)
         bc = bc_labeling(g, cfg_for(g, seed=seed))
-        assert bridges(bc) == bc.critical
+        assert np.array_equal(bridges(bc), bc.critical)
 
 
 def test_critical_interval_matches_subtree_scan_oracle():
@@ -92,6 +102,8 @@ def test_critical_interval_matches_subtree_scan_oracle():
         pn, sizes = bc.preorder, bc.sizes
         parent = bc.rooted.parent
         tree_of = bc.rooted.tree_of
+        critical = _edge_tuples(g, bc.critical)
+        non_tree = list(zip(np.delete(g.src, bc.tree).tolist(), np.delete(g.dst, bc.tree).tolist()))
         for v in range(g.n):
             p = parent[v]
             if p == v:
@@ -104,10 +116,10 @@ def test_critical_interval_matches_subtree_scan_oracle():
                 )
 
             escapes = any(
-                in_subtree(a) != in_subtree(b) for a, b in bc.non_tree_edges
+                in_subtree(a) != in_subtree(b) for a, b in non_tree
             )
             edge = (min(v, p), max(v, p))
-            assert (edge in bc.critical) == (not escapes)
+            assert (edge in critical) == (not escapes)
 
 
 def test_calibration_freezes_unique_convention():
@@ -161,17 +173,28 @@ def test_calibration_freezes_unique_convention():
 
 
 def test_random_graphs_match_tarjan():
+    # 30 simple graphs, then 40 multigraphs: the same kind of graph plus
+    # parallel copies of random edges (tree edges among them) and self-loops.
     rng = random.Random(0)
-    for trial in range(30):
+    for trial in range(70):
         n = rng.randint(2, 60)
         m_max = n * (n - 1) // 2
         m = rng.randint(0, min(m_max, 3 * n))
         g = gen_random_graph(n, m, seed=rng.randrange(1 << 30))
+        if trial >= 30:
+            copies = rng.choices(range(g.m), k=rng.randint(0, g.m // 2)) if g.m else []
+            loops = np.array(rng.choices(range(n), k=rng.randint(0, 3)), dtype=np.int64)
+            g = Graph.from_arrays(
+                n,
+                np.concatenate((g.src, g.src[copies], loops)),
+                np.concatenate((g.dst, g.dst[copies], loops)),
+                multigraph=True,
+            )
         cfg = cfg_for(g, seed=trial)
         bc, got_bridges, got_aps, got_2ecc = bc_pipeline(g, cfg)
         want_bridges, want_aps = tarjan_bridges_aps(g)
-        assert got_bridges == want_bridges
-        assert got_aps == want_aps
+        assert _edge_tuples(g, got_bridges) == want_bridges
+        assert set(got_aps.tolist()) == want_aps
         assert compare_labelings(got_2ecc, two_edge_component_oracle(g, want_bridges)).match
 
 
@@ -185,10 +208,10 @@ def test_bc_rooting_matches_root_forest_without_roots():
         assert 0 in g.degrees()
         bc = bc_labeling(g, cfg)
         forest_edges, _, _ = spanning_forest(g, cfg)
-        rooted = root_forest(Graph(g.n, sorted(forest_edges)), config=cfg)
+        rooted = root_forest(Graph(g.n, sorted(_edge_tuples(g, forest_edges))), config=cfg)
         pn, sizes = preorder_and_sizes(rooted)
         bas_min, bas_max = pn.copy(), pn.copy()
-        for u, v in bc.non_tree_edges:
+        for u, v in zip(np.delete(g.src, forest_edges).tolist(), np.delete(g.dst, forest_edges).tolist()):
             bas_min[u], bas_max[u] = min(bas_min[u], pn[v]), max(bas_max[u], pn[v])
             bas_min[v], bas_max[v] = min(bas_min[v], pn[u]), max(bas_max[v], pn[u])
         low, high = SubtreeMinMax(rooted, pn, sizes, bas_min, bas_max).query(range(g.n))
@@ -223,6 +246,11 @@ def test_bc_pipeline_never_builds_edge_tuples(monkeypatch):
         raise AssertionError("the bc pipeline built Graph.edges")
 
     monkeypatch.setattr(Graph, "edges", property(forbidden))
-    _, got_bridges, got_aps, _ = bc_pipeline(g, cfg_for(g, seed=3))
+    bc, got_bridges, got_aps, _ = bc_pipeline(g, cfg_for(g, seed=3))
     monkeypatch.undo()
-    assert (got_bridges, got_aps) == tarjan_bridges_aps(g)
+    # Edge sets come out as input edge indices, vertex sets as vertices.
+    for edges in (bc.critical, got_bridges):
+        assert_edge_set(edges, g.m)
+    assert_edge_set(got_aps, g.n)
+    assert len(got_bridges) and len(got_aps)
+    assert (_edge_tuples(g, got_bridges), set(got_aps.tolist())) == tarjan_bridges_aps(g)

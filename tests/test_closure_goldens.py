@@ -13,7 +13,7 @@ import pytest
 
 from ampcsim.connectivity import connectivity, increase_degree, msf, msf_increase_degree, spanning_forest
 from ampcsim.graphs import Graph, gen_random_graph
-from ampcsim.harness import with_leader_retries
+from ampcsim.harness import _edge_tuples, with_leader_retries
 from ampcsim.mis import maximal_independent_set
 from ampcsim.runtime import ModelConfig, Simulator
 
@@ -95,14 +95,15 @@ def _connectivity(name):
 def _msf(name):
     g = {"msf_sparse": sparse, "msf_dense": dense}[name](weighted=True)
     r = with_leader_retries(lambda s: msf(g, cfg(g, s)), 12)
-    return _digest(r.simulator, (sorted(r.edges), r.iterations, [sorted(b) for b in r.committed_per_iteration],
+    return _digest(r.simulator, (sorted(_edge_tuples(g, r.forest)), r.iterations,
+                                 [sorted(_edge_tuples(g, b)) for b in r.committed_per_iteration],
                                  r.labeling.label.tolist(), r.schedule.history))
 
 
 def _spanning_forest(name):
     g = sparse()
     edges, labeling, r = with_leader_retries(lambda s: spanning_forest(g, cfg(g, s)), 13)
-    return _digest(r.simulator, (sorted(edges), labeling.label.tolist(), r.iterations))
+    return _digest(r.simulator, (sorted(_edge_tuples(g, edges)), labeling.label.tolist(), r.iterations))
 
 
 def _mis(name):

@@ -20,13 +20,20 @@ from ampcsim.connectivity import (
 from ampcsim.errors import LeaderContractionError
 from ampcsim.graphs import Graph, gen_random_forest, gen_random_graph, resolve_pointers
 from ampcsim.biconnectivity import bc_pipeline
-from ampcsim.harness import with_leader_retries
+from ampcsim.harness import _edge_tuples, with_leader_retries
 from ampcsim.oracles import compare_labelings, kruskal_msf, tarjan_bridges_aps, uf_components
 from ampcsim.runtime import MachineContext, ModelConfig, Simulator, _machines_of, item_coins
 
 
 def config_for(g, seed=0, epsilon=0.5, **kw):
     return ModelConfig.for_graph(n=g.n, m=max(g.m, 1), epsilon=epsilon, seed=seed, **kw)
+
+
+def assert_edge_set(edges, m):
+    """Sorted, duplicate-free int64 indices into an m-edge graph."""
+    assert edges.dtype == np.int64
+    assert (np.diff(edges) > 0).all()
+    assert ((edges >= 0) & (edges < m)).all()
 
 
 def dense_graph(n, m, seed):
@@ -295,24 +302,23 @@ def test_msf_increase_degree_edges_subset_of_msf():
 def test_msf_tree_input_returns_all_edges():
     g = Graph(5, [(0, 1, 3), (1, 2, 1), (2, 3, 9), (3, 4, 4)], weighted=True)
     res = msf(g, config_for(g))
-    assert res.edges == set(g.edges)
+    assert res.forest.tolist() == list(range(g.m))
 
 
 def test_msf_triangle():
     g = Graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)], weighted=True)
     res = msf(g, config_for(g))
-    assert {w for _, _, w in res.edges} == {1, 2}
+    assert g.weight[res.forest].tolist() == [1, 2]
 
 
 def test_msf_matches_kruskal_randomized():
     for seed in range(10):
         g = gen_random_graph(300, 900, seed=seed, weighted=True)
         res = msf(g, config_for(g, seed=seed))
-        want = {(min(u, v), max(u, v), w) for u, v, w in kruskal_msf(g)}
-        got = {(min(u, v), max(u, v), w) for u, v, w in res.edges}
-        assert got == want
+        want = kruskal_msf(g)
+        assert _edge_tuples(g, res.forest) == want
         for batch in res.committed_per_iteration:
-            assert {(min(u, v), max(u, v), w) for u, v, w in batch} <= want
+            assert _edge_tuples(g, batch) <= want
         assert compare_labelings(res.labeling, uf_components(g)).match
 
 
@@ -320,8 +326,7 @@ def test_msf_dense_route():
     for seed in range(3):
         g = gen_random_graph(80, 2500, seed=seed, weighted=True)
         res = msf(g, config_for(g, seed=seed))
-        want = {(min(u, v), max(u, v), w) for u, v, w in kruskal_msf(g)}
-        assert {(min(u, v), max(u, v), w) for u, v, w in res.edges} == want
+        assert _edge_tuples(g, res.forest) == kruskal_msf(g)
 
 
 def test_spanning_forest_counts():
@@ -330,16 +335,16 @@ def test_spanning_forest_counts():
     edges, labeling, _ = spanning_forest(g, config_for(g, seed=2))
     assert len(edges) == g.n - comps
     assert compare_labelings(labeling, uf_components(g)).match
-    forest = Graph(g.n, sorted(edges))
+    forest = Graph.from_arrays(g.n, g.src[edges], g.dst[edges])
     assert uf_components(forest).component_count() == comps
 
 
 def test_spanning_forest_is_acyclic_subgraph():
     g = gen_random_graph(50, 200, seed=8)
     edges, _, _ = spanning_forest(g, config_for(g, seed=8))
-    assert edges <= {(u, v) for u, v in g.edges}
+    assert_edge_set(edges, g.m)
     # Acyclic: edge count equals vertex count minus component count.
-    forest = Graph(g.n, sorted(edges))
+    forest = Graph.from_arrays(g.n, g.src[edges], g.dst[edges])
     assert forest.m == g.n - uf_components(forest).component_count()
 
 
@@ -354,12 +359,16 @@ def test_connectivity_and_msf_never_build_edge_tuples(monkeypatch):
     monkeypatch.setattr(Graph, "edges", property(refuse))
     conn = connectivity(g, config_for(g, seed=7))
     tree = msf(w, config_for(w, seed=7))
-    _, _, span = spanning_forest(g, config_for(g, seed=7))
+    span_edges, _, span = spanning_forest(g, config_for(g, seed=7))
     assert conn.reduction.steps > 0 and conn.iterations > 0
     assert tree.iterations > 0 and span.iterations > 0
     monkeypatch.undo()
+    # Edge sets come out as sorted input edge indices, batch by batch too.
+    for edges in (tree.forest, *tree.committed_per_iteration, span_edges):
+        assert_edge_set(edges, g.m)
+    assert len(tree.committed_per_iteration) > 1
     assert compare_labelings(conn.labeling, uf_components(g)).match
-    assert tree.edges == kruskal_msf(w)
+    assert _edge_tuples(w, tree.forest) == kruskal_msf(w)
 
 
 def test_msf_on_float_weights_matches_kruskal():
@@ -371,7 +380,7 @@ def test_msf_on_float_weights_matches_kruskal():
         fg = Graph.from_arrays(g.n, g.src, g.dst, weights)
         res = msf(fg, config_for(fg, seed=seed))
         assert res.iterations > 0
-        assert res.edges == kruskal_msf(fg)
+        assert _edge_tuples(fg, res.forest) == kruskal_msf(fg)
         edge_weight = {(u, v): w for u, v, w in zip(fg.src.tolist(), fg.dst.tolist(), weights.tolist())}
         _, parents, members, chosen_weights = msf_increase_degree(fg, 6, config_for(fg, seed=seed))
         chosen = list(zip(parents.tolist(), members.tolist(), chosen_weights.tolist()))
@@ -403,9 +412,9 @@ def test_explorations_run_no_machine_programs(monkeypatch):
     for (g, w), (conn, tree, (_, span_labels, span)) in zip(graphs, runs):
         assert conn.iterations > 0 and tree.iterations > 0 and span.iterations > 0
         assert compare_labelings(conn.labeling, uf_components(g)).match
-        assert tree.edges == kruskal_msf(w)
+        assert _edge_tuples(w, tree.forest) == kruskal_msf(w)
         assert compare_labelings(span_labels, uf_components(g)).match
-    assert (got_bridges, got_aps) == tarjan_bridges_aps(small)
+    assert (_edge_tuples(small, got_bridges), set(got_aps.tolist())) == tarjan_bridges_aps(small)
 
 
 def _reference_bfs(adj, v, d, cap):

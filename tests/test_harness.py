@@ -239,6 +239,20 @@ TWO_ECC_GOLDEN = [
     '{"algorithm": "2ecc", "correct": true, "detail": {"bridges": 23}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 97, "n": 2000, "rounds": 71, "seed": 6257916401269190689, "total_communication": 165513, "trial": 2, "violations": 0}',
 ]
 
+# The spanning forest as msf runs it on seeded weights, and bridges from the
+# bc labeling without articulation points.
+SPANNING_FOREST_GOLDEN = [
+    '{"algorithm": "spanning-forest", "correct": true, "detail": {"iterations": 2}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 36, "n": 2000, "rounds": 44, "seed": 6218622741583987683, "total_communication": 95659, "trial": 0, "violations": 0}',
+    '{"algorithm": "spanning-forest", "correct": true, "detail": {"iterations": 2}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 36, "n": 2000, "rounds": 38, "seed": 4232062854197151812, "total_communication": 93200, "trial": 1, "violations": 0}',
+    '{"algorithm": "spanning-forest", "correct": true, "detail": {"iterations": 1}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 36, "n": 2000, "rounds": 35, "seed": 6257916401269190689, "total_communication": 87915, "trial": 2, "violations": 0}',
+]
+
+BRIDGES_GOLDEN = [
+    '{"algorithm": "bridges", "correct": true, "detail": {"bridges": 19}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 93, "n": 2000, "rounds": 69, "seed": 6218622741583987683, "total_communication": 152371, "trial": 0, "violations": 0}',
+    '{"algorithm": "bridges", "correct": true, "detail": {"bridges": 40}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 94, "n": 2000, "rounds": 61, "seed": 4232062854197151812, "total_communication": 148939, "trial": 1, "violations": 0}',
+    '{"algorithm": "bridges", "correct": true, "detail": {"bridges": 23}, "epsilon": 0.5, "m": 6000, "max_queries_per_machine": 97, "n": 2000, "rounds": 60, "seed": 6257916401269190689, "total_communication": 144343, "trial": 2, "violations": 0}',
+]
+
 
 # The chain layer (sample-and-traverse on cycles and lists) behind 2-cycle,
 # forest connectivity, list ranking and tree rooting, pinned the same way.
@@ -273,6 +287,8 @@ GOLDEN_SPECS = {
     "forest-conn": dict(trees=3),
     "list-rank": dict(),
     "tree-ops": dict(trees=2),
+    "spanning-forest": dict(m=6000),
+    "bridges": dict(m=6000),
 }
 
 
@@ -285,6 +301,8 @@ GOLDEN_SPECS = {
         ("forest-conn", FOREST_CONN_GOLDEN),
         ("list-rank", LIST_RANK_GOLDEN),
         ("tree-ops", TREE_OPS_GOLDEN),
+        ("spanning-forest", SPANNING_FOREST_GOLDEN),
+        ("bridges", BRIDGES_GOLDEN),
     ],
 )
 def test_weighted_and_bc_model_costs_golden(algorithm, golden):

@@ -162,6 +162,12 @@ def test_kruskal_examples():
     assert kruskal_msf(tree) == set(tree.edges)
     with pytest.raises(ValueError):
         kruskal_msf(Graph(3, [(0, 1), (1, 2)]))
+    # Graph rejects tied weights, so tie two after validation; the oracle
+    # must still refuse them, as ties leave the MSF undefined.
+    tied = Graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)], weighted=True)
+    tied.weight = np.array([3, 2, 3])
+    with pytest.raises(ValueError, match="duplicate edge weights"):
+        kruskal_msf(tied)
 
 
 def test_kruskal_beats_random_spanning_forests():
