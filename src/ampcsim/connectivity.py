@@ -2,9 +2,10 @@
 
 MSF runs through the same shrink loop, main loop and hook rule as
 connectivity. Instances with m below n * ln(n)**2 first shrink their vertex
-count by randomized pointer merges (along minimum-id neighbors, or for MSF
-along minimum-weight edges, which join the forest); the merges are
-bulk-synchronous and therefore charged like a primitive. Then each phase
+count by randomized pointer merges along minimum-id neighbors (for MSF,
+Borůvka's rule: neighbors over every vertex's lightest edge, and the edges
+merged along join the forest); the merges are bulk-synchronous and
+therefore charged like a primitive. Then each phase
 explores every vertex's neighborhood up to the budget d (BFS, or for MSF a
 local Prim run whose edges join the forest), one walker per vertex, all
 walkers stepping in lockstep through one batch round that gathers every
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import LeaderContractionError, NonTerminationError
-from .graphs import ComponentLabeling, Graph, _arcs, _rng, pair_keys, resolve_pointers, simple_graph, slot_keys
+from .graphs import ComponentLabeling, Graph, _arcs, _rng, resolve_pointers, simple_graph, slot_keys
 from .primitives import _bulk_rounds, contract_graph, mpc_argsort
 from .runtime import ModelConfig, Simulator, _machines_of, item_coins, item_hash
 
@@ -153,19 +154,13 @@ def increase_degree(
     return simple_graph(graph.n, np.concatenate((graph.src, tails)), np.concatenate((graph.dst, heads)))
 
 
-def _pointer_map(graph: Graph, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One round of the six-line vertex-merging procedure.
-
-    Returns the merge map over all vertices (identity where nothing
-    merged) and the pointer edges ``tails[i] -> heads[i]`` along which
-    merges happened (each is a graph edge).
+def _pointer_map(n: int, us: np.ndarray, vs: np.ndarray, seed: int) -> np.ndarray:
+    """One round of the six-line vertex-merging procedure over the edges
+    ``us[i] -- vs[i]`` of an n-vertex graph, repeats allowed. Returns the
+    merge map: identity, except that each merged vertex maps to the
+    neighbor it merged into along one of the edges. No vertex both merges
+    and is merged into, so the map is one level deep.
     """
-    n = graph.n
-    mapping = np.arange(n)
-    if graph.m == 0:
-        return mapping, mapping[:0], mapping[:0]
-    us, vs = graph.src, graph.dst
-
     # Line 1: point every vertex at its minimum-id neighbor.
     out = np.full(n, n, dtype=np.int64)
     np.minimum.at(out, us, vs)
@@ -203,9 +198,9 @@ def _pointer_map(graph: Graph, seed: int) -> tuple[np.ndarray, np.ndarray, np.nd
     deg = np.bincount(tails, minlength=n) + np.bincount(heads, minlength=n)
     lonely = (deg[tails] == 1) & (deg[heads] == 1)
     tails = np.concatenate((np.flatnonzero(absorbed), tails[lonely]))
-    heads = out[tails]
-    mapping[tails] = heads
-    return mapping, tails, heads
+    mapping = np.arange(n)
+    mapping[tails] = out[tails]
+    return mapping
 
 
 def shrink_vertices_step(graph: Graph, seed: int) -> tuple[Graph, np.ndarray]:
@@ -215,7 +210,7 @@ def shrink_vertices_step(graph: Graph, seed: int) -> tuple[Graph, np.ndarray]:
     only ever merges along edges, so components are preserved exactly.
     The mapping is an int64 array over the vertices.
     """
-    mapping, _, _ = _pointer_map(graph, seed)
+    mapping = _pointer_map(graph.n, graph.src, graph.dst, seed)
     return contract_graph(graph, mapping).value, mapping
 
 
@@ -468,17 +463,18 @@ def msf_increase_degree(
     )
 
 
-def _min_weight_subgraph(graph: Graph) -> Graph:
-    """Each vertex's minimum-weight incident edge, with its weight (weights
-    are distinct, so it is unique); all of these belong to the minimum
-    spanning forest. Edges come back sorted."""
-    heads = np.concatenate((graph.src, graph.dst))
-    tails = np.concatenate((graph.dst, graph.src))
-    weights = np.concatenate((graph.weight, graph.weight))
+def _lightest_edges(graph: Graph) -> np.ndarray:
+    """Each vertex's lightest incident edge that is not a self-loop, as an
+    index into the graph's edges; a vertex without one has none, and an
+    edge lightest at both ends comes twice. Weights are distinct, so the
+    choice is unique and belongs to the minimum spanning forest."""
+    proper = np.flatnonzero(graph.src != graph.dst)
+    ends = np.concatenate((graph.src[proper], graph.dst[proper]))
+    edges = np.concatenate((proper, proper))
+    weights = graph.weight[edges]
     lightest = np.full(graph.n, weights.max(initial=0) + 1, dtype=weights.dtype)
-    np.minimum.at(lightest, heads, weights)
-    best = weights == lightest[heads]
-    return simple_graph(graph.n, heads[best], tails[best], weights[best])
+    np.minimum.at(lightest, ends, weights)
+    return edges[weights == lightest[ends]]
 
 
 @dataclass
@@ -512,13 +508,16 @@ def msf(graph: Graph, config: ModelConfig) -> MsfResult:
     def commit(weights: np.ndarray) -> None:
         committed.append(np.unique(by_weight[np.searchsorted(sorted_weights, weights)]))
 
-    # Sparse instances: merge along per-vertex minimum-weight edges first.
+    # Sparse instances: merge along per-vertex lightest edges first. The
+    # map is one level deep and no two lightest edges are parallel, so the
+    # lightest edges between a merged vertex and its target are the merges.
     def boruvka_step(g: Graph, seed: int):
-        pointer_graph = _min_weight_subgraph(g)
-        f, tails, heads = _pointer_map(pointer_graph, seed)
-        if len(tails):
-            keys = pair_keys(g.n, pointer_graph.src, pointer_graph.dst)
-            commit(pointer_graph.weight[np.searchsorted(keys, pair_keys(g.n, tails, heads))])
+        light = _lightest_edges(g)
+        us, vs = g.src[light], g.dst[light]
+        f = _pointer_map(g.n, us, vs, seed)
+        merged = light[(f[us] == vs) | (f[vs] == us)]
+        if len(merged):
+            commit(g.weight[merged])
         return contract_graph(g, f).value, f
 
     current, mapping = graph, np.arange(graph.n)

@@ -384,10 +384,11 @@ def gen_random_graph(n: int, m: int, seed: int, weighted: bool = False) -> Graph
             short -= len(codes)
             start, size = start + size, 2 * size
         del draw, head
-        chosen = np.concatenate((chosen, kept, topped))
+        if len(kept) or len(topped):  # near saturation most batches keep none
+            chosen = np.concatenate((chosen, kept, topped))
+            # Three sorted runs: the stable sort (timsort) merges them.
+            chosen.sort(kind="stable")
         del kept, topped
-        # Three sorted runs: the stable sort (timsort) merges them.
-        chosen.sort(kind="stable")
     # Decode code c into the pair v < u with c = u(u-1)/2 + v: the codes of
     # u lie in [u(u-1)/2, u(u+1)/2), found by one search of the sorted codes.
     vertices = np.arange(n)

@@ -227,9 +227,10 @@ def _run_tree_ops(spec: ExperimentSpec, seed: int):
     smm = trees_mod.SubtreeMinMax(rooted, pn, sizes, values, values)
 
     # Each tree against one DFS from its root; the oracle's dicts share one
-    # key order, the tree's preorder.
+    # key order, the tree's preorder. Subtree minima and maxima fold up each
+    # tree in reverse preorder, every vertex's into its parent's.
     correct = True
-    children: list[list[int]] = [[] for _ in range(g.n)]
+    want_min, want_max = values.tolist(), values.tolist()
     for root in rooted.roots.tolist():
         parent, want_pn, want_sizes = seq_dfs_tree(g, root)
         members = np.fromiter(parent, dtype=np.int64, count=len(parent))
@@ -239,20 +240,16 @@ def _run_tree_ops(spec: ExperimentSpec, seed: int):
             and np.array_equal(pn[members], np.fromiter(want_pn.values(), dtype=np.int64))
             and np.array_equal(sizes[members], np.fromiter(want_sizes.values(), dtype=np.int64))
         )
-        for v, p in parent.items():
-            if p != v:
-                children[p].append(v)
-    # Spot-check subtree min/max on sampled vertices against the DFS trees.
+        for v, p in reversed(parent.items()):
+            want_min[p] = min(want_min[p], want_min[v])
+            want_max[p] = max(want_max[p], want_max[v])
+    # The trial charges one batch of sampled queries. The check reads every
+    # vertex's range off the sealed index, uncharged as pn and sizes are.
     sample = rng.choice(g.n, size=min(g.n, 64), replace=False)
-    listed = values.tolist()
-    for v, got in zip(sample.tolist(), zip(*smm.query(sample))):
-        stack, vals = [v], []
-        while stack:
-            x = stack.pop()
-            vals.append(listed[x])
-            stack.extend(children[x])
-        if got != (min(vals), max(vals)):
-            correct = False
+    got = np.array(smm.query(sample))
+    want = np.array([want_min, want_max])
+    every = np.array(smm._index.query(smm._first, smm._last))
+    correct &= np.array_equal(every, want) and np.array_equal(got, want[:, sample])
     return correct, rooted.simulators, {"trees": len(rooted.roots)}
 
 

@@ -39,25 +39,22 @@ from .runtime import ModelConfig, Simulator
 @dataclass
 class EulerTour:
     """Unranked successor structure: one closed cycle of directed edges per
-    tree. Directed edge e runs ``src[e] -> dst[e]`` and is followed by
-    ``succ[e]``; edges 2k and 2k+1 are the two directions of forest edge k."""
+    tree. Directed edge e runs ``src[e] -> dst[e]``, lies between ``pred[e]``
+    and ``succ[e]`` on the cycle whose lowest edge is ``cycle[e]``, and edges
+    2k and 2k+1 are the two directions of forest edge k. ``first[v]`` is v's
+    edge to its lowest neighbor (-1 if none), where a root's tour list starts."""
 
     n: int
     src: np.ndarray
     dst: np.ndarray
     succ: np.ndarray
+    pred: np.ndarray
+    cycle: np.ndarray
+    first: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.src)
-
-
-def _rotation(tour_src: np.ndarray, tour_dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Directed edges grouped by source, each group by ascending target,
-    with each vertex's group start and length (its degree)."""
-    rotation = np.argsort(tour_src * n + tour_dst, kind="stable")
-    degree = np.bincount(tour_src, minlength=n)
-    return rotation, np.cumsum(degree) - degree, degree
 
 
 def euler_tour(forest: Graph) -> EulerTour:
@@ -70,26 +67,34 @@ def euler_tour(forest: Graph) -> EulerTour:
     So the input is a forest exactly when (vertices with an edge) - m equals
     the number of tour cycles; otherwise ``StructureError`` is raised.
     """
-    size = 2 * forest.m
+    n, size = forest.n, 2 * forest.m
     src = np.empty(size, dtype=np.int64)
     dst = np.empty(size, dtype=np.int64)
     src[0::2], src[1::2] = forest.src, forest.dst
     dst[0::2], dst[1::2] = forest.dst, forest.src
+    # The rotation groups edges by source, each group by ascending target.
     # slot[e] is e's place in the rotation of src[e]; the twin of u->v is
     # v->u, at slot[e ^ 1] in v's.
-    rotation, start, degree = _rotation(src, dst, forest.n)
+    rotation = np.argsort(src * n + dst, kind="stable")
+    degree = np.bincount(src, minlength=n)
+    start = np.cumsum(degree) - degree
     slot = np.empty(size, dtype=np.int64)
     slot[rotation] = np.arange(size) - start[src[rotation]]
     twin = np.arange(size) ^ 1
     succ = rotation[start[dst] + (slot[twin] + 1) % degree[dst]]
-    cycles = np.count_nonzero(resolve_pointers(succ) == np.arange(size))
+    pred = np.empty(size, dtype=np.int64)
+    pred[succ] = np.arange(size)
+    cycle = resolve_pointers(succ)
+    cycles = np.count_nonzero(cycle == np.arange(size))
     touched = np.count_nonzero(degree)
     if touched - forest.m != cycles:
         raise StructureError(
             f"input is not a forest: {touched} vertices with edges and {forest.m} edges "
             f"leave {cycles} tour cycles, not {touched - forest.m}"
         )
-    return EulerTour(n=forest.n, src=src, dst=dst, succ=succ)
+    first = np.full(n, -1, dtype=np.int64)
+    first[degree > 0] = rotation[start[degree > 0]]
+    return EulerTour(n=n, src=src, dst=dst, succ=succ, pred=pred, cycle=cycle, first=first)
 
 
 def forest_connectivity(
@@ -115,9 +120,7 @@ def _tour_connectivity(
         leader_constant=config.leader_constant,
         strict_budget=config.strict_budget,
     )
-    pred = np.empty(tour.size, dtype=np.int64)
-    pred[tour.succ] = np.arange(tour.size)
-    res = label_cycles(tour.succ, pred, sub_config)
+    res = label_cycles(tour.succ, tour.pred, sub_config)
     # Reduce each edge component to its minimum vertex id; every vertex of a
     # tree with edges is the source of one of its tour's edges.
     edge_label = res.labeling.label
@@ -170,7 +173,8 @@ def root_forest(
     config: Optional[ModelConfig] = None,
 ) -> RootedTour:
     """Root every tree: break its tour at a root-incident edge, rank the
-    list, and read parents off the forward occurrences.
+    list, and read parents off the forward occurrences. Each vertex finds
+    its root through its tour's cycle id, with no second pointer chase.
 
     ``roots`` must hold one vertex of every tree. When they are not
     supplied, forest connectivity over the tours picks the lowest id of
@@ -194,24 +198,20 @@ def root_forest(
         raise ValueError("two roots were given inside one tree")
 
     # Each root's tour list starts at its edge to its lowest neighbor and
-    # ends just before it. Every edge finds its list's head by following
-    # predecessors, with heads fixed; an edge whose tour holds no head
-    # resolves to a non-head edge of its tour.
-    rotation, start, degree = _rotation(tour.src, tour.dst, n)
-    heads = rotation[start[roots[degree[roots] > 0]]]
+    # ends just before it; every edge and vertex of that tour takes the
+    # root as its tree.
+    heads = tour.first[roots[tour.first[roots] >= 0]]
     is_head = np.zeros(tour.size, dtype=bool)
     is_head[heads] = True
-    pred = np.empty(tour.size, dtype=np.int64)
-    pred[tour.succ] = np.arange(tour.size)
-    pred[heads] = heads
-    head_of = resolve_pointers(pred)
+    tour_root = np.full(tour.size, -1, dtype=np.int64)
+    tour_root[tour.cycle[heads]] = tour.src[heads]
     tree_of = np.full(n, -1, dtype=np.int64)
     tree_of[roots] = roots
-    tree_of[tour.src] = tour.src[head_of]
-    if not is_head[head_of].all() or (tree_of < 0).any():
+    tree_of[tour.src] = tour_root[tour.cycle]
+    if (tree_of < 0).any():
         raise ValueError("roots must include one vertex of every tree")
-    # A twin pair split between two lists means two heads in one tour.
-    if (head_of != head_of[np.arange(tour.size) ^ 1]).any():
+    # Two heads in one tour: only one of them kept its root there.
+    if (tour_root[tour.cycle[heads]] != tour.src[heads]).any():
         raise ValueError("two roots were given inside one tree")
 
     rank = np.zeros(tour.size, dtype=np.int64)

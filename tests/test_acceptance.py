@@ -83,6 +83,7 @@ def _note_violations(label, *sims):
     _VIOLATIONS.append((label, total))
 
 
+@pytest.mark.slow
 def test_criterion_01_two_cycle_grid():
     def body():
         for n, eps, pieces in itertools.product(
@@ -154,6 +155,7 @@ def test_criterion_04_connectivity():
     _criterion(4, "connectivity equals union-find on 100 instances", 180.0, body)
 
 
+@pytest.mark.slow
 def test_criterion_05_msf():
     def body():
         spec = ExperimentSpec(
@@ -283,6 +285,7 @@ def test_criterion_08_forest_and_cycle_connectivity():
     _criterion(8, "forest/cycle connectivity and search lengths", None, body)
 
 
+@pytest.mark.slow
 def test_criterion_09_two_edge_connectivity():
     def body():
         rng = random.Random(9)

@@ -311,11 +311,28 @@ def test_msf_triangle():
     assert g.weight[res.forest].tolist() == [1, 2]
 
 
+def _light_loop_multigraph(seed):
+    """A weighted multigraph with parallel copies whose self-loops are its
+    lightest edges, so each looped vertex's lightest incident edge is a loop."""
+    g = gen_random_graph(60, 150, seed=seed)
+    rng = np.random.default_rng(300 + seed)
+    repeat = rng.integers(0, g.m, 80)
+    loops = rng.integers(0, g.n, 20)
+    src = np.concatenate((loops, g.src, g.src[repeat]))
+    dst = np.concatenate((loops, g.dst, g.dst[repeat]))
+    weights = np.concatenate((rng.permutation(20), 20 + rng.permutation(len(src) - 20))) + 1
+    return Graph.from_arrays(g.n, src, dst, weights, multigraph=True)
+
+
 def test_msf_matches_kruskal_randomized():
-    for seed in range(10):
-        g = gen_random_graph(300, 900, seed=seed, weighted=True)
+    # Every input is sparse, so Borůvka steps run; on the multigraphs they
+    # must merge along each vertex's lightest edge that is not a loop.
+    graphs = [gen_random_graph(300, 900, seed=seed, weighted=True) for seed in range(10)]
+    graphs += [_light_loop_multigraph(seed) for seed in range(6)]
+    for seed, g in enumerate(graphs):
         res = msf(g, config_for(g, seed=seed))
         want = kruskal_msf(g)
+        assert any(m.label == "boruvka-shrink" for m in res.simulator.metrics)
         assert _edge_tuples(g, res.forest) == want
         for batch in res.committed_per_iteration:
             assert _edge_tuples(g, batch) <= want

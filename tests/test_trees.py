@@ -137,12 +137,17 @@ def test_root_forest_forward_before_reverse():
 def test_root_forest_errors():
     g = Graph(4, [(0, 1), (2, 3)])
     cfg = cfg_for(g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="roots must include one vertex of every tree"):
         root_forest(g, roots=[0], config=cfg)  # second tree uncovered
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two roots were given inside one tree"):
         root_forest(g, roots=[0, 1, 2], config=cfg)  # two roots in one tree
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two roots were given inside one tree"):
+        root_forest(g, roots=[2, 2, 0], config=cfg)  # one root given twice
+    with pytest.raises(ValueError, match="root 9 not in the forest"):
         root_forest(g, roots=[0, 9], config=cfg)  # out of range
+    # Both faults at once: the uncovered tree is reported first.
+    with pytest.raises(ValueError, match="roots must include one vertex of every tree"):
+        root_forest(g, roots=[0, 1], config=cfg)
 
 
 def test_root_forest_matches_dfs_oracle():
