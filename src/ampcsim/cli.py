@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from typing import Optional
 
 from .errors import CapacityError, LeaderContractionError, NonTerminationError, StructureError
@@ -110,22 +111,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                     fh.write(json.dumps({"trial": trial, "max_load": load}) + "\n")
         return 0
 
-    kwargs = dict(
-        algorithm=args.command,
-        n=args.n,
-        epsilon=args.epsilon,
-        seed=args.seed,
-        trials=args.trials,
-        space_multiplier=args.space_multiplier,
-        budget_slack=args.budget_slack,
-        strict_budget=args.strict_budget,
-        out=args.out,
-    )
-    if args.command == "two-cycle":
-        kwargs["pieces"] = args.pieces
-    if args.command in ("forest-conn", "tree-ops"):
-        kwargs["trees"] = args.trees
-    if args.command in GRAPH_ALGORITHMS:
+    # Each subcommand's parser adds exactly the spec fields it takes.
+    given = vars(args)
+    kwargs = {f.name: given[f.name] for f in fields(ExperimentSpec) if f.name in given}
+    kwargs["algorithm"] = args.command
+    if "m" in kwargs:
         kwargs["m"] = _default_m(args)
 
     try:

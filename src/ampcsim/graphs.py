@@ -74,6 +74,8 @@ class Graph:
     ) -> None:
         if n < 0:
             raise GraphFormatError("vertex count must be nonnegative")
+        if any(column is not None and column.ndim != 1 for column in (src, dst, weight)):
+            raise GraphFormatError("edge columns must be 1-D")
         m = len(src)
         if len(dst) != m or (weight is not None and len(weight) != m):
             raise GraphFormatError("edge columns must have equal lengths")

@@ -89,7 +89,7 @@ class ExperimentSpec:
             raise ValueError(f"{self.algorithm} takes no edge count m, got m={self.m}")
 
     def config(self, seed: int, n: Optional[int] = None, m: Optional[int] = None) -> ModelConfig:
-        return ModelConfig.for_graph(
+        return ModelConfig(
             n=self.n if n is None else n,
             m=max(1, self.m if m is None else m),
             epsilon=self.epsilon,

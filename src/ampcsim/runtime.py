@@ -120,73 +120,47 @@ def item_coins(seed: int, tag: int, ids) -> np.ndarray:
 class ModelConfig:
     """Problem sizes and model parameters for one simulated computation.
 
-    ``space_S`` defaults to ceil(n**epsilon); ``total_T`` is always
-    ``space_S * machines_P`` and must cover the input size. With
-    ``strict_budget`` a simulator raises on the first budget violation
-    instead of only recording it.
+    A caller chooses the eight init fields; the sizes follow from them:
+    input size N = max(1, n + m), space per machine
+    S = max(2, ceil(max(n, 2)**epsilon)), machines
+    P = max(1, ceil(space_multiplier * N / S)) and total space T = S * P,
+    which covers N. ``budget_limit`` = floor(budget_slack * S) queries and
+    as many writes per machine and round. With ``strict_budget`` a
+    simulator raises on the first budget violation instead of only
+    recording it.
     """
 
     n: int
     m: int
-    input_size_N: int
-    epsilon: float
-    space_S: int
-    machines_P: int
-    total_T: int
+    epsilon: float = 0.5
+    seed: int = 0
     space_multiplier: float = 1.0
     budget_slack: float = 16.0
-    seed: int = 0
     leader_constant: float = 4.0
     strict_budget: bool = False
+    input_size_N: int = field(init=False)
+    space_S: int = field(init=False)
+    machines_P: int = field(init=False)
+    total_T: int = field(init=False)
 
     def __post_init__(self):
+        if self.n < 0 or self.m < 0:
+            raise ValueError(f"sizes must be nonnegative, got n={self.n}, m={self.m}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.space_S < 2:
-            raise ValueError("space_S must be at least 2")
-        if self.machines_P < 1:
-            raise ValueError("machines_P must be at least 1")
-        if self.total_T != self.space_S * self.machines_P:
-            raise ValueError("total_T must equal space_S * machines_P")
-        if self.total_T < self.input_size_N:
-            raise ValueError("total space must be at least the input size")
         if self.space_multiplier < 1.0:
             raise ValueError("space_multiplier must be >= 1")
         if self.budget_slack < 1.0:
             raise ValueError("budget_slack must be >= 1")
         if not -(1 << 63) <= self.seed < (1 << 64):
             raise ValueError("seed must fit in 64 bits")
-
-    @classmethod
-    def for_graph(
-        cls,
-        n: int,
-        m: int,
-        epsilon: float = 0.5,
-        seed: int = 0,
-        space_multiplier: float = 1.0,
-        budget_slack: float = 16.0,
-        leader_constant: float = 4.0,
-        strict_budget: bool = False,
-    ) -> "ModelConfig":
-        """Config for a graph input: N = n + m, S = ceil(n**epsilon)."""
-        big_n = max(1, n + m)
-        space_s = max(2, math.ceil(max(n, 2) ** epsilon))
-        machines_p = max(1, math.ceil(space_multiplier * big_n / space_s))
-        return cls(
-            n=n,
-            m=m,
-            input_size_N=big_n,
-            epsilon=epsilon,
-            space_S=space_s,
-            machines_P=machines_p,
-            total_T=space_s * machines_p,
-            space_multiplier=space_multiplier,
-            budget_slack=budget_slack,
-            seed=seed,
-            leader_constant=leader_constant,
-            strict_budget=strict_budget,
-        )
+        big_n = max(1, self.n + self.m)
+        space_s = max(2, math.ceil(max(self.n, 2) ** self.epsilon))
+        machines_p = max(1, math.ceil(self.space_multiplier * big_n / space_s))
+        object.__setattr__(self, "input_size_N", big_n)
+        object.__setattr__(self, "space_S", space_s)
+        object.__setattr__(self, "machines_P", machines_p)
+        object.__setattr__(self, "total_T", space_s * machines_p)
 
     @property
     def budget_limit(self) -> int:
@@ -219,6 +193,8 @@ class RoundMetrics:
 
 def _int_column(values) -> np.ndarray:
     column = np.asarray(values)
+    if column.ndim != 1:
+        raise TypeError(f"array generations hold 1-D columns, not {column.ndim}-D")
     if column.size and column.dtype.kind not in "biu":
         raise TypeError(f"array generations hold int64 columns, not {column.dtype}")
     return column.astype(np.int64, copy=False)
@@ -253,6 +229,8 @@ class ArrayGeneration:
         """Every column at the first row of each key, as new arrays; NONE
         for an absent key."""
         keys = np.asarray(keys, dtype=np.int64)
+        if keys.ndim != 1:
+            raise TypeError(f"array generations read 1-D keys, not {keys.ndim}-D")
         n = len(self.key_array)
         if self._dense:
             rows, found = keys, (keys >= 0) & (keys < n)

@@ -24,7 +24,7 @@ tours and any batch of independent subtree queries costs one round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -110,17 +110,7 @@ def _tour_connectivity(
 ) -> tuple[ComponentLabeling, Optional[CycleConnResult]]:
     if tour.size == 0:
         return ComponentLabeling(np.arange(tour.n)), None
-    sub_config = ModelConfig.for_graph(
-        n=tour.size,
-        m=tour.size,
-        epsilon=config.epsilon,
-        seed=config.seed,
-        space_multiplier=config.space_multiplier,
-        budget_slack=config.budget_slack,
-        leader_constant=config.leader_constant,
-        strict_budget=config.strict_budget,
-    )
-    res = label_cycles(tour.succ, tour.pred, sub_config)
+    res = label_cycles(tour.succ, tour.pred, replace(config, n=tour.size, m=tour.size))
     # Reduce each edge component to its minimum vertex id; every vertex of a
     # tree with edges is the source of one of its tour's edges.
     edge_label = res.labeling.label
@@ -169,8 +159,8 @@ class RootedTour:
 
 def root_forest(
     forest: Graph,
+    config: ModelConfig,
     roots: Optional[Sequence[int]] = None,
-    config: Optional[ModelConfig] = None,
 ) -> RootedTour:
     """Root every tree: break its tour at a root-incident edge, rank the
     list, and read parents off the forward occurrences. Each vertex finds
@@ -180,8 +170,6 @@ def root_forest(
     supplied, forest connectivity over the tours picks the lowest id of
     each component.
     """
-    if config is None:
-        config = ModelConfig.for_graph(n=forest.n, m=max(1, forest.m))
     n = forest.n
     tour = euler_tour(forest)
     simulators: list[Simulator] = []

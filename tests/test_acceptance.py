@@ -115,7 +115,7 @@ def test_criterion_03_mis():
             n = rng.randint(50, 2000)
             m = rng.randint(0, min(10**4, n * (n - 1) // 2, 6 * n))
             g = gen_random_graph(n, m, seed=rng.randrange(1 << 30))
-            cfg = ModelConfig.for_graph(n=n, m=max(1, m), epsilon=eps, seed=trial)
+            cfg = ModelConfig(n=n, m=max(1, m), epsilon=eps, seed=trial)
             res = maximal_independent_set(g, cfg)
             assert res.members == lfmis_oracle(g, res.permutation)
             adj = g.adjacency()
@@ -173,7 +173,7 @@ def test_criterion_06_vertex_shrinking():
         hits = 0
         for seed in range(100):
             g = gen_random_graph(2**13, 2**14, seed=seed)
-            cfg = ModelConfig.for_graph(n=g.n, m=g.m, epsilon=0.5, seed=seed)
+            cfg = ModelConfig(n=g.n, m=g.m, epsilon=0.5, seed=seed)
             # Step-by-step component preservation against the oracle.
             want = uf_components(g)
             current, mapping = g, list(range(g.n))
@@ -202,7 +202,7 @@ def test_criterion_07_list_ranking_and_tree_ops():
             n = 2**13 if trial < 5 else rng.randint(64, 2**13)
             trees = rng.randint(1, 6)
             g = gen_random_forest(n, trees, seed=rng.randrange(1 << 30))
-            cfg = ModelConfig.for_graph(n=n, m=max(1, g.m), epsilon=0.5, seed=trial)
+            cfg = ModelConfig(n=n, m=max(1, g.m), epsilon=0.5, seed=trial)
             rooted = root_forest(g, config=cfg)
             pn, sizes = preorder_and_sizes(rooted)
             for root in rooted.roots:
@@ -237,7 +237,7 @@ def test_criterion_07_list_ranking_and_tree_ops():
                 rng.shuffle(order)
                 succ = np.full(size, -1)
                 succ[order[:-1]] = order[1:]
-                lcfg = ModelConfig.for_graph(n=size, m=size, epsilon=0.5, seed=trial)
+                lcfg = ModelConfig(n=size, m=size, epsilon=0.5, seed=trial)
                 ranked = list_ranking(succ, order[0], lcfg)
                 assert np.array_equal(ranked.ranks, seq_list_rank(succ, order[0]))
                 assert ranked.iterations <= shrink_iteration_budget(0.5) + 1
@@ -253,7 +253,7 @@ def test_criterion_08_forest_and_cycle_connectivity():
             n = rng.randint(32, 2**12)
             trees = rng.randint(1, 8)
             g = gen_random_forest(n, min(trees, n), seed=rng.randrange(1 << 30))
-            cfg = ModelConfig.for_graph(n=n, m=max(1, g.m), epsilon=0.5, seed=trial)
+            cfg = ModelConfig(n=n, m=max(1, g.m), epsilon=0.5, seed=trial)
             labeling, res = forest_connectivity(g, cfg)
             assert compare_labelings(labeling, uf_components(g)).match
             if res is not None:
@@ -269,7 +269,7 @@ def test_criterion_08_forest_and_cycle_connectivity():
         total = 0.0
         for seed in range(50):
             g = gen_cycles(k, 1, seed=seed)
-            cfg = ModelConfig.for_graph(n=k, m=k, epsilon=0.5, seed=seed)
+            cfg = ModelConfig(n=k, m=k, epsilon=0.5, seed=seed)
             res = cycle_conn(g, cfg, shrink_iterations=0)
             total += sum(res.search_lengths.values()) / k
         mean = total / 50
@@ -277,7 +277,7 @@ def test_criterion_08_forest_and_cycle_connectivity():
         # The full pipeline on the same cycles does respect budgets.
         for seed in range(5):
             g = gen_cycles(k, 1, seed=seed)
-            cfg = ModelConfig.for_graph(n=k, m=k, epsilon=0.5, seed=seed)
+            cfg = ModelConfig(n=k, m=k, epsilon=0.5, seed=seed)
             res = cycle_conn(g, cfg)
             assert compare_labelings(res.labeling, uf_components(g)).match
             _note_violations("cycle-conn", res.simulator)
@@ -293,7 +293,7 @@ def test_criterion_09_two_edge_connectivity():
             n = rng.randint(2, 2000)
             m = rng.randint(0, min(n * (n - 1) // 2, 3 * n))
             g = gen_random_graph(n, m, seed=rng.randrange(1 << 30))
-            cfg = ModelConfig.for_graph(n=n, m=max(1, m), epsilon=0.5, seed=trial)
+            cfg = ModelConfig(n=n, m=max(1, m), epsilon=0.5, seed=trial)
             bc, got_bridges, got_aps, got_labels = bc_pipeline(g, cfg)
             want_bridges, want_aps = tarjan_bridges_aps(g)
             assert _edge_tuples(g, got_bridges) == want_bridges, f"trial {trial}"
@@ -309,7 +309,7 @@ def test_criterion_09_two_edge_connectivity():
                 g = Graph(n, edges)
                 if uf_components(g).component_count() != 1:
                     continue
-                cfg = ModelConfig.for_graph(n=n, m=max(1, g.m), epsilon=0.5, seed=mask)
+                cfg = ModelConfig(n=n, m=max(1, g.m), epsilon=0.5, seed=mask)
                 bc, got_bridges, got_aps, got_labels = bc_pipeline(g, cfg)
                 want_bridges, want_aps = tarjan_bridges_aps(g)
                 assert _edge_tuples(g, got_bridges) == want_bridges, f"n={n} edges={edges}"

@@ -25,7 +25,7 @@ from ampcsim.trees import SubtreeMinMax, preorder_and_sizes, root_forest
 
 
 def cfg_for(g, seed=0):
-    return ModelConfig.for_graph(n=g.n, m=max(1, g.m), epsilon=0.5, seed=seed)
+    return ModelConfig(n=g.n, m=max(1, g.m), epsilon=0.5, seed=seed)
 
 
 def assert_edge_set(edges, m):

@@ -49,7 +49,7 @@ def _digest(sims, outputs):
 
 
 def cfg(n, seed, eps=0.5, m=None):
-    return ModelConfig.for_graph(n=n, m=n if m is None else m, epsilon=eps, seed=seed)
+    return ModelConfig(n=n, m=n if m is None else m, epsilon=eps, seed=seed)
 
 
 def cycles_with_extras():

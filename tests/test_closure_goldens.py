@@ -37,7 +37,7 @@ def _digest(sim, outputs):
 
 
 def cfg(g, seed):
-    return ModelConfig.for_graph(n=g.n, m=g.m, epsilon=0.5, seed=seed)
+    return ModelConfig(n=g.n, m=g.m, epsilon=0.5, seed=seed)
 
 
 def sparse(weighted=False):

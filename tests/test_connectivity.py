@@ -26,7 +26,7 @@ from ampcsim.runtime import MachineContext, ModelConfig, Simulator, _machines_of
 
 
 def config_for(g, seed=0, epsilon=0.5, **kw):
-    return ModelConfig.for_graph(n=g.n, m=max(g.m, 1), epsilon=epsilon, seed=seed, **kw)
+    return ModelConfig(n=g.n, m=max(g.m, 1), epsilon=epsilon, seed=seed, **kw)
 
 
 def assert_edge_set(edges, m):
@@ -88,7 +88,7 @@ def test_resolve_pointers_matches_a_plain_walk(ptr):
 
 
 def test_hook_rule_branches_and_lowest_failing_vertex():
-    config = ModelConfig.for_graph(n=64, m=64, seed=5, leader_constant=0.5 / math.log(64))
+    config = ModelConfig(n=64, m=64, seed=5, leader_constant=0.5 / math.log(64))
     tag, d, limit = 0x1D, 1.0, 2
     ids = np.arange(64)
     lead = item_coins(config.seed, tag, ids) < config.leader_constant * math.log(config.n) / d
@@ -183,7 +183,7 @@ def test_connectivity_forest_input():
 
 
 def test_budget_schedule_law():
-    cfg = ModelConfig.for_graph(n=10**4, m=10**5, epsilon=0.5, seed=0)
+    cfg = ModelConfig(n=10**4, m=10**5, epsilon=0.5, seed=0)
     sched = BudgetSchedule.start(10**4, cfg)
     cap = float(math.floor((10**4) ** (0.5 / 3.0)))
     assert sched.cap == cap

@@ -21,7 +21,7 @@ from ampcsim.trees import root_forest
 
 
 def cycle_config(n, seed=0, epsilon=0.5, **kw):
-    return ModelConfig.for_graph(n=n, m=n, epsilon=epsilon, seed=seed, **kw)
+    return ModelConfig(n=n, m=n, epsilon=epsilon, seed=seed, **kw)
 
 
 def path_successors(n):
@@ -224,14 +224,14 @@ def test_cycle_conn_search_lengths_mean():
 
 
 def test_list_ranking_trivial():
-    cfg = ModelConfig.for_graph(n=1, m=1, epsilon=0.5, seed=0)
+    cfg = ModelConfig(n=1, m=1, epsilon=0.5, seed=0)
     res = list_ranking(np.array([-1]), head=0, config=cfg)
     assert res.ranks.tolist() == [0]
 
 
 def test_list_ranking_small_matches_scan():
     succ = np.array([1, 2, 3, -1])
-    cfg = ModelConfig.for_graph(n=4, m=4, epsilon=0.5, seed=0)
+    cfg = ModelConfig(n=4, m=4, epsilon=0.5, seed=0)
     res = list_ranking(succ, head=0, config=cfg)
     assert np.array_equal(res.ranks, seq_list_rank(succ, 0))
     assert res.ranks.tolist() == [0, 1, 2, 3]
@@ -247,7 +247,7 @@ def test_list_ranking_seeded_random_lists():
         rng.shuffle(perm)
         succ = np.full(n, -1)
         succ[perm[:-1]] = perm[1:]
-        cfg = ModelConfig.for_graph(n=n, m=n, epsilon=0.5, seed=seed)
+        cfg = ModelConfig(n=n, m=n, epsilon=0.5, seed=seed)
         res = list_ranking(succ, head=perm[0], config=cfg)
         assert np.array_equal(res.ranks, seq_list_rank(succ, perm[0]))
         assert res.iterations <= shrink_iteration_budget(cfg.epsilon) + 1
@@ -258,7 +258,7 @@ def test_list_ranking_seeded_random_lists():
 
 
 def test_list_ranking_structure_errors():
-    cfg = ModelConfig.for_graph(n=4, m=4, epsilon=0.5, seed=0)
+    cfg = ModelConfig(n=4, m=4, epsilon=0.5, seed=0)
     with pytest.raises(StructureError):
         list_ranking(np.array([1, 0]), head=0, config=cfg)
     with pytest.raises(StructureError):
@@ -276,7 +276,7 @@ def test_list_ranking_structure_errors():
 
 def test_rank_lists_multiple_chains():
     succ = np.array([1, -1, 3, 4, -1, -1])
-    cfg = ModelConfig.for_graph(n=6, m=6, epsilon=0.5, seed=2)
+    cfg = ModelConfig(n=6, m=6, epsilon=0.5, seed=2)
     res = rank_lists(succ, heads=[0, 2, 5], config=cfg)
     assert res.ranks.tolist() == [0, 1, 0, 1, 2, 0]
 
@@ -293,7 +293,7 @@ def test_two_cycle_capacity_error_on_many_cycles():
         a = 3 * k
         edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2)]
     g = Graph(30, edges)
-    cfg = ModelConfig.for_graph(n=30, m=30, epsilon=0.3, seed=0, budget_slack=1.0)
+    cfg = ModelConfig(n=30, m=30, epsilon=0.3, seed=0, budget_slack=1.0)
     assert cfg.budget_limit < 10
     with pytest.raises(CapacityError):
         two_cycle(g, cfg)
@@ -309,5 +309,5 @@ def test_chain_engine_runs_no_machine_programs(monkeypatch):
     assert cycle_conn(gen_cycles(64, 1, seed=0), cycle_config(64)).labeling.component_count() == 1
     assert list_ranking(np.array([2, -1, 1]), 0, cycle_config(3)).ranks.tolist() == [0, 2, 1]
     forest = gen_random_forest(60, 3, seed=1)
-    rooted = root_forest(forest)  # forest connectivity over the tours, then list ranking
+    rooted = root_forest(forest, config=ModelConfig(n=forest.n, m=forest.m))  # forest connectivity over the tours, then list ranking
     assert len(rooted.simulators) == 2 and len(rooted.roots) == 3

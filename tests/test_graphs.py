@@ -157,6 +157,10 @@ def test_validator_empty_graph():
         assert g.edges == () and g.adjacency() == [] and g.degrees() == []
     with pytest.raises(GraphFormatError):
         Graph(-1, [])
+    # Every edge column is one-dimensional.
+    for columns in (([[0], [1]], [[1], [2]]), ([0, 1], [1, 2], [[3], [4]])):
+        with pytest.raises(GraphFormatError, match="1-D"):
+            Graph.from_arrays(3, *columns)
 
 
 def test_edges_keep_input_order_with_min_max_normalisation():
@@ -272,17 +276,17 @@ def test_results_are_int64_arrays():
         return isinstance(x, np.ndarray) and x.dtype == np.int64
 
     g = gen_random_graph(300, 600, seed=2)
-    cfg = ModelConfig.for_graph(n=g.n, m=g.m, seed=2)
+    cfg = ModelConfig(n=g.n, m=g.m, seed=2)
     weighted = gen_random_graph(300, 600, seed=2, weighted=True)
     forest = gen_random_forest(200, 3, seed=2)
-    forest_cfg = ModelConfig.for_graph(n=forest.n, m=forest.m, seed=2)
+    forest_cfg = ModelConfig(n=forest.n, m=forest.m, seed=2)
     cycles = gen_cycles(64, 2, seed=2)
     labelings = {
         "connectivity": connectivity(g, cfg).labeling,
         "msf": msf(weighted, cfg).labeling,
         "spanning_forest": spanning_forest(g, cfg)[1],
         "forest_connectivity": forest_connectivity(forest, forest_cfg)[0],
-        "cycle_conn": cycle_conn(cycles, ModelConfig.for_graph(n=64, m=64, seed=2)).labeling,
+        "cycle_conn": cycle_conn(cycles, ModelConfig(n=64, m=64, seed=2)).labeling,
         "uf_components": uf_components(g),
     }
     for name, labeling in labelings.items():

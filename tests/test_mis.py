@@ -21,7 +21,7 @@ from ampcsim.runtime import ModelConfig
 
 
 def mis_config(n, m, seed=0, epsilon=0.5):
-    return ModelConfig.for_graph(n=n, m=m, epsilon=epsilon, seed=seed)
+    return ModelConfig(n=n, m=m, epsilon=epsilon, seed=seed)
 
 
 def test_permutation_sorts_by_priority():

@@ -1,8 +1,12 @@
+import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ampcsim.runtime import (
     NONE,
@@ -21,7 +25,7 @@ from ampcsim.runtime import (
 def small_config(**kw):
     defaults = dict(n=16, m=16, epsilon=0.5, seed=7)
     defaults.update(kw)
-    return ModelConfig.for_graph(**defaults)
+    return ModelConfig(**defaults)
 
 
 def scalars(keys, values):
@@ -36,11 +40,40 @@ def test_config_invariants():
     assert cfg.total_T == cfg.space_S * cfg.machines_P
     assert cfg.total_T >= cfg.input_size_N
     with pytest.raises(ValueError):
-        ModelConfig.for_graph(n=10, m=10, epsilon=1.5)
-    with pytest.raises(ValueError):
-        ModelConfig(n=4, m=4, input_size_N=8, epsilon=0.5, space_S=2, machines_P=2, total_T=5)
-    with pytest.raises(ValueError):
-        ModelConfig(n=4, m=4, input_size_N=100, epsilon=0.5, space_S=2, machines_P=2, total_T=4)
+        ModelConfig(n=10, m=10, epsilon=1.5)
+    for bad in (dict(n=-5, m=0), dict(n=5, m=-1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ModelConfig(**bad)
+    # The sizes are derived; none of them can be passed in.
+    for derived in ("input_size_N", "space_S", "machines_P", "total_T"):
+        with pytest.raises(TypeError):
+            ModelConfig(n=4, m=4, **{derived: 8})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 10**7),
+    m=st.integers(0, 10**7),
+    epsilon=st.floats(0.01, 0.99),
+    multiplier=st.floats(1.0, 8.0),
+    slack=st.floats(1.0, 32.0),
+    resized=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+)
+def test_config_sizes_follow_from_the_init_fields(n, m, epsilon, multiplier, slack, resized):
+    def check(cfg, n, m):
+        assert cfg.space_S == max(2, math.ceil(max(n, 2) ** epsilon))
+        assert cfg.input_size_N == max(1, n + m)
+        assert cfg.machines_P == max(1, math.ceil(multiplier * cfg.input_size_N / cfg.space_S))
+        assert cfg.total_T == cfg.space_S * cfg.machines_P >= cfg.input_size_N
+        assert cfg.budget_limit == math.floor(slack * cfg.space_S)
+
+    cfg = ModelConfig(n=n, m=m, epsilon=epsilon, space_multiplier=multiplier, budget_slack=slack, seed=3)
+    check(cfg, n, m)
+    # Replacing the sizes recomputes everything derived from them and keeps
+    # every other parameter, as a sub-computation's config does.
+    sub = dataclasses.replace(cfg, n=resized[0], m=resized[1])
+    check(sub, *resized)
+    assert (sub.epsilon, sub.seed, sub.space_multiplier, sub.budget_slack) == (epsilon, 3, multiplier, slack)
 
 
 def test_query_unique_and_absent():
@@ -262,7 +295,8 @@ def test_metrics_export_schema():
 
 
 def test_assign_single_machine():
-    cfg = ModelConfig(n=4, m=0, input_size_N=4, epsilon=0.5, space_S=4, machines_P=1, total_T=4)
+    cfg = ModelConfig(n=1, m=0)
+    assert cfg.machines_P == 1
     assert partition_to_machines([1, 2, 3], cfg, 0) == [[1, 2, 3]]
 
 
@@ -279,10 +313,8 @@ def test_assign_load_within_three_times_mean():
     p = 16
     mean = len(items) / p
     for seed in range(100):
-        cfg = ModelConfig(
-            n=10**4, m=0, input_size_N=10**4, epsilon=0.5,
-            space_S=625, machines_P=p, total_T=10**4, seed=seed,
-        )
+        cfg = ModelConfig(n=256, m=0, seed=seed)
+        assert cfg.machines_P == p
         parts = partition_to_machines(items, cfg, 0)
         assert len(parts) == p
         assert max(len(part) for part in parts) <= 3 * mean
@@ -389,6 +421,24 @@ def test_batch_round_budget_violation_matches_closure_round():
                 rnd.write_many(np.array(keys), [np.ones(len(keys), dtype=np.int64)], np.full(len(keys), mid))
     assert batch.value.violations == closure.value.violations == [(0, limit + 2, 0), (2, 0, limit + 1)]
     assert batch.value.round_index == closure.value.round_index == 1
+
+
+def test_store_columns_must_be_1d():
+    with pytest.raises(TypeError, match="1-D"):
+        ArrayGeneration(0, [[1], [2]], [[5, 6]])
+    with pytest.raises(TypeError, match="1-D"):
+        ArrayGeneration(0, [1, 2], [[[5], [6]]])
+    sim = Simulator(small_config())
+    with pytest.raises(TypeError, match="1-D"):
+        with sim.batch_round() as rnd:
+            rnd.write_many(np.array([1, 2]), [np.array([[5], [6]])], np.array([0, 1]))
+    with pytest.raises(TypeError, match="1-D"):
+        with sim.batch_round() as rnd:
+            rnd.write_many(np.array([[1], [2]]), [np.array([5, 6])], np.array([0, 1]))
+    with pytest.raises(TypeError, match="1-D"):
+        with sim.batch_round() as rnd:
+            rnd.gather(None, np.array([[1], [2]]), np.array([0, 1]))
+    assert sim.round_index == 0 and sim.metrics == []
 
 
 def test_batch_round_record_size_limit():

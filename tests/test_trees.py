@@ -19,7 +19,7 @@ from ampcsim.trees import (
 
 
 def cfg_for(g, seed=0, epsilon=0.5):
-    return ModelConfig.for_graph(n=g.n, m=max(1, g.m), epsilon=epsilon, seed=seed)
+    return ModelConfig(n=g.n, m=max(1, g.m), epsilon=epsilon, seed=seed)
 
 
 def test_euler_tour_rejects_cycles():
@@ -301,7 +301,7 @@ def test_bc_annotation_rounds_do_not_grow_with_n():
     for n in (500, 4000):
         g = gen_random_graph(n, 3 * n, seed=n)
         bc = with_leader_retries(
-            lambda s: bc_labeling(g, ModelConfig.for_graph(n=n, m=3 * n, epsilon=0.5, seed=s)), n
+            lambda s: bc_labeling(g, ModelConfig(n=n, m=3 * n, epsilon=0.5, seed=s)), n
         )
         labels = ("rmq-query", "rmq-build", "tour-prefix")
         counts.append([_charged(bc.simulators, label)[0] for label in labels])
