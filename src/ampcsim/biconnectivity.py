@@ -1,8 +1,8 @@
 """Two-edge connectivity via spanning forest annotations.
 
 Pipeline: spanning forest, one rooting at the lowest vertex of each
-spanning-forest component, preorder numbers, per-vertex Low/High/Size
-aggregates of non-tree edge endpoints, the critical-edge interval test,
+spanning-forest component (which also yields preorder numbers and subtree
+sizes), per-vertex Low/High aggregates of non-tree edge endpoints, the critical-edge interval test,
 and component labels of the graph with critical edges removed. Bridges,
 articulation points, and 2-edge-connected components read off the result.
 Every stage works on int64 arrays; the graph's edge tuples are never built.
@@ -18,8 +18,8 @@ bridge oracle on exhaustive small graphs, see the test suite): a tree edge
 
 with Size counting v itself, i.e. no non-tree edge escapes the preorder
 interval of v's own subtree. Under this convention the critical set equals
-the bridge set exactly, so the label map below is the 2-edge-component
-labeling.
+the bridge set exactly, so ``bridges`` returns it and the label map below
+is the 2-edge-component labeling.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .connectivity import connectivity, spanning_forest
 from .graphs import ComponentLabeling, Graph, pair_keys, simple_graph
 from .runtime import ModelConfig
-from .trees import RootedTour, SubtreeMinMax, preorder_and_sizes, root_forest
+from .trees import RootedTour, SubtreeMinMax, root_forest
 
 
 @dataclass
@@ -39,10 +39,10 @@ class BCLabeling:
     """Component labels after critical-edge removal, plus the annotated
     rooted spanning forest they were derived from.
 
-    The annotations are int64 arrays over vertices: ``preorder`` numbers,
-    subtree ``sizes`` (counting the vertex), and ``low``/``high``, the
-    least and greatest preorder number that the vertex's subtree holds or
-    reaches by one non-tree edge. ``tree[k]`` is the input index of edge k
+    ``rooted`` carries each vertex's preorder number and subtree size.
+    ``low``/``high`` are int64 arrays over vertices: the least and greatest
+    preorder number that the vertex's subtree holds or reaches by one
+    non-tree edge. ``tree[k]`` is the input index of edge k
     of the rooted forest, whose edges go by endpoint pair; every other input
     edge is a non-tree edge. ``critical`` holds sorted input indices.
     """
@@ -51,8 +51,6 @@ class BCLabeling:
     config: ModelConfig
     labels: ComponentLabeling
     rooted: RootedTour
-    preorder: np.ndarray
-    sizes: np.ndarray
     low: np.ndarray
     high: np.ndarray
     tree: np.ndarray
@@ -66,17 +64,11 @@ def _tree_edges(rooted: RootedTour) -> tuple[np.ndarray, np.ndarray]:
     return child, rooted.parent[child]
 
 
-def critical_set(
-    rooted: RootedTour,
-    tree: np.ndarray,
-    pn: np.ndarray,
-    sizes: np.ndarray,
-    low: np.ndarray,
-    high: np.ndarray,
-) -> np.ndarray:
+def critical_set(rooted: RootedTour, tree: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """Tree edges (v, parent(v)) that pass the frozen interval test, as sorted
     input indices: v enters by forest edge ``enter[v] >> 1``, which ``tree`` maps."""
     child, _ = _tree_edges(rooted)
+    pn, sizes = rooted.preorder, rooted.sizes
     inside = (pn[child] <= low[child]) & (high[child] <= pn[child] + sizes[child] - 1)
     return np.sort(tree[rooted.enter[child[inside]] >> 1])
 
@@ -95,7 +87,7 @@ def bc_labeling(graph: Graph, config: ModelConfig) -> BCLabeling:
     sf_result.simulator.charge(1, n, "component-min")
     tree = forest[np.argsort(pair_keys(n, graph.src[forest], graph.dst[forest]))]
     rooted = root_forest(Graph.from_arrays(n, graph.src[tree], graph.dst[tree]), roots=roots, config=config)
-    pn, sizes = preorder_and_sizes(rooted)
+    pn = rooted.preorder
 
     u, v = np.delete(graph.src, forest), np.delete(graph.dst, forest)
     # Per-vertex base values: own preorder number merged with the preorder
@@ -106,10 +98,10 @@ def bc_labeling(graph: Graph, config: ModelConfig) -> BCLabeling:
     np.maximum.at(bas_max, u, pn[v])
     np.maximum.at(bas_max, v, pn[u])
 
-    subtree = SubtreeMinMax(rooted, pn, sizes, bas_min, bas_max)
+    subtree = SubtreeMinMax(rooted, bas_min, bas_max)
     low, high = subtree.query(np.arange(n))
 
-    critical = critical_set(rooted, tree, pn, sizes, low, high)
+    critical = critical_set(rooted, tree, low, high)
     src, dst = np.delete(graph.src, critical), np.delete(graph.dst, critical)
     label_result = connectivity(Graph.from_arrays(n, src, dst, multigraph=graph.multigraph), config)
     return BCLabeling(
@@ -117,8 +109,6 @@ def bc_labeling(graph: Graph, config: ModelConfig) -> BCLabeling:
         config=config,
         labels=label_result.labeling,
         rooted=rooted,
-        preorder=pn,
-        sizes=sizes,
         low=low,
         high=high,
         tree=tree,
@@ -128,17 +118,9 @@ def bc_labeling(graph: Graph, config: ModelConfig) -> BCLabeling:
 
 
 def bridges(bc: BCLabeling) -> np.ndarray:
-    """Tree edges whose endpoints land in different components of the
-    critical-edges-removed labeling, as sorted input edge indices.
-
-    Under the frozen convention the labeling is the 2-edge-component
-    labeling, and an edge is a bridge exactly when its endpoints lie in
-    different 2-edge components.
-    """
-    label = bc.labels.label
-    child, parent = _tree_edges(bc.rooted)
-    cut = label[child] != label[parent]
-    return np.sort(bc.tree[bc.rooted.enter[child[cut]] >> 1])
+    """Bridges as sorted input edge indices: under the frozen convention
+    the critical set is the bridge set."""
+    return bc.critical
 
 
 def articulation_points(bc: BCLabeling) -> np.ndarray:
@@ -152,7 +134,7 @@ def articulation_points(bc: BCLabeling) -> np.ndarray:
     when it heads at least one component, the root when it heads two.
     """
     n = bc.graph.n
-    pn, sizes, tree_of = bc.preorder, bc.sizes, bc.rooted.tree_of
+    pn, sizes, tree_of = bc.rooted.preorder, bc.rooted.sizes, bc.rooted.tree_of
     is_root = bc.rooted.enter < 0
     u, v = np.delete(bc.graph.src, bc.tree), np.delete(bc.graph.dst, bc.tree)
     a = np.where(pn[u] < pn[v], u, v)

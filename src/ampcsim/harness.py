@@ -221,10 +221,9 @@ def _run_tree_ops(spec: ExperimentSpec, seed: int):
     g = gen_random_forest(spec.n, spec.trees, seed)
     cfg = spec.config(seed, m=max(1, g.m))
     rooted = trees_mod.root_forest(g, config=cfg)
-    pn, sizes = trees_mod.preorder_and_sizes(rooted)
     rng = _rng(seed, 0x1B)
     values = rng.integers(-(10**6), 10**6, size=g.n)
-    smm = trees_mod.SubtreeMinMax(rooted, pn, sizes, values, values)
+    smm = trees_mod.SubtreeMinMax(rooted, values, values)
 
     # Each tree against one DFS from its root; the oracle's dicts share one
     # key order, the tree's preorder. Subtree minima and maxima fold up each
@@ -237,14 +236,14 @@ def _run_tree_ops(spec: ExperimentSpec, seed: int):
         correct &= (
             np.array_equal(np.sort(members), np.flatnonzero(rooted.tree_of == root))
             and np.array_equal(rooted.parent[members], np.fromiter(parent.values(), dtype=np.int64))
-            and np.array_equal(pn[members], np.fromiter(want_pn.values(), dtype=np.int64))
-            and np.array_equal(sizes[members], np.fromiter(want_sizes.values(), dtype=np.int64))
+            and np.array_equal(rooted.preorder[members], np.fromiter(want_pn.values(), dtype=np.int64))
+            and np.array_equal(rooted.sizes[members], np.fromiter(want_sizes.values(), dtype=np.int64))
         )
         for v, p in reversed(parent.items()):
             want_min[p] = min(want_min[p], want_min[v])
             want_max[p] = max(want_max[p], want_max[v])
     # The trial charges one batch of sampled queries. The check reads every
-    # vertex's range off the sealed index, uncharged as pn and sizes are.
+    # vertex's range off the sealed index, uncharged like the preorder check.
     sample = rng.choice(g.n, size=min(g.n, 64), replace=False)
     got = np.array(smm.query(sample))
     want = np.array([want_min, want_max])

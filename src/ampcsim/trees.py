@@ -11,10 +11,12 @@ pair by rank order (the parent-to-child occurrence ranks lower). The
 rooted forest is those tour arrays: each vertex's entering edge, the
 forward edge from its parent, gives its parent, and the vertices with no
 entering edge are the roots. The parent map needs no acyclicity check,
-since a parent's entering edge ranks before its child's. Preorder numbers
-and subtree sizes come from one prefix sum over the ranked tours that
-weighs forward edges 1 and reverse edges 0. The tour and every annotation
-are int64 arrays, indexed by directed edge or by vertex.
+since a parent's entering edge ranks before its child's. Rooting also
+numbers each tree's vertices in preorder and sizes their subtrees, by one
+prefix sum over the ranked tours that weighs forward edges 1 and reverse
+edges 0. Trees are laid out end to end in ascending root id with no sort:
+an edge at its tree's offset plus its rank, a vertex at its tree's offset
+plus its preorder number. Every array is int64, by directed edge or vertex.
 
 Annotations work on the whole forest at once and are charged per batch,
 not per tree or per vertex: in the AMPC model every machine of a round
@@ -129,17 +131,17 @@ class RootedTour:
     Arrays over directed edges: ``rank`` is the edge's position in its
     tree's tour list, which starts at the root's edge to its lowest
     neighbor; ``forward`` marks the parent-to-child occurrences. Arrays over
-    vertices: ``tree_of`` is the vertex's root and ``enter`` its entering
-    edge (the forward edge parent -> v), -1 at roots. Laying the edges out
-    by (tree_of, rank) gives every tree's tour in order, trees end to end.
-    Both remaining arrays are read off ``enter``: ``parent`` is the source
-    of the entering edge, and a root is its own parent; ``roots`` are the
-    vertices with no entering edge, ascending.
+    vertices: ``tree_of`` is the vertex's root, ``enter`` its entering edge
+    (the forward edge parent -> v), -1 at roots, ``preorder`` its preorder
+    number within its tree (0 at the root), and ``sizes`` its subtree's
+    vertex count, itself included. ``parent`` is the source of the entering
+    edge, and a root is its own parent; ``roots`` are the vertices with no
+    entering edge, ascending.
 
     ``simulators`` holds every simulator rooting ran, in order: forest
-    connectivity when no roots were supplied, then list ranking.
-    Annotations charge into the last one, so a forest without edges is
-    charged nothing.
+    connectivity when no roots were supplied, then list ranking. The
+    preorder pass and later annotations charge into the last one, so a
+    forest without edges is charged nothing.
     """
 
     tour: EulerTour
@@ -149,6 +151,8 @@ class RootedTour:
     enter: np.ndarray
     parent: np.ndarray
     roots: np.ndarray
+    preorder: np.ndarray
+    sizes: np.ndarray
     config: ModelConfig
     simulators: list[Simulator]
 
@@ -157,14 +161,27 @@ class RootedTour:
             self.simulators[-1].charge(rounds, communication, label)
 
 
+def _vertex_ids(ids: Sequence[int], n: int, what: str) -> np.ndarray:
+    """``ids`` as int64, checked to be a 1-d batch of integer ids in 0..n-1."""
+    ids = np.asarray(ids)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ValueError(f"{what} ids must form a 1-d integer array, not {ids.dtype} of shape {ids.shape}")
+    ids = ids.astype(np.int64)
+    outside = (ids < 0) | (ids >= n)
+    if outside.any():
+        raise ValueError(f"{what} {ids[outside][0]} not in the forest")
+    return ids
+
+
 def root_forest(
     forest: Graph,
     config: ModelConfig,
     roots: Optional[Sequence[int]] = None,
 ) -> RootedTour:
     """Root every tree: break its tour at a root-incident edge, rank the
-    list, and read parents off the forward occurrences. Each vertex finds
-    its root through its tour's cycle id, with no second pointer chase.
+    list, read parents off the forward occurrences, and number the vertices
+    in preorder with one prefix sum. Each vertex finds its root through its
+    tour's cycle id, with no second pointer chase.
 
     ``roots`` must hold one vertex of every tree. When they are not
     supplied, forest connectivity over the tours picks the lowest id of
@@ -178,10 +195,7 @@ def root_forest(
         if res is not None:
             simulators.append(res.simulator)
         roots = np.unique(components.label)
-    roots = np.asarray(roots, dtype=np.int64)
-    outside = (roots < 0) | (roots >= n)
-    if outside.any():
-        raise ValueError(f"root {roots[outside][0]} not in the forest")
+    roots = _vertex_ids(roots, n, "root")
     if len(np.unique(roots)) < len(roots):
         raise ValueError("two roots were given inside one tree")
 
@@ -213,11 +227,32 @@ def root_forest(
     forward[1::2] = ~forward[0::2]
     enter = np.full(n, -1, dtype=np.int64)
     forward_edges = np.flatnonzero(forward)
-    enter[tour.dst[forward_edges]] = forward_edges
+    child = tour.dst[forward_edges]
+    enter[child] = forward_edges
     parent = np.arange(n)
-    parent[tour.dst[forward_edges]] = tour.src[forward_edges]
+    parent[child] = tour.src[forward_edges]
 
-    return RootedTour(
+    # One exclusive prefix sum P of forward flags over all tours laid end to
+    # end, trees in ascending root id: an edge sits at its tree's offset
+    # plus its rank. The scan is segmented by subtraction: PN(v) = P[enter]
+    # - P[tree start] + 1, and size(v) = P[exit] - P[enter], where exit is
+    # the reverse twin of enter; the difference counts v's entering edge
+    # plus every forward edge strictly inside v's visit span, so it needs no
+    # offset. A root gets PN 0 and its tree's vertex count.
+    tree = tree_of[tour.src]
+    length = np.bincount(tree, minlength=n)
+    tree_start = np.cumsum(length) - length
+    slot = tree_start[tree] + rank
+    laid = np.empty(tour.size, dtype=bool)
+    laid[slot] = forward
+    scan = mpc_cumsum(laid, epsilon=config.epsilon)
+    prefix = scan.value[slot]
+    preorder = np.zeros(n, dtype=np.int64)
+    preorder[child] = prefix[forward_edges] - scan.value[tree_start[tree_of[child]]] + 1
+    sizes = np.bincount(tree_of, minlength=n)
+    sizes[child] = prefix[forward_edges ^ 1] - prefix[forward_edges]
+
+    rooted = RootedTour(
         tour=tour,
         rank=rank,
         forward=forward,
@@ -225,44 +260,16 @@ def root_forest(
         enter=enter,
         parent=parent,
         roots=np.flatnonzero(enter < 0),
+        preorder=preorder,
+        sizes=sizes,
         config=config,
         simulators=simulators,
     )
-
-
-def preorder_and_sizes(rooted: RootedTour) -> tuple[np.ndarray, np.ndarray]:
-    """Preorder numbers and subtree sizes (counting the vertex itself) of
-    every tree, as int64 arrays over vertices, from one exclusive prefix sum
-    P of forward-edge counts over all trees' ranked tours laid end to end.
-
-    The scan is segmented by subtraction: PN(v) = P[enter] - P[tree start]
-    + 1, where enter is the forward edge into v, and size(v) = P[exit] -
-    P[enter], where exit is its reverse twin; the difference counts v's
-    entering edge plus every forward edge strictly inside v's visit span,
-    so it needs no offset. A root gets PN 0 and its tree's vertex count.
-    """
-    tour, n = rooted.tour, rooted.tour.n
-    tree = rooted.tree_of[tour.src]
-    order = np.lexsort((rooted.rank, tree))
-    scan = mpc_cumsum(rooted.forward[order], epsilon=rooted.config.epsilon)
     rooted.charge(scan.rounds_charged, scan.communication_charged, "tour-prefix")
-    prefix = np.empty(tour.size, dtype=np.int64)
-    prefix[order] = scan.value
-    # A tree's tour starts at its rank-0 edge.
-    first = rooted.rank == 0
-    tree_start = np.zeros(n, dtype=np.int64)
-    tree_start[tree[first]] = prefix[first]
-
-    child = np.flatnonzero(rooted.enter >= 0)
-    enter = rooted.enter[child]
-    pn = np.zeros(n, dtype=np.int64)
-    pn[child] = prefix[enter] - tree_start[rooted.tree_of[child]] + 1
-    sizes = np.bincount(rooted.tree_of, minlength=n)
-    sizes[child] = prefix[enter ^ 1] - prefix[enter]
     # Each vertex reads P at its entering edge, its exit edge and its
     # tree's first edge.
     rooted.charge(1, 3 * n, "preorder-size-read")
-    return pn, sizes
+    return rooted
 
 
 class SubtreeMinMax:
@@ -271,36 +278,30 @@ class SubtreeMinMax:
 
     One RMQ index covers the forest laid out in (tree, preorder) order, in
     which every subtree is one contiguous range; its min table is built over
-    ``min_values`` and its max table over ``max_values`` (sequences indexed
-    by vertex). The index is sealed once built, so every machine can read it
-    in the same round: ``query`` answers a whole batch of vertices in one
-    round, with communication 2 per query (one min read and one max read).
+    ``min_values`` and its max table over ``max_values`` (one per vertex).
+    The index is sealed once built, so every machine can read it in the same
+    round: ``query`` answers a whole batch of vertices in one round, with
+    communication 2 per query (one min read and one max read).
     """
 
-    def __init__(
-        self,
-        rooted: RootedTour,
-        pn: np.ndarray,
-        sizes: np.ndarray,
-        min_values: Sequence[float],
-        max_values: Sequence[float],
-    ):
+    def __init__(self, rooted: RootedTour, min_values: Sequence[float], max_values: Sequence[float]):
         n = rooted.tour.n
-        layout = np.lexsort((pn, rooted.tree_of))
+        min_values, max_values = np.asarray(min_values), np.asarray(max_values)
+        if len(min_values) != n or len(max_values) != n:
+            raise ValueError(f"got {len(min_values)} min and {len(max_values)} max values for {n} vertices")
+        count = np.bincount(rooted.tree_of, minlength=n)
         self._rooted = rooted
-        self._first = np.empty(n, dtype=np.int64)
-        self._first[layout] = np.arange(n)
-        self._last = self._first + sizes - 1
-        build = rmq_build(
-            np.asarray(min_values)[layout],
-            max_values=np.asarray(max_values)[layout],
-            epsilon=rooted.config.epsilon,
-        )
+        self._first = (np.cumsum(count) - count)[rooted.tree_of] + rooted.preorder
+        self._last = self._first + rooted.sizes - 1
+        layout = np.empty(n, dtype=np.int64)
+        layout[self._first] = np.arange(n)
+        build = rmq_build(min_values[layout], max_values=max_values[layout], epsilon=rooted.config.epsilon)
         rooted.charge(build.rounds_charged, build.communication_charged, "rmq-build")
         self._index = build.value
 
     def query(self, vertices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Subtree minima and subtree maxima of the vertices, in order."""
-        vertices = np.asarray(vertices, dtype=np.int64)
+        """Subtree minima and subtree maxima of the vertices, in order; a
+        batch holding a non-vertex id is rejected before it is charged."""
+        vertices = _vertex_ids(vertices, self._rooted.tour.n, "vertex")
         self._rooted.charge(1, 2 * len(vertices), "rmq-query")
         return self._index.query(self._first[vertices], self._last[vertices])

@@ -57,7 +57,6 @@ from ampcsim.runtime import ModelConfig
 from ampcsim.trees import (
     SubtreeMinMax,
     forest_connectivity,
-    preorder_and_sizes,
     root_forest,
 )
 
@@ -204,7 +203,7 @@ def test_criterion_07_list_ranking_and_tree_ops():
             g = gen_random_forest(n, trees, seed=rng.randrange(1 << 30))
             cfg = ModelConfig(n=n, m=max(1, g.m), epsilon=0.5, seed=trial)
             rooted = root_forest(g, config=cfg)
-            pn, sizes = preorder_and_sizes(rooted)
+            pn, sizes = rooted.preorder, rooted.sizes
             for root in rooted.roots:
                 parent, want_pn, want_sizes = seq_dfs_tree(g, root)
                 members = [v for v in range(n) if rooted.tree_of[v] == root]
@@ -215,7 +214,7 @@ def test_criterion_07_list_ranking_and_tree_ops():
                     assert pn[v] == want_pn[v] and sizes[v] == want_sizes[v]
             # Subtree min/max on sampled vertices.
             values = [rng.randint(-(10**6), 10**6) for _ in range(n)]
-            smm = SubtreeMinMax(rooted, pn, sizes, values, values)
+            smm = SubtreeMinMax(rooted, values, values)
             children = {v: [] for v in range(n)}
             for v in range(n):
                 p = rooted.parent[v]

@@ -21,7 +21,7 @@ from ampcsim.oracles import (
     uf_components,
 )
 from ampcsim.runtime import ModelConfig
-from ampcsim.trees import SubtreeMinMax, preorder_and_sizes, root_forest
+from ampcsim.trees import SubtreeMinMax, root_forest
 
 
 def cfg_for(g, seed=0):
@@ -87,10 +87,16 @@ def test_bridgeless_graph_single_2ecc():
 
 
 def test_bridges_equal_critical_set():
+    # The labeling of the graph minus the critical set separates the
+    # endpoints of exactly the critical tree edges, so it agrees with the
+    # critical set that ``bridges`` returns.
     for seed in range(10):
         g = gen_random_graph(60, 90, seed=seed)
         bc = bc_labeling(g, cfg_for(g, seed=seed))
-        assert np.array_equal(bridges(bc), bc.critical)
+        label = bc.labels.label
+        child = np.flatnonzero(bc.rooted.enter >= 0)
+        cut = label[child] != label[bc.rooted.parent[child]]
+        assert np.array_equal(np.sort(bc.tree[bc.rooted.enter[child[cut]] >> 1]), bc.critical)
 
 
 def test_critical_interval_matches_subtree_scan_oracle():
@@ -99,7 +105,7 @@ def test_critical_interval_matches_subtree_scan_oracle():
     for seed in range(8):
         g = gen_random_graph(40, 60, seed=seed + 3)
         bc = bc_labeling(g, cfg_for(g, seed=seed))
-        pn, sizes = bc.preorder, bc.sizes
+        pn, sizes = bc.rooted.preorder, bc.rooted.sizes
         parent = bc.rooted.parent
         tree_of = bc.rooted.tree_of
         critical = _edge_tuples(g, bc.critical)
@@ -139,7 +145,7 @@ def test_calibration_freezes_unique_convention():
     def check(g, seed):
         bc = bc_labeling(g, cfg_for(g, seed=seed))
         want, _ = tarjan_bridges_aps(g)
-        pn, sizes, parent = bc.preorder, bc.sizes, bc.rooted.parent
+        pn, sizes, parent = bc.rooted.preorder, bc.rooted.sizes, bc.rooted.parent
         tree_edges = [(v, parent[v]) for v in range(g.n) if parent[v] != v]
         for parent_base, incl in survivors:
             if not survivors[(parent_base, incl)]:
@@ -209,15 +215,15 @@ def test_bc_rooting_matches_root_forest_without_roots():
         bc = bc_labeling(g, cfg)
         forest_edges, _, _ = spanning_forest(g, cfg)
         rooted = root_forest(Graph(g.n, sorted(_edge_tuples(g, forest_edges))), config=cfg)
-        pn, sizes = preorder_and_sizes(rooted)
+        pn, sizes = rooted.preorder, rooted.sizes
         bas_min, bas_max = pn.copy(), pn.copy()
         for u, v in zip(np.delete(g.src, forest_edges).tolist(), np.delete(g.dst, forest_edges).tolist()):
             bas_min[u], bas_max[u] = min(bas_min[u], pn[v]), max(bas_max[u], pn[v])
             bas_min[v], bas_max[v] = min(bas_min[v], pn[u]), max(bas_max[v], pn[u])
-        low, high = SubtreeMinMax(rooted, pn, sizes, bas_min, bas_max).query(range(g.n))
+        low, high = SubtreeMinMax(rooted, bas_min, bas_max).query(range(g.n))
         assert bc.rooted.parent.tolist() == rooted.parent.tolist()
         assert bc.rooted.roots.tolist() == rooted.roots.tolist()
-        for got, want in ((bc.preorder, pn), (bc.sizes, sizes), (bc.low, low), (bc.high, high)):
+        for got, want in ((bc.rooted.preorder, pn), (bc.rooted.sizes, sizes), (bc.low, low), (bc.high, high)):
             assert got.tolist() == want.tolist()
 
 

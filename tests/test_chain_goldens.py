@@ -1,9 +1,9 @@
 """Golden digests of the chain layer: every round's (label, charged,
 queries per machine, writes per machine) and every store generation's
 (key, j, value) triples, plus the outputs, for two_cycle, cycle_conn,
-shrink, rank_lists, forest_connectivity and root_forest with
-preorder_and_sizes. A change to how the engine runs its walks must leave
-all of them unchanged."""
+shrink, rank_lists, forest_connectivity and root_forest, whose preorder
+numbers and subtree sizes are among the outputs. A change to how the engine
+runs its walks must leave all of them unchanged."""
 
 import hashlib
 
@@ -13,7 +13,7 @@ import pytest
 from ampcsim.contraction import cycle_conn, rank_lists, shrink, two_cycle
 from ampcsim.graphs import Graph, gen_cycles, gen_random_forest
 from ampcsim.runtime import ModelConfig
-from ampcsim.trees import forest_connectivity, preorder_and_sizes, root_forest
+from ampcsim.trees import forest_connectivity, root_forest
 
 GOLDEN = {
     "two_cycle_a": "84d3794ade7983566e79123e",
@@ -125,7 +125,7 @@ def _root_forest(name):
             best[label] = max(best.get(label, v), v)
         roots = sorted(best.values())
     rooted = root_forest(g, roots=roots, config=cfg(g.n, seed, m=max(1, g.m)))
-    pn, sizes = preorder_and_sizes(rooted)
+    pn, sizes = rooted.preorder, rooted.sizes
     return _digest(rooted.simulators, (rooted.parent.tolist(), rooted.rank.tolist(), pn.tolist(), sizes.tolist()))
 
 

@@ -13,7 +13,6 @@ from ampcsim.trees import (
     SubtreeMinMax,
     euler_tour,
     forest_connectivity,
-    preorder_and_sizes,
     root_forest,
 )
 
@@ -148,6 +147,15 @@ def test_root_forest_errors():
     # Both faults at once: the uncovered tree is reported first.
     with pytest.raises(ValueError, match="roots must include one vertex of every tree"):
         root_forest(g, roots=[0, 1], config=cfg)
+    # Roots are a 1-d batch of integer ids; an empty batch passes that check.
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    for bad in ([1.7], [True], [[0]]):
+        with pytest.raises(ValueError, match="root ids must form a 1-d integer array"):
+            root_forest(path, roots=bad, config=cfg_for(path))
+    with pytest.raises(ValueError, match="roots must include one vertex of every tree"):
+        root_forest(path, roots=[], config=cfg_for(path))
+    empty = Graph(0, [])
+    assert root_forest(empty, roots=[], config=cfg_for(empty)).roots.tolist() == []
 
 
 def test_root_forest_matches_dfs_oracle():
@@ -166,19 +174,19 @@ def test_root_forest_matches_dfs_oracle():
 def test_subtree_sizes_path_and_star():
     path = Graph(3, [(0, 1), (1, 2)])
     rooted = root_forest(path, roots=[0], config=cfg_for(path))
-    assert preorder_and_sizes(rooted)[1].tolist() == [3, 2, 1]
+    assert rooted.sizes.tolist() == [3, 2, 1]
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     rooted = root_forest(star, roots=[0], config=cfg_for(star))
-    assert preorder_and_sizes(rooted)[1].tolist() == [4, 1, 1, 1]
+    assert rooted.sizes.tolist() == [4, 1, 1, 1]
 
 
 def test_preorder_path_and_singleton():
     single = Graph(1, [])
     rooted = root_forest(single, roots=[0], config=cfg_for(single))
-    assert preorder_and_sizes(rooted)[0].tolist() == [0]
+    assert rooted.preorder.tolist() == [0]
     path = Graph(3, [(0, 1), (1, 2)])
     rooted = root_forest(path, roots=[0], config=cfg_for(path))
-    assert preorder_and_sizes(rooted)[0].tolist() == [0, 1, 2]
+    assert rooted.preorder.tolist() == [0, 1, 2]
 
 
 def test_annotations_match_dfs_oracle_random():
@@ -186,7 +194,7 @@ def test_annotations_match_dfs_oracle_random():
         g = gen_random_forest(200, 1 + seed % 2, seed=seed + 50)
         cfg = cfg_for(g, seed=seed)
         rooted = root_forest(g, config=cfg)
-        pn, sizes = preorder_and_sizes(rooted)
+        pn, sizes = rooted.preorder, rooted.sizes
         for root in rooted.roots:
             parent, want_pn, want_sizes = seq_dfs_tree(g, root)
             members = [v for v in range(g.n) if rooted.tree_of[v] == root]
@@ -201,7 +209,7 @@ def test_preorder_interval_identity():
     g = gen_random_forest(150, 1, seed=9)
     cfg = cfg_for(g, seed=9)
     rooted = root_forest(g, config=cfg)
-    pn, sizes = preorder_and_sizes(rooted)
+    pn, sizes = rooted.preorder, rooted.sizes
     children: dict[int, list[int]] = {v: [] for v in range(g.n)}
     for v in range(g.n):
         p = rooted.parent[v]
@@ -223,18 +231,37 @@ def test_preorder_interval_identity():
         assert values == list(range(pn[v], pn[v] + sizes[v]))
 
 
+def _highest_vertex_roots(g):
+    labeling, _ = forest_connectivity(g, cfg_for(g))
+    best = {}
+    for v, label in enumerate(labeling.label.tolist()):
+        best[label] = max(best.get(label, v), v)
+    return sorted(best.values())
+
+
 def test_subtree_min_max_queries():
     g = gen_random_forest(120, 2, seed=3)
-    cfg = cfg_for(g, seed=3)
-    rooted = root_forest(g, config=cfg)
+    _check_subtree_min_max(g, root_forest(g, config=cfg_for(g, seed=3)))
+    # The layout offsets skip edgeless trees, and roots other than each
+    # tree's lowest vertex start its preorder elsewhere.
+    g = gen_random_forest(150, 12, seed=17)
+    assert sum(1 for v in g.adjacency() if not v) >= 2
+    _check_subtree_min_max(g, root_forest(g, roots=_highest_vertex_roots(g), config=cfg_for(g, seed=3)))
+
+
+def _check_subtree_min_max(g, rooted):
     rng = random.Random(0)
     values = [rng.randint(-1000, 1000) for _ in range(g.n)]
-    smm = SubtreeMinMax(rooted, *preorder_and_sizes(rooted), values, values)
+    smm = SubtreeMinMax(rooted, values, values)
     children: dict[int, list[int]] = {v: [] for v in range(g.n)}
     for v in range(g.n):
         p = rooted.parent[v]
         if p != v:
             children[p].append(v)
+    for root in rooted.roots.tolist():
+        _, want_pn, want_sizes = seq_dfs_tree(g, root)
+        for v in want_pn:
+            assert (rooted.preorder[v], rooted.sizes[v]) == (want_pn[v], want_sizes[v])
 
     def subtree_values(v):
         out = [values[v]]
@@ -253,6 +280,26 @@ def test_subtree_min_max_queries():
     leaves = [v for v in range(g.n) if not children[v]]
     lo, hi = smm.query([leaves[0]])
     assert (lo.tolist(), hi.tolist()) == ([values[leaves[0]]], [values[leaves[0]]])
+
+
+def test_subtree_query_rejects_non_vertices_uncharged():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    rooted = root_forest(g, roots=[0], config=cfg_for(g))
+    smm = SubtreeMinMax(rooted, [5, 6, 7, 8], [5, 6, 7, 8])
+    for bad in ([-1], [4], [1.5], [True], [[0]]):
+        with pytest.raises(ValueError, match="vertex"):
+            smm.query(bad)
+    assert _charged(rooted.simulators, "rmq-query") == (0, 0)
+    assert [a.tolist() for a in smm.query([])] == [[], []]
+    assert _charged(rooted.simulators, "rmq-query") == (1, 0)
+
+
+def test_subtree_min_max_needs_one_value_per_vertex():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    rooted = root_forest(g, roots=[0], config=cfg_for(g))
+    for min_values, max_values in (([1] * 5, [1] * 4), ([1] * 3, [1] * 4), ([1] * 4, [1] * 3)):
+        with pytest.raises(ValueError, match="max values for 4 vertices"):
+            SubtreeMinMax(rooted, min_values, max_values)
 
 
 def test_forest_connectivity_matches_oracle():
@@ -281,7 +328,6 @@ def test_tour_prefix_charged_once_per_forest():
     cfg = cfg_for(g, seed=4, epsilon=0.4)
     rooted = root_forest(g, config=cfg)
     assert len(rooted.roots) == 24
-    preorder_and_sizes(rooted)
     assert _charged(rooted.simulators, "tour-prefix") == (math.ceil(1 / 0.4), 2 * rooted.tour.size)
 
 
@@ -289,7 +335,7 @@ def test_subtree_batch_query_is_one_round():
     g = gen_random_forest(200, 5, seed=8)
     rooted = root_forest(g, config=cfg_for(g, seed=8))
     values = list(range(g.n))
-    smm = SubtreeMinMax(rooted, *preorder_and_sizes(rooted), values, values)
+    smm = SubtreeMinMax(rooted, values, values)
     before = _charged(rooted.simulators, "rmq-query")
     smm.query(range(37))
     after = _charged(rooted.simulators, "rmq-query")
