@@ -29,7 +29,7 @@ import numpy as np
 from .errors import LeaderContractionError, NonTerminationError
 from .graphs import ComponentLabeling, Graph, _arcs, _rng, resolve_pointers, simple_graph, slot_keys
 from .primitives import _bulk_rounds, contract_graph, mpc_argsort
-from .runtime import ModelConfig, Simulator, _machines_of, item_coins, item_hash
+from .runtime import ModelConfig, Simulator, item_coins, item_hash
 
 _MAIN_LOOP_CAP = 64
 # Vertex-shrinking is asymptotic machinery; graphs this small go straight
@@ -62,9 +62,7 @@ class BudgetSchedule:
         return max(2, math.floor(self.d))
 
 
-def _write_adjacency_round(
-    sim: Simulator, graph: Graph, config: ModelConfig, weighted: bool
-) -> tuple[int, int, Optional[np.ndarray]]:
+def _write_adjacency_round(sim: Simulator, graph: Graph, weighted: bool) -> tuple[int, int, Optional[np.ndarray]]:
     """Store the graph as one record per adjacency slot in one batch round;
     returns the generation, the key stride and, when ``weighted``, the
     weight each weight rank stands for.
@@ -95,40 +93,27 @@ def _write_adjacency_round(
     keys, degree, stride = slot_keys(graph.n, heads)
     columns = [tails[order], rank[order], degree[heads]] if weighted else [tails[order], degree[heads]]
     with sim.batch_round() as rnd:
-        rnd.write_many(keys, columns, _machines_of(np.arange(len(keys)), config, sim.round_index + 1))
+        rnd.write_many(keys, columns, sim.machines(np.arange(len(keys))))
     return sim.round_index, stride, weights
 
 
-def _walkers(graph: Graph, config: ModelConfig, sim: Simulator) -> tuple[np.ndarray, np.ndarray]:
-    """One walker per non-isolated vertex, ascending, and the machine that
-    runs it in the next round: each vertex goes to a machine independently
-    and uniformly at random, as ``partition_to_machines`` assigns it."""
-    starts = _non_isolated_vertices(graph)
-    return starts, _machines_of(starts, config, sim.round_index + 1)
-
-
-def increase_degree(
-    graph: Graph,
-    d: int,
-    config: ModelConfig,
-    sim: Optional[Simulator] = None,
-) -> Graph:
+def increase_degree(graph: Graph, d: int, sim: Simulator) -> Graph:
     """Add an edge from each vertex to the first d vertices its BFS visits.
 
-    Every non-isolated vertex runs one walker, and the walkers step in
-    lockstep inside one batch round: each step gathers the next adjacency
-    slot of every live walker, charged to the walker's machine. A walker's
-    queue row is its start followed by the vertices found so far, so the
-    visited test compares the read neighbor against its own row. Per-walker
-    reads are capped at d*d, which the visit limit already implies for
-    simple graphs.
+    Every non-isolated vertex runs one walker, in ascending order, on a
+    machine drawn independently and uniformly at random (``sim.machines``).
+    The walkers step in lockstep inside one batch round: each step gathers
+    the next adjacency slot of every live walker, charged to the walker's
+    machine. A walker's queue row is its start followed by the vertices
+    found so far, so the visited test compares the read neighbor against its
+    own row. Per-walker reads are capped at d*d, which the visit limit
+    already implies for simple graphs.
     """
     if d < 1:
         raise ValueError("budget d must be >= 1")
-    if sim is None:
-        sim = Simulator(config)
-    gen, stride, _ = _write_adjacency_round(sim, graph, config, weighted=False)
-    starts, machines = _walkers(graph, config, sim)
+    gen, stride, _ = _write_adjacency_round(sim, graph, weighted=False)
+    starts = _non_isolated_vertices(graph)
+    machines = sim.machines(starts)
     k = len(starts)
     queue = np.full((k, d + 1), -1, dtype=np.int64)
     queue[:, 0] = starts
@@ -246,8 +231,7 @@ def _is_sparse(graph: Graph) -> bool:
 
 def _shrink(
     graph: Graph,
-    config: ModelConfig,
-    sim: Optional[Simulator],
+    sim: Simulator,
     step: Callable[[Graph, int], tuple[Graph, np.ndarray]],
     tag: int,
     label: str,
@@ -262,33 +246,28 @@ def _shrink(
     target = max(1, math.ceil(n / max(1, math.ceil(math.log2(max(n, 2)))) ** 2))
     steps = 0
     cap = reduction_step_cap(n)
-    rounds = _bulk_rounds(config.epsilon)
+    rounds = _bulk_rounds(sim.config.epsilon)
     while steps < cap and history[-1] > max(target, _REDUCTION_FLOOR):
-        current, f = step(current, item_hash(config.seed, tag, steps))
+        current, f = step(current, item_hash(sim.config.seed, tag, steps))
         mapping = f[mapping]
         steps += 1
         history.append(_non_isolated(current))
-        if sim is not None:
-            sim.charge(rounds, history[-2] + 2 * current.m, label)
+        sim.charge(rounds, history[-2] + 2 * current.m, label)
     return ReduceResult(graph=current, mapping=mapping, steps=steps, non_isolated_history=history)
 
 
-def reduce_small_space(
-    graph: Graph,
-    config: ModelConfig,
-    sim: Optional[Simulator] = None,
-) -> ReduceResult:
+def reduce_small_space(graph: Graph, sim: Simulator) -> ReduceResult:
     """Shrink the non-isolated vertex count by roughly log^2 n with
     repeated pointer-merge steps. Bulk-synchronous, so each step is
     charged rather than traversed."""
-    return _shrink(graph, config, sim, shrink_vertices_step, 0xD0, "vertex-shrink")
+    return _shrink(graph, sim, shrink_vertices_step, 0xD0, "vertex-shrink")
 
 
 def _hook_to_leaders(
     heads: np.ndarray,
     tails: np.ndarray,
     limit: int,
-    config: ModelConfig,
+    sim: Simulator,
     d: float,
     tag: int,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -296,17 +275,18 @@ def _hook_to_leaders(
     ``tails[i]``; every reached vertex is active itself).
 
     The active vertices, the distinct heads, lead with probability
-    min(1, c_L * ln n / d) by item-keyed coins. Each one hooks onto the
-    lowest-id leader in its reach, else onto its lowest-id reached vertex
-    when the exploration was exhausted (reached fewer than ``limit``
-    others), else onto itself when it leads; otherwise the lowest such
-    vertex fails. Returns the active vertices, ascending, and each one's
+    min(1, c_L * ln n / d) by the round's coins under ``tag``. Each one
+    hooks onto the lowest-id leader in its reach, else onto its lowest-id
+    reached vertex when the exploration was exhausted (reached fewer than
+    ``limit`` others), else onto itself when it leads; otherwise the lowest
+    such vertex fails. Returns the active vertices, ascending, and each one's
     hook as a position among them.
     """
     vertices, owner = np.unique(heads, return_inverse=True)
     k = len(vertices)
+    config = sim.config
     p = min(1.0, config.leader_constant * math.log(max(config.n, 2)) / max(d, 1.0))
-    leader = np.ones(k, dtype=bool) if p >= 1.0 else item_coins(config.seed, tag, vertices) < p
+    leader = np.ones(k, dtype=bool) if p >= 1.0 else sim.coins(tag, vertices) < p
     # Positions order like ids, so the lowest position is the lowest id.
     reached = np.searchsorted(vertices, tails)
     led = leader[reached]
@@ -327,7 +307,6 @@ def _hook_to_leaders(
 def _leader_contract(
     current: Graph,
     mapping: np.ndarray,
-    config: ModelConfig,
     sim: Simulator,
     explore: Callable[[Graph, int], tuple[Graph, np.ndarray, np.ndarray, int]],
     tag: int,
@@ -340,7 +319,7 @@ def _leader_contract(
     vertices only, so that work scales with the reach, not with n.
     ``mapping`` is the int64 merge map onto ``current``; the map onto the
     final roots is returned."""
-    schedule = BudgetSchedule.start(max(1, _non_isolated(current)), config)
+    schedule = BudgetSchedule.start(max(1, _non_isolated(current)), sim.config)
     iterations = 0
     while current.m > 0:
         iterations += 1
@@ -348,7 +327,7 @@ def _leader_contract(
             raise NonTerminationError("contraction loop exceeded its cap")
         d = schedule.exploration_budget()
         grown, heads, tails, limit = explore(current, d)
-        vertices, hook = _hook_to_leaders(heads, tails, limit, config, schedule.d, (sim.round_index << 8) | tag)
+        vertices, hook = _hook_to_leaders(heads, tails, limit, sim, schedule.d, tag)
         sim.charge(1, 2 * grown.m, "leader-collect")
         rep = np.arange(grown.n)
         rep[vertices] = vertices[resolve_pointers(hook)]
@@ -374,14 +353,14 @@ def connectivity(graph: Graph, config: ModelConfig) -> ConnectivityResult:
     sim = Simulator(config)
     current, mapping, reduction = graph, np.arange(graph.n), None
     if _is_sparse(graph):
-        reduction = reduce_small_space(graph, config, sim)
+        reduction = reduce_small_space(graph, sim)
         current, mapping = reduction.graph, reduction.mapping
 
     def explore(g: Graph, d: int):
-        grown = increase_degree(g, d, config, sim)
+        grown = increase_degree(g, d, sim)
         return (grown, *_arcs(grown), d)
 
-    mapping, iterations, schedule = _leader_contract(current, mapping, config, sim, explore, 0x1D)
+    mapping, iterations, schedule = _leader_contract(current, mapping, sim, explore, 0x1D)
     return ConnectivityResult(
         labeling=ComponentLabeling(mapping),
         iterations=iterations,
@@ -392,10 +371,7 @@ def connectivity(graph: Graph, config: ModelConfig) -> ConnectivityResult:
 
 
 def msf_increase_degree(
-    graph: Graph,
-    d: int,
-    config: ModelConfig,
-    sim: Optional[Simulator] = None,
+    graph: Graph, d: int, sim: Simulator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Budgeted Prim runs over weight-sorted adjacency, one from each
     non-isolated vertex, each stopping once its local forest has d vertices,
@@ -416,10 +392,9 @@ def msf_increase_degree(
     """
     if d < 1:
         raise ValueError("budget d must be >= 1")
-    if sim is None:
-        sim = Simulator(config)
-    gen, stride, weights = _write_adjacency_round(sim, graph, config, weighted=True)
-    starts, machines = _walkers(graph, config, sim)
+    gen, stride, weights = _write_adjacency_round(sim, graph, weighted=True)
+    starts = _non_isolated_vertices(graph)
+    machines = sim.machines(starts)
     k, n, cap = len(starts), graph.n, d * d
     empty = np.iinfo(np.int64).max
     member = np.full((k, d), -1, dtype=np.int64)
@@ -522,16 +497,16 @@ def msf(graph: Graph, config: ModelConfig) -> MsfResult:
 
     current, mapping = graph, np.arange(graph.n)
     if _is_sparse(graph):
-        reduction = _shrink(graph, config, sim, boruvka_step, 0xB0, "boruvka-shrink")
+        reduction = _shrink(graph, sim, boruvka_step, 0xB0, "boruvka-shrink")
         current, mapping = reduction.graph, reduction.mapping
 
     # Prim's budget counts the centre vertex, so the reach limit is d - 1.
     def explore(g: Graph, d: int):
-        centers, _, members, weights = msf_increase_degree(g, d, config, sim)
+        centers, _, members, weights = msf_increase_degree(g, d, sim)
         commit(weights)
         return g, centers, members, d - 1
 
-    mapping, iterations, schedule = _leader_contract(current, mapping, config, sim, explore, 0x2D)
+    mapping, iterations, schedule = _leader_contract(current, mapping, sim, explore, 0x2D)
     return MsfResult(
         forest=np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *committed])),
         iterations=iterations,

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import CapacityError, NonTerminationError, StructureError
 from .graphs import ComponentLabeling, Graph, resolve_pointers
-from .runtime import NONE, ArrayGeneration, ModelConfig, Simulator, _machines_of, item_coins
+from .runtime import NONE, ArrayGeneration, ModelConfig, Simulator
 
 
 def orient_cycles(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -95,11 +95,12 @@ def _unmarked(ids: np.ndarray, mark: np.ndarray) -> np.ndarray:
 class _Chains:
     """Disjoint chains contracted level by level (see the module docstring).
 
-    ``levels[i]`` is store generation i, the records of every element alive
-    at level i: the engine's simulator runs its levels before any other
-    round. ``ids`` are the elements, sorted; ``succ`` and, on closed chains,
-    ``pred`` are aligned with them, with NONE after an open chain's tail.
-    ``heads`` are the first elements of open chains.
+    Level i is store generation i, ``sim.stores[i]``, the records of every
+    element alive at level i: the engine's simulator runs its ``iterations``
+    levels before any other round. ``ids`` are the elements, sorted;
+    ``succ`` and, on closed chains, ``pred`` are aligned with them, with NONE
+    after an open chain's tail. ``heads`` are the first elements of open
+    chains.
     """
 
     def __init__(
@@ -110,13 +111,12 @@ class _Chains:
         pred: Optional[np.ndarray] = None,
         heads: Optional[np.ndarray] = None,
     ):
-        self.config = config
         self.closed = pred is not None
         self.heads = heads
         weight = np.ones(len(ids), dtype=np.int64)
         columns = (succ, weight, pred) if self.closed else (succ, weight)
-        self.sim = Simulator(config, initial=ArrayGeneration(0, ids, columns))
-        self.levels: list[ArrayGeneration] = [self.sim.store]
+        self.sim = Simulator(config, initial=ArrayGeneration(ids, columns))
+        self.iterations = 0
         # Element ids lie in 0.._bound-1.
         self._bound = int(self.sim.store.key_array[-1]) + 1 if len(ids) else 0
 
@@ -129,11 +129,7 @@ class _Chains:
 
     @property
     def top(self) -> ArrayGeneration:
-        return self.levels[-1]
-
-    @property
-    def iterations(self) -> int:
-        return len(self.levels) - 1
+        return self.sim.stores[self.iterations]
 
     def _marks(self, ids: np.ndarray) -> np.ndarray:
         mark = np.zeros(self._bound, dtype=bool)
@@ -142,9 +138,8 @@ class _Chains:
 
     def _sample(self, delta: float) -> np.ndarray:
         ids = self.top.key_array
-        probability = min(1.0, max(len(self.levels[0]), 2) ** (-delta / 2.0))
-        tag = (self.sim.round_index << 8) | (0x5A if self.closed else 0x1E)
-        chosen = item_coins(self.config.seed, tag, ids) < probability
+        probability = min(1.0, max(len(self.sim.stores[0]), 2) ** (-delta / 2.0))
+        chosen = self.sim.coins(0x5A if self.closed else 0x1E, ids) < probability
         if self.heads is not None:
             chosen[np.searchsorted(ids, self.heads)] = True
         if self.closed:
@@ -168,7 +163,7 @@ class _Chains:
         else:
             samples = np.unique(np.fromiter(samples, dtype=np.int64))
         mark = self._marks(samples)
-        machines = _machines_of(samples, self.config, self.sim.round_index + 1)
+        machines = self.sim.machines(samples)
         with self.sim.batch_round() as rnd:
             record = rnd.gather(None, samples, machines)
             right, weight = record[0], record[1]
@@ -187,13 +182,13 @@ class _Chains:
                     walking = walking[~mark[left[walking]]]
                 columns = (right, weight, left)
             rnd.write_many(samples, columns, machines)
-        self.levels.append(self.sim.store)
+        self.iterations += 1
 
     def residual(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Machine 0 reads every survivor's top-level record once; returns
         the survivors, sorted, and their record columns."""
         survivors = self.top.key_array
-        capacity = self.config.budget_limit
+        capacity = self.sim.config.budget_limit
         if len(survivors) > capacity:
             raise CapacityError(
                 f"residual of {len(survivors)} elements exceeds single-machine "
@@ -208,9 +203,9 @@ class _Chains:
         level's elements to every element, one round per level: the element
         after x gets step(value of x, weight of x)."""
         for generation in range(self.iterations - 1, -1, -1):
-            upper = self.levels[generation + 1].key_array
+            upper = self.sim.stores[generation + 1].key_array
             mark = self._marks(upper)
-            machines = _machines_of(upper, self.config, self.sim.round_index + 1)
+            machines = self.sim.machines(upper)
             with self.sim.batch_round() as rnd:
                 record = rnd.gather(generation, upper, machines)
                 walking = _unmarked(record[0], mark)
@@ -253,10 +248,11 @@ def shrink(
     chains = _Chains.cycles(config, *orient_cycles(graph))
     for i in range(t):
         chains.level(delta, None if sample_sets is None else sample_sets[i])
+    levels = chains.sim.stores[: chains.iterations + 1]
     return ShrinkResult(
         graph=Graph.from_arrays(graph.n, chains.top.key_array, chains.top.columns[0], multigraph=True),
-        iteration_sizes=[len(level) for level in chains.levels],
-        levels=chains.levels,
+        iteration_sizes=[len(level) for level in levels],
+        levels=levels,
         simulator=chains.sim,
     )
 
@@ -334,11 +330,11 @@ def label_cycles(
 
     sim = chains.sim
     survivors = chains.top.key_array
-    coins = item_coins(config.seed, (sim.round_index << 8) | 0x7C, survivors)
+    coins = sim.coins(0x7C, survivors)
     # Priority rank: by coin, ties broken by id.
     rank = np.zeros(len(succ), dtype=np.int64)
     rank[survivors[np.lexsort((survivors, coins))]] = np.arange(len(survivors))
-    machines = _machines_of(survivors, config, sim.round_index + 1)
+    machines = sim.machines(survivors)
     stop_at = survivors.copy()
     steps = np.zeros(len(survivors), dtype=np.int64)
     searching = np.arange(len(survivors))
@@ -440,7 +436,7 @@ def rank_lists(
     chains.unwind(ranks, operator.add)
     return RankedList(
         ranks=ranks,
-        levels=chains.levels,
+        levels=chains.sim.stores[: chains.iterations + 1],
         iterations=chains.iterations,
         simulator=chains.sim,
     )

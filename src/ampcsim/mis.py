@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NonTerminationError
 from .graphs import Graph, _arcs, _split, slot_keys
 from .primitives import mpc_sort
-from .runtime import ArrayGeneration, ModelConfig, Simulator, item_coins, partition_to_machines
+from .runtime import ArrayGeneration, ModelConfig, Simulator, item_coins
 
 UNKNOWN, IN_MIS, NOT_IN_MIS = 0, 1, 2
 
@@ -218,7 +218,7 @@ def maximal_independent_set(graph: Graph, config: ModelConfig) -> MisResult:
     heads, tails = _rank_sorted_arcs(graph, perm)
     adj = _split(tails.tolist(), np.bincount(heads, minlength=n))
     keys, _, _ = slot_keys(n, heads)
-    sim = Simulator(config, initial=ArrayGeneration(0, keys, [tails]))
+    sim = Simulator(config, initial=ArrayGeneration(keys, [tails]))
     sort_charge = mpc_sort(range(graph.m), epsilon=config.epsilon)
     sim.charge(sort_charge.rounds_charged, sort_charge.communication_charged, "adjacency-sort")
 
@@ -235,7 +235,11 @@ def maximal_independent_set(graph: Graph, config: ModelConfig) -> MisResult:
         iterations += 1
         if iterations > cap:
             raise NonTerminationError(f"no settlement after {cap} iterations")
-        parts = partition_to_machines(unknown, config, sim.round_index + 1)
+        # Each machine's vertices, in input order.
+        ids = np.asarray(unknown, dtype=np.int64)
+        machines = sim.machines(ids)
+        by_machine = ids[np.argsort(machines, kind="stable")]
+        parts = _split(by_machine.tolist(), np.bincount(machines, minlength=config.machines_P))
         settled: dict[int, int] = {}
         q_counts: dict[int, int] = {}
 

@@ -34,6 +34,13 @@ machine and round. A round closes by sealing the new generation; then it,
 like a charged round (``Simulator.charge``), is recorded through one path:
 per-machine counts go to ``RoundMetrics``, and violations are recorded (and
 raised under ``strict_budget``).
+
+Round numbering lives here alone. Generation i is ``sim.stores[i]``, and
+``round_index`` is the last sealed one. ``sim.machines(ids)`` hashes each
+item to the machine that runs it in the next round, and
+``sim.coins(tag, ids)`` draws item-keyed coins keyed on the last sealed
+round, so both are fresh after every round that seals a generation. A
+charged round seals none, so it advances neither.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -144,14 +151,20 @@ class ModelConfig:
     total_T: int = field(init=False)
 
     def __post_init__(self):
+        for name in ("n", "m", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, _INTS) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.n < 0 or self.m < 0:
             raise ValueError(f"sizes must be nonnegative, got n={self.n}, m={self.m}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.space_multiplier < 1.0:
-            raise ValueError("space_multiplier must be >= 1")
-        if self.budget_slack < 1.0:
-            raise ValueError("budget_slack must be >= 1")
+        if not 1.0 <= self.space_multiplier < math.inf:
+            raise ValueError(f"space_multiplier must be finite and >= 1, got {self.space_multiplier}")
+        if not 1.0 <= self.budget_slack < math.inf:
+            raise ValueError(f"budget_slack must be finite and >= 1, got {self.budget_slack}")
+        if not 0.0 < self.leader_constant < math.inf:
+            raise ValueError(f"leader_constant must be positive and finite, got {self.leader_constant}")
         if not -(1 << 63) <= self.seed < (1 << 64):
             raise ValueError("seed must fit in 64 bits")
         big_n = max(1, self.n + self.m)
@@ -209,7 +222,7 @@ class ArrayGeneration:
     them for several.
     """
 
-    def __init__(self, generation: int, keys, columns: Sequence):
+    def __init__(self, keys, columns: Sequence):
         keys = _int_column(keys)
         columns = tuple(_int_column(c) for c in columns)
         if any(len(c) != len(keys) for c in columns):
@@ -217,7 +230,6 @@ class ArrayGeneration:
         if len(keys) and (keys[1:] < keys[:-1]).any():
             order = np.argsort(keys, kind="stable")
             keys, columns = keys[order], tuple(c[order] for c in columns)
-        self.generation = generation
         self.key_array = keys
         self.columns = columns
         # Keys 0..len-1 exactly: a key is its own row.
@@ -368,18 +380,18 @@ class BatchRound:
         self._columns.append(columns)
         self._machines.append(np.asarray(machines, dtype=np.int64))
 
-    def _generation(self, generation: int) -> ArrayGeneration:
+    def _generation(self) -> ArrayGeneration:
         if not self._keys:
-            return ArrayGeneration(generation, np.empty(0, dtype=np.int64), ())
+            return ArrayGeneration(np.empty(0, dtype=np.int64), ())
         keys = np.concatenate(self._keys)
         columns = [np.concatenate(c) for c in zip(*self._columns)]
         if (keys[1:] > keys[:-1]).all():
-            return ArrayGeneration(generation, keys, columns)
+            return ArrayGeneration(keys, columns)
         order = np.argsort(keys)
         if (keys[order[1:]] == keys[order[:-1]]).any():
             # Equal keys keep (machine id, per-machine write order).
             order = np.lexsort((np.concatenate(self._machines), keys))
-        return ArrayGeneration(generation, keys[order], [c[order] for c in columns])
+        return ArrayGeneration(keys[order], [c[order] for c in columns])
 
 
 class Simulator:
@@ -397,14 +409,16 @@ class Simulator:
     ):
         self.config = config
         if initial is None:
-            initial = ArrayGeneration(0, [], ())
+            initial = ArrayGeneration([], ())
         elif not isinstance(initial, ArrayGeneration):
             raise TypeError(f"an initial generation is an ArrayGeneration, not {type(initial).__name__}")
-        elif initial.generation != 0:
-            raise ValueError(f"an initial generation is generation 0, not {initial.generation}")
         self.stores: list[ArrayGeneration] = [initial]
         self.metrics: list[RoundMetrics] = []
-        self.round_index = 0
+
+    @property
+    def round_index(self) -> int:
+        """The last sealed generation."""
+        return len(self.stores) - 1
 
     @property
     def store(self) -> ArrayGeneration:
@@ -446,20 +460,34 @@ class Simulator:
         without an exception."""
         batch = BatchRound(self)
         yield batch
-        self.stores.append(batch._generation(self.round_index + 1))
-        self.round_index += 1
+        self.stores.append(batch._generation())
         self._record(self.round_index, batch.queries.tolist(), batch.writes.tolist())
+
+    def machines(self, ids) -> np.ndarray:
+        """The machine each item runs on in the next round: independent and
+        uniform over the machines, deterministic under the seed."""
+        p = self.config.machines_P
+        if p == 1:
+            return np.zeros(len(ids), dtype=np.int64)
+        tag = ((self.round_index + 1) << 8) | 0x51
+        return (item_hashes(self.config.seed, tag, ids) % np.uint64(p)).astype(np.int64)
+
+    def coins(self, tag: int, ids) -> np.ndarray:
+        """Item-keyed coins in [0, 1) under ``tag``, fresh after every round."""
+        return item_coins(self.config.seed, (self.round_index << 8) | tag, ids)
 
     def charge(self, rounds: int, communication: int, label: str = "") -> None:
         """Account for a centrally-computed primitive.
 
         The documented round and communication costs are recorded as if the
         work had been spread uniformly over the machines. Charged rounds
-        carry the current round index and seal no generation.
+        carry the current round index and seal no generation. At least one
+        round is charged, and no negative communication.
         """
-        rounds = max(1, rounds)
+        if rounds < 1 or communication < 0:
+            raise ValueError(f"a charge needs rounds >= 1 and communication >= 0, not {rounds} and {communication}")
         p = self.config.machines_P
-        per_round = max(0, communication) // rounds
+        per_round = communication // rounds
         for i in range(rounds):
             comm = per_round if i < rounds - 1 else communication - per_round * (rounds - 1)
             per_machine, extra = divmod(comm, p)
@@ -511,26 +539,3 @@ class Simulator:
         total_communication, machines."""
         for m in self.metrics:
             fileobj.write(json.dumps(m.as_record(), sort_keys=True) + "\n")
-
-
-def _machines_of(ids: np.ndarray, config: ModelConfig, round_index: int) -> np.ndarray:
-    p = config.machines_P
-    if p == 1:
-        return np.zeros(len(ids), dtype=np.int64)
-    tag = (round_index << 8) | 0x51
-    return (item_hashes(config.seed, tag, ids) % np.uint64(p)).astype(np.int64)
-
-
-def partition_to_machines(
-    items: Iterable[int], config: ModelConfig, round_index: int
-) -> list[list[int]]:
-    """Map each item independently and uniformly at random to a machine,
-    and return one item list per machine, each in input order.
-
-    Deterministic under a fixed seed; independent of processing order.
-    """
-    ids = np.fromiter(items, dtype=np.int64)
-    parts: list[list[int]] = [[] for _ in range(config.machines_P)]
-    for item, machine in zip(ids.tolist(), _machines_of(ids, config, round_index).tolist()):
-        parts[machine].append(item)
-    return parts

@@ -53,7 +53,7 @@ from ampcsim.primitives import (
     rmq_query,
     rmq_query_max,
 )
-from ampcsim.runtime import ModelConfig
+from ampcsim.runtime import ModelConfig, Simulator
 from ampcsim.trees import (
     SubtreeMinMax,
     forest_connectivity,
@@ -176,7 +176,7 @@ def test_criterion_06_vertex_shrinking():
             # Step-by-step component preservation against the oracle.
             want = uf_components(g)
             current, mapping = g, list(range(g.n))
-            red = reduce_small_space(g, cfg)
+            red = reduce_small_space(g, Simulator(cfg))
             for step in range(red.steps):
                 from ampcsim.runtime import item_hash
 

@@ -68,7 +68,7 @@ def _increase_degree(name):
     g = {"increase_degree_sparse": sparse, "increase_degree_multigraph": multigraph}[name]()
     c = cfg(g, 3)
     sim = Simulator(c)
-    grown = increase_degree(g, 5, c, sim)
+    grown = increase_degree(g, 5, sim)
     return _digest(sim, (grown.src.tolist(), grown.dst.tolist()))
 
 
@@ -77,7 +77,7 @@ def _msf_increase_degree(name):
          "msf_increase_degree_float": float_weighted}[name]()
     c = cfg(g, 4)
     sim = Simulator(c)
-    centers, parents, members, weights = msf_increase_degree(g, 6, c, sim)
+    centers, parents, members, weights = msf_increase_degree(g, 6, sim)
     # One (vertex, sorted members, chosen edges) entry per vertex, a vertex
     # that runs no Prim run included.
     runs = {v: [] for v in range(g.n)}

@@ -22,7 +22,7 @@ from ampcsim.graphs import Graph, gen_random_forest, gen_random_graph, resolve_p
 from ampcsim.biconnectivity import bc_pipeline
 from ampcsim.harness import _edge_tuples, with_leader_retries
 from ampcsim.oracles import compare_labelings, kruskal_msf, tarjan_bridges_aps, uf_components
-from ampcsim.runtime import MachineContext, ModelConfig, Simulator, _machines_of, item_coins
+from ampcsim.runtime import MachineContext, ModelConfig, Simulator, item_coins
 
 
 def config_for(g, seed=0, epsilon=0.5, **kw):
@@ -98,7 +98,7 @@ def test_hook_rule_branches_and_lowest_failing_vertex():
     def hooks(edges):
         heads = np.array([u for u, v in edges] + [v for u, v in edges])
         tails = np.array([v for u, v in edges] + [u for u, v in edges])
-        vertices, hook = _hook_to_leaders(heads, tails, limit, config, d, tag)
+        vertices, hook = _hook_to_leaders(heads, tails, limit, Simulator(config), d, tag)
         return dict(zip(vertices.tolist(), vertices[hook].tolist()))
 
     got = hooks([(a, l0), (a, n1), (b, n2), (l1, n3), (l1, n4)])
@@ -116,14 +116,14 @@ def test_hook_rule_branches_and_lowest_failing_vertex():
 
 def test_increase_degree_path_becomes_clique():
     g = Graph(5, [(i, i + 1) for i in range(4)])
-    out = increase_degree(g, 5, config_for(g))
+    out = increase_degree(g, 5, Simulator(config_for(g)))
     assert out.m == 10  # K5
 
 
 def test_increase_degree_cycle_two_hop():
     n = 100
     g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
-    out = increase_degree(g, 4, config_for(g))
+    out = increase_degree(g, 4, Simulator(config_for(g)))
     adj = out.adjacency()
     for v in range(n):
         assert len(adj[v]) >= 4
@@ -133,7 +133,7 @@ def test_increase_degree_cycle_two_hop():
 
 def test_increase_degree_d1_keeps_simple_graph_unchanged():
     g = gen_random_graph(30, 60, seed=1)
-    out = increase_degree(g, 1, config_for(g))
+    out = increase_degree(g, 1, Simulator(config_for(g)))
     assert sorted(out.edges) == sorted(g.edges)
 
 
@@ -144,7 +144,7 @@ def test_increase_degree_query_budget():
 
     sim = Simulator(cfg)
     d = 4
-    increase_degree(g, d, cfg, sim)
+    increase_degree(g, d, sim)
     bfs_round = [m for m in sim.metrics if not m.charged][-1]
     assert sum(bfs_round.queries_per_machine) <= g.n * d * d
 
@@ -242,7 +242,7 @@ def test_shrink_vertices_preserves_components():
 def test_reduce_small_space_forest_preserves_components():
     g = gen_random_forest(500, 4, seed=5)
     cfg = config_for(g, seed=5)
-    red = reduce_small_space(g, cfg)
+    red = reduce_small_space(g, Simulator(cfg))
     assert red.graph.m <= g.m
     want = uf_components(g).canonical()
     # Components of the reduced graph, pulled back through the mapping.
@@ -255,7 +255,7 @@ def test_reduce_small_space_forest_preserves_components():
 
 def test_reduce_small_space_empty_graph():
     g = Graph(10, [])
-    red = reduce_small_space(g, config_for(g))
+    red = reduce_small_space(g, Simulator(config_for(g)))
     assert red.steps == 0
     assert red.mapping.tolist() == list(range(10))
 
@@ -264,7 +264,7 @@ def test_reduce_small_space_shrinks_vertex_count():
     hits = 0
     for seed in range(20):
         g = gen_random_graph(2**11, 2**12, seed=seed)
-        red = reduce_small_space(g, config_for(g, seed=seed))
+        red = reduce_small_space(g, Simulator(config_for(g, seed=seed)))
         before = red.non_isolated_history[0]
         after = red.non_isolated_history[-1]
         if after * 4 <= before:
@@ -274,7 +274,7 @@ def test_reduce_small_space_shrinks_vertex_count():
 
 def test_msf_increase_degree_triangle():
     g = Graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)], weighted=True)
-    centers, _, members, weights = msf_increase_degree(g, 3, config_for(g))
+    centers, _, members, weights = msf_increase_degree(g, 3, Simulator(config_for(g)))
     for v in range(3):
         assert set(weights[centers == v].tolist()) == {1, 2}
         assert {v, *members[centers == v].tolist()} == {0, 1, 2}
@@ -282,7 +282,7 @@ def test_msf_increase_degree_triangle():
 
 def test_msf_increase_degree_d1_degenerate():
     g = Graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)], weighted=True)
-    centers, parents, members, weights = msf_increase_degree(g, 1, config_for(g))
+    centers, parents, members, weights = msf_increase_degree(g, 1, Simulator(config_for(g)))
     for v in range(3):
         assert {v, *members[centers == v].tolist()} == {v}
         assert parents[centers == v].tolist() == [] and weights[centers == v].tolist() == []
@@ -292,7 +292,7 @@ def test_msf_increase_degree_edges_subset_of_msf():
     for seed in range(5):
         g = gen_random_graph(60, 300, seed=seed, weighted=True)
         want = kruskal_msf(g)
-        _, parents, members, weights = msf_increase_degree(g, 5, config_for(g, seed=seed))
+        _, parents, members, weights = msf_increase_degree(g, 5, Simulator(config_for(g, seed=seed)))
         for x, u, w in zip(parents.tolist(), members.tolist(), weights.tolist()):
             assert (min(x, u), max(x, u), w) in {
                 (min(a, b), max(a, b), w2) for a, b, w2 in want
@@ -399,7 +399,7 @@ def test_msf_on_float_weights_matches_kruskal():
         assert res.iterations > 0
         assert _edge_tuples(fg, res.forest) == kruskal_msf(fg)
         edge_weight = {(u, v): w for u, v, w in zip(fg.src.tolist(), fg.dst.tolist(), weights.tolist())}
-        _, parents, members, chosen_weights = msf_increase_degree(fg, 6, config_for(fg, seed=seed))
+        _, parents, members, chosen_weights = msf_increase_degree(fg, 6, Simulator(config_for(fg, seed=seed)))
         chosen = list(zip(parents.tolist(), members.tolist(), chosen_weights.tolist()))
         assert chosen and all(type(w) is float for _, _, w in chosen)
         assert all(edge_weight[min(x, u), max(x, u)] == w for x, u, w in chosen)
@@ -509,10 +509,14 @@ def test_lockstep_explorations_match_per_vertex_references():
         starts = [v for v in range(g.n) if adj[v]]
         for d in (1, 2, 3, 5):
             cfg = config_for(g, seed=case)
-            machines = _machines_of(np.array(starts), cfg, 2).tolist()
+            # Walkers run in round 2, after the adjacency round.
+            ahead = Simulator(cfg)
+            with ahead.batch_round():
+                pass
+            machines = ahead.machines(np.array(starts)).tolist()
 
             sim = Simulator(cfg)
-            grown = increase_degree(g, d, cfg, sim)
+            grown = increase_degree(g, d, sim)
             want_pairs, want_reads = set(), np.zeros(cfg.machines_P, dtype=np.int64)
             for v, machine in zip(starts, machines):
                 found, reads = _reference_bfs(adj, v, d, d * d)
@@ -525,7 +529,7 @@ def test_lockstep_explorations_match_per_vertex_references():
             assert sim.metrics[-1].queries_per_machine == want_reads.tolist()
 
             sim = Simulator(cfg)
-            centers, parents, members, weights = msf_increase_degree(g, d, cfg, sim)
+            centers, parents, members, weights = msf_increase_degree(g, d, sim)
             got = list(zip(centers.tolist(), parents.tolist(), members.tolist(), weights.tolist()))
             want, want_reads = [], np.zeros(cfg.machines_P, dtype=np.int64)
             for v, machine in zip(starts, machines):

@@ -16,7 +16,7 @@ from ampcsim.graphs import (
 from ampcsim.connectivity import connectivity, msf, reduce_small_space, spanning_forest
 from ampcsim.contraction import cycle_conn
 from ampcsim.oracles import uf_components
-from ampcsim.runtime import ModelConfig
+from ampcsim.runtime import ModelConfig, Simulator
 from ampcsim.trees import forest_connectivity, root_forest
 
 
@@ -291,7 +291,7 @@ def test_results_are_int64_arrays():
     }
     for name, labeling in labelings.items():
         assert is_int64(labeling.label), name
-    assert is_int64(reduce_small_space(g, cfg).mapping)
+    assert is_int64(reduce_small_space(g, Simulator(cfg)).mapping)
     rooted = root_forest(forest, config=forest_cfg)
     assert is_int64(rooted.parent) and is_int64(rooted.roots)
     assert rooted.roots.tolist() == np.flatnonzero(rooted.parent == np.arange(forest.n)).tolist()

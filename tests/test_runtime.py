@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from ampcsim.runtime import (
     item_coins,
     item_hash,
     item_hashes,
-    partition_to_machines,
 )
 
 
@@ -30,7 +31,7 @@ def small_config(**kw):
 
 def scalars(keys, values):
     """An initial generation of one scalar value per key."""
-    return ArrayGeneration(0, keys, [values])
+    return ArrayGeneration(keys, [values])
 
 
 def test_config_invariants():
@@ -44,10 +45,31 @@ def test_config_invariants():
     for bad in (dict(n=-5, m=0), dict(n=5, m=-1)):
         with pytest.raises(ValueError, match="nonnegative"):
             ModelConfig(**bad)
+    # NumPy integers are integers; float sizes and seeds are not.
+    assert ModelConfig(n=np.int64(10), m=np.int32(3), seed=np.uint64(5)).space_S == 4
     # The sizes are derived; none of them can be passed in.
     for derived in ("input_size_N", "space_S", "machines_P", "total_T"):
         with pytest.raises(TypeError):
             ModelConfig(n=4, m=4, **{derived: 8})
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (dict(n=2.5), TypeError),
+        (dict(n=True), TypeError),
+        (dict(m=np.bool_(True)), TypeError),
+        (dict(seed=1.5), TypeError),
+        (dict(space_multiplier=math.inf), ValueError),
+        (dict(budget_slack=math.nan), ValueError),
+        (dict(leader_constant=-1.0), ValueError),
+        (dict(leader_constant=0.0), ValueError),
+        (dict(leader_constant=math.inf), ValueError),
+    ],
+)
+def test_config_rejects_what_fails_later(bad, error):
+    with pytest.raises(error, match=next(iter(bad))):
+        small_config(**bad)
 
 
 @settings(max_examples=200, deadline=None)
@@ -285,6 +307,14 @@ def test_charge_accounting():
     assert sim.total_rounds() == 2
 
 
+@pytest.mark.parametrize("rounds, communication", [(1, -5), (0, 10), (-3, 10)])
+def test_charge_rejects_no_rounds_and_negative_communication(rounds, communication):
+    sim = Simulator(small_config())
+    with pytest.raises(ValueError, match="rounds >= 1 and communication >= 0"):
+        sim.charge(rounds, communication, "sort")
+    assert sim.metrics == []
+
+
 def test_metrics_export_schema():
     sim = Simulator(small_config())
     sim.run_round(lambda ctx: None)
@@ -294,30 +324,60 @@ def test_metrics_export_schema():
     assert set(record) == {"round", "max_queries", "max_writes", "total_communication", "machines"}
 
 
+def empty_round(sim):
+    with sim.batch_round():
+        pass
+
+
 def test_assign_single_machine():
     cfg = ModelConfig(n=1, m=0)
     assert cfg.machines_P == 1
-    assert partition_to_machines([1, 2, 3], cfg, 0) == [[1, 2, 3]]
+    assert Simulator(cfg).machines([1, 2, 3]).tolist() == [0, 0, 0]
 
 
 def test_assign_deterministic():
     cfg = small_config()
-    items = list(range(200))
-    assert partition_to_machines(items, cfg, 3) == partition_to_machines(items, cfg, 3)
+    items = np.arange(200)
+    sim = Simulator(cfg)
+    before = sim.machines(items)
+    assert np.array_equal(before, Simulator(cfg).machines(items))
     # Different rounds shuffle differently.
-    assert partition_to_machines(items, cfg, 3) != partition_to_machines(items, cfg, 4)
+    empty_round(sim)
+    assert not np.array_equal(before, sim.machines(items))
 
 
 def test_assign_load_within_three_times_mean():
-    items = list(range(10**4))
+    items = np.arange(10**4)
     p = 16
     mean = len(items) / p
     for seed in range(100):
         cfg = ModelConfig(n=256, m=0, seed=seed)
         assert cfg.machines_P == p
-        parts = partition_to_machines(items, cfg, 0)
-        assert len(parts) == p
-        assert max(len(part) for part in parts) <= 3 * mean
+        loads = np.bincount(Simulator(cfg).machines(items), minlength=p)
+        assert len(loads) == p
+        assert loads.max() <= 3 * mean
+
+
+def test_machines_and_coins_advance_with_sealed_rounds_only():
+    cfg = small_config()
+    ids = np.array([0, 5, 2**40 + 3, 17])
+    sim, twin = Simulator(cfg), Simulator(cfg)
+    for _ in range(3):
+        r = sim.round_index
+        machines, coins = sim.machines(ids), sim.coins(0x1D, ids)
+        # The next round's machines; coins keyed on the last sealed round.
+        assert machines.tolist() == (item_hashes(cfg.seed, ((r + 1) << 8) | 0x51, ids) % cfg.machines_P).tolist()
+        assert coins.tolist() == item_coins(cfg.seed, (r << 8) | 0x1D, ids).tolist()
+        assert np.array_equal(machines, twin.machines(ids))
+        assert np.array_equal(coins, twin.coins(0x1D, ids))
+        # A charged round seals nothing and advances neither.
+        sim.charge(2, 40, "sort")
+        assert np.array_equal(machines, sim.machines(ids))
+        assert np.array_equal(coins, sim.coins(0x1D, ids))
+        empty_round(sim)
+        empty_round(twin)
+        assert not np.array_equal(machines, sim.machines(ids))
+        assert not np.array_equal(coins, sim.coins(0x1D, ids))
 
 
 def test_item_coins_match_scalar():
@@ -344,7 +404,7 @@ def test_array_generation_reads_like_a_dict_generation():
     records = [(5, (1, None)), (2, (3, 4)), (5, (6, 7)), (9, (None, 0))]
     keys = [k for k, _ in records]
     columns = [[NONE if v[i] is None else v[i] for _, v in records] for i in range(2)]
-    as_array = Simulator(small_config(), initial=ArrayGeneration(0, keys, columns)).store
+    as_array = Simulator(small_config(), initial=ArrayGeneration(keys, columns)).store
     first = {2: (3, 4), 5: (1, None), 9: (None, 0), 4: None, -1: None, "x": None, 2**70: None}
     assert {key: as_array.get(key) for key in first} == first
     indexed = {key: [None, value, None, None] for key, value in first.items()}
@@ -352,16 +412,16 @@ def test_array_generation_reads_like_a_dict_generation():
     assert {key: [as_array.get_indexed(key, j) for j in range(4)] for key in first} == indexed
     assert list(as_array.items()) == [(2, (3, 4)), (5, (1, None)), (5, (6, 7)), (9, (None, 0))]
     assert len(as_array) == 4
-    scalar = ArrayGeneration(0, [3, 1], [[NONE, 8]])
+    scalar = ArrayGeneration([3, 1], [[NONE, 8]])
     assert list(scalar.items()) == [(1, 8), (3, None)]
     with pytest.raises(TypeError):
-        ArrayGeneration(0, [1], [[0.5]])
+        ArrayGeneration([1], [[0.5]])
     right, left = as_array.gather(np.array([9, 4, 2]))
     assert right.tolist() == [NONE, NONE, 3] and left.tolist() == [0, NONE, 4]
 
 
 def test_batch_round_reads_writes_and_seals():
-    sim = Simulator(small_config(), initial=ArrayGeneration(0, np.arange(6), [np.arange(6) * 10]))
+    sim = Simulator(small_config(), initial=ArrayGeneration(np.arange(6), [np.arange(6) * 10]))
     with sim.batch_round() as rnd:
         (got,) = rnd.gather(None, np.array([4, 1, 4]), np.array([0, 2, 2]))
         rnd.write_many(np.array([7, 3]), [got[:2], np.array([1, 2])], np.array([1, 0]))
@@ -425,9 +485,9 @@ def test_batch_round_budget_violation_matches_closure_round():
 
 def test_store_columns_must_be_1d():
     with pytest.raises(TypeError, match="1-D"):
-        ArrayGeneration(0, [[1], [2]], [[5, 6]])
+        ArrayGeneration([[1], [2]], [[5, 6]])
     with pytest.raises(TypeError, match="1-D"):
-        ArrayGeneration(0, [1, 2], [[[5], [6]]])
+        ArrayGeneration([1, 2], [[[5], [6]]])
     sim = Simulator(small_config())
     with pytest.raises(TypeError, match="1-D"):
         with sim.batch_round() as rnd:
@@ -451,7 +511,7 @@ def test_batch_round_record_size_limit():
 
 @pytest.mark.parametrize("generation", [-1, 2, 5])
 def test_reading_an_unsealed_generation_fails_at_the_boundary(generation):
-    sim = Simulator(small_config(), initial=ArrayGeneration(0, [1], [[7]]))
+    sim = Simulator(small_config(), initial=ArrayGeneration([1], [[7]]))
     sim.run_round(lambda ctx: None)
     for read in (
         lambda ctx: ctx.query(1, generation=generation),
@@ -510,6 +570,31 @@ def test_closure_round_rejects_mixed_record_widths():
 def test_initial_generation_is_an_array_generation():
     with pytest.raises(TypeError, match="ArrayGeneration"):
         Simulator(small_config(), initial=[(1, 7)])
-    with pytest.raises(ValueError, match="generation 0"):
-        Simulator(small_config(), initial=ArrayGeneration(1, [1], [[7]]))
     assert len(Simulator(small_config()).store) == 0
+
+
+def round_numbering_outside_runtime(package: Path) -> list[str]:
+    """Where a module of ``package`` other than runtime.py imports a private
+    name from the runtime or shifts or offsets ``round_index``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "runtime.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.ImportFrom) and node.module in ("runtime", "ampcsim.runtime"):
+                found += [f"{where} imports {a.name}" for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, (ast.LShift, ast.Add, ast.Sub)):
+                sides = (node.left, node.right)
+                if any(isinstance(side, ast.Attribute) and side.attr == "round_index" for side in sides):
+                    found.append(f"{where} computes with round_index")
+    return found
+
+
+def test_round_numbering_stays_in_runtime():
+    # Machine maps and coin tags come from Simulator.machines and
+    # Simulator.coins; reading round_index as the last sealed generation
+    # stays allowed.
+    package = Path(__file__).resolve().parents[1] / "src" / "ampcsim"
+    assert (package / "runtime.py").exists()
+    assert round_numbering_outside_runtime(package) == []
