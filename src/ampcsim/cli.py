@@ -87,12 +87,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "gen":
-        if args.kind == "cycles":
-            graph = gen_cycles(args.n, args.pieces, args.seed)
-        elif args.kind == "random":
-            graph = gen_random_graph(args.n, args.m, args.seed, weighted=args.weighted)
-        else:
-            graph = gen_random_forest(args.n, args.trees, args.seed)
+        try:
+            if args.kind == "cycles":
+                graph = gen_cycles(args.n, args.pieces, args.seed)
+            elif args.kind == "random":
+                graph = gen_random_graph(args.n, args.m, args.seed, weighted=args.weighted)
+            else:
+                graph = gen_random_forest(args.n, args.trees, args.seed)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         with open(args.out, "w") as fh:
             write_graph(graph, fh)
         print(f"wrote {graph.n} vertices / {graph.m} edges to {args.out}")

@@ -196,7 +196,7 @@ def shrink_vertices_step(graph: Graph, seed: int) -> tuple[Graph, np.ndarray]:
     The mapping is an int64 array over the vertices.
     """
     mapping = _pointer_map(graph.n, graph.src, graph.dst, seed)
-    return contract_graph(graph, mapping).value, mapping
+    return contract_graph(graph, mapping), mapping
 
 
 def _non_isolated_vertices(graph: Graph) -> np.ndarray:
@@ -331,7 +331,7 @@ def _leader_contract(
         sim.charge(1, 2 * grown.m, "leader-collect")
         rep = np.arange(grown.n)
         rep[vertices] = vertices[resolve_pointers(hook)]
-        current = contract_graph(grown, rep).value
+        current = contract_graph(grown, rep)
         sim.charge(1, grown.n + 2 * grown.m + 2 * current.m, "contract")
         mapping = rep[mapping]
         sim.charge(1, len(mapping), "map-compose")
@@ -493,7 +493,7 @@ def msf(graph: Graph, config: ModelConfig) -> MsfResult:
         merged = light[(f[us] == vs) | (f[vs] == us)]
         if len(merged):
             commit(g.weight[merged])
-        return contract_graph(g, f).value, f
+        return contract_graph(g, f), f
 
     current, mapping = graph, np.arange(graph.n)
     if _is_sparse(graph):

@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, NonTerminationError, StructureError
-from .graphs import ComponentLabeling, Graph, resolve_pointers
+from .graphs import ComponentLabeling, Graph, _darts, resolve_pointers
 from .runtime import NONE, ArrayGeneration, ModelConfig, Simulator
 
 
@@ -56,32 +56,26 @@ def orient_cycles(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
 
     Every vertex with an edge must have degree exactly 2 counting
     multiplicity; parallel edges form 2-cycles and a self-loop is a legal
-    1-cycle. Edge i gives two darts: 2i runs src -> dst and 2i+1 back, so
-    dart d leaves ``ends[d]``, the (src0, dst0, src1, dst1, ...) sequence.
-    A dart arriving at a vertex continues by the vertex's other dart out,
-    which splits every cycle into its two directions. Each cycle keeps the
+    1-cycle. Each edge gives two darts (``graphs._darts``), and a dart
+    arriving at a vertex continues by the vertex's other dart out, which
+    splits every cycle into its two directions. Each cycle keeps the
     direction holding its lowest dart: it starts at the cycle's first vertex
-    in that sequence and leaves it by its lower-indexed edge.
+    in the (src0, dst0, src1, dst1, ...) sequence and leaves it by its
+    lower-indexed edge.
     """
-    ends = np.empty(2 * graph.m, dtype=np.int64)
-    ends[0::2], ends[1::2] = graph.src, graph.dst
-    degree = np.bincount(ends, minlength=graph.n)
-    bad = np.flatnonzero(degree[ends] != 2)
+    tails, heads, next_dart, _ = _darts(graph)
+    degree = np.bincount(tails, minlength=graph.n)
+    bad = np.flatnonzero(degree[tails] != 2)
     if len(bad):
-        v = ends[bad[0]]
+        v = tails[bad[0]]
         raise StructureError(f"vertex {v} has degree {degree[v]}, expected 2")
-    # other[d] is the second dart out of d's vertex; d's successor dart
-    # leaves its head by other[d ^ 1].
-    by_vertex = np.argsort(ends).reshape(-1, 2)
-    other = np.empty(len(ends), dtype=np.int64)
-    other[by_vertex[:, 0]], other[by_vertex[:, 1]] = by_vertex[:, 1], by_vertex[:, 0]
-    darts = np.arange(len(ends))
-    lowest = resolve_pointers(other[darts ^ 1])
+    darts = np.arange(len(tails))
+    lowest = resolve_pointers(next_dart)
     kept = darts[lowest < lowest[darts ^ 1]]
     succ = np.full(graph.n, -1, dtype=np.int64)
     pred = np.full(graph.n, -1, dtype=np.int64)
-    succ[ends[kept]] = ends[kept ^ 1]
-    pred[ends[kept ^ 1]] = ends[kept]
+    succ[tails[kept]] = heads[kept]
+    pred[heads[kept]] = tails[kept]
     return succ, pred
 
 
@@ -397,6 +391,13 @@ def _check_chains(successor: np.ndarray, heads: np.ndarray) -> None:
     raise StructureError("successor array has elements unreachable from the heads")
 
 
+def _int64_array(name: str, values) -> np.ndarray:
+    values = np.asarray(values)
+    if values.ndim != 1 or (values.size and values.dtype.kind not in "iu"):
+        raise TypeError(f"{name} must be a 1-d integer array, not {values.dtype} of shape {values.shape}")
+    return values.astype(np.int64, copy=False)
+
+
 def rank_lists(
     successor: np.ndarray,
     heads: Sequence[int],
@@ -409,10 +410,7 @@ def rank_lists(
     each gap's weight into the sample preceding it, solves the residual
     weighted problem on one machine, and unwinds ranks level by level.
     """
-    successor, heads = np.asarray(successor), np.asarray(heads, dtype=np.int64)
-    if successor.ndim != 1 or (successor.size and successor.dtype.kind not in "iu"):
-        raise TypeError(f"successor must be a 1-d integer array, not {successor.dtype} of shape {successor.shape}")
-    successor = successor.astype(np.int64, copy=False)
+    successor, heads = _int64_array("successor", successor), _int64_array("heads", heads)
     _check_chains(successor, heads)
     total = len(successor)
     chains = _Chains(config, np.arange(total), np.where(successor < 0, NONE, successor), heads=heads)

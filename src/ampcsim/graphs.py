@@ -164,6 +164,34 @@ def _arcs(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((graph.src, graph.dst[proper])), np.concatenate((graph.dst, graph.src[proper]))
 
 
+def _darts(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Edge i as two darts, 2i from ``src[i]`` to ``dst[i]`` and 2i+1 back:
+    each dart's tail and head, its successor, and each vertex's first dart
+    out, -1 at a vertex with none.
+
+    A vertex's rotation lists its darts out by ascending head, ties by dart
+    index. The successor of u -> v is the dart after v -> u in v's rotation,
+    cyclically, so at a vertex of degree 2 it is the other dart out. On any
+    multigraph the successors form a permutation of the darts.
+    """
+    n, size = graph.n, 2 * graph.m
+    tails = np.empty(size, dtype=np.int64)
+    heads = np.empty(size, dtype=np.int64)
+    tails[0::2], tails[1::2] = graph.src, graph.dst
+    heads[0::2], heads[1::2] = graph.dst, graph.src
+    rotation = np.argsort(tails * n + heads, kind="stable")
+    degree = np.bincount(tails, minlength=n)
+    start = np.cumsum(degree) - degree
+    # slot[d] is d's place in its tail's rotation; the twin of u -> v is
+    # v -> u, dart d ^ 1.
+    slot = np.empty(size, dtype=np.int64)
+    slot[rotation] = np.arange(size) - start[tails[rotation]]
+    succ = rotation[start[heads] + (slot[np.arange(size) ^ 1] + 1) % degree[heads]]
+    first = np.full(n, -1, dtype=np.int64)
+    first[degree > 0] = rotation[start[degree > 0]]
+    return tails, heads, succ, first
+
+
 def _vertex_ids(ids: np.ndarray) -> np.ndarray:
     if len(ids) == 0:
         return np.zeros(0, dtype=np.int64)
@@ -318,8 +346,8 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed & ((1 << 64) - 1), spawn_key=tags))
 
 
-def gen_cycles(n: int, pieces: int, seed: int) -> Graph:
-    """A vertex-permuted single n-cycle, or two disjoint n/2-cycles."""
+def check_cycles(n: int, pieces: int) -> None:
+    """Raise ValueError unless n vertices make ``pieces`` equal simple cycles."""
     if pieces not in (1, 2):
         raise ValueError("pieces must be 1 or 2")
     if pieces == 1 and n < 3:
@@ -329,10 +357,22 @@ def gen_cycles(n: int, pieces: int, seed: int) -> Graph:
             raise ValueError("two equal cycles need even n")
         if n < 6:
             raise ValueError("two simple cycles need n >= 6")
+
+
+def gen_cycles(n: int, pieces: int, seed: int) -> Graph:
+    """A vertex-permuted single n-cycle, or two disjoint n/2-cycles."""
+    check_cycles(n, pieces)
     order = _rng(seed, 0xC1).permutation(n)
     bounds = [(0, n)] if pieces == 1 else [(0, n // 2), (n // 2, n)]
     nxt = np.concatenate([lo + (np.arange(lo, hi) - lo + 1) % (hi - lo) for lo, hi in bounds])
     return Graph.from_arrays(n, order, order[nxt])
+
+
+def check_random_graph(n: int, m: int) -> None:
+    """Raise ValueError unless a simple graph on n vertices has m edges."""
+    limit = n * (n - 1) // 2
+    if not 0 <= m <= limit:
+        raise ValueError(f"m={m} infeasible for n={n} (max {limit})")
 
 
 def gen_random_graph(n: int, m: int, seed: int, weighted: bool = False) -> Graph:
@@ -360,9 +400,8 @@ def gen_random_graph(n: int, m: int, seed: int, weighted: bool = False) -> Graph
     O(batch log batch); topping up by the shortfall alone and sorting again
     would be quadratic there.
     """
+    check_random_graph(n, m)
     limit = n * (n - 1) // 2
-    if m > limit:
-        raise ValueError(f"m={m} infeasible for n={n} (max {limit})")
     rng = _rng(seed, 0x47)
     chosen = np.zeros(0, dtype=np.int64)  # sorted
     while len(chosen) < m:
@@ -402,10 +441,15 @@ def gen_random_graph(n: int, m: int, seed: int, weighted: bool = False) -> Graph
     return Graph.from_arrays(n, v, u, weights)
 
 
+def check_forest(n: int, trees: int) -> None:
+    """Raise ValueError unless n vertices make ``trees`` trees."""
+    if not 1 <= trees <= n:
+        raise ValueError(f"need 1 <= trees <= n, got trees={trees} for n={n}")
+
+
 def gen_random_forest(n: int, trees: int, seed: int) -> Graph:
     """Random-attachment forest with exactly ``trees`` components."""
-    if not 1 <= trees <= n:
-        raise ValueError("need 1 <= trees <= n")
+    check_forest(n, trees)
     rng = _rng(seed, 0xF0)
     order = rng.permutation(n)
     # Vertex i attaches to a uniform earlier vertex; one draw per i, as

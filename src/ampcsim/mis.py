@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NonTerminationError
 from .graphs import Graph, _arcs, _split, slot_keys
-from .primitives import mpc_sort
+from .primitives import _bulk_rounds
 from .runtime import ArrayGeneration, ModelConfig, Simulator, item_coins
 
 UNKNOWN, IN_MIS, NOT_IN_MIS = 0, 1, 2
@@ -219,8 +219,7 @@ def maximal_independent_set(graph: Graph, config: ModelConfig) -> MisResult:
     adj = _split(tails.tolist(), np.bincount(heads, minlength=n))
     keys, _, _ = slot_keys(n, heads)
     sim = Simulator(config, initial=ArrayGeneration(keys, [tails]))
-    sort_charge = mpc_sort(range(graph.m), epsilon=config.epsilon)
-    sim.charge(sort_charge.rounds_charged, sort_charge.communication_charged, "adjacency-sort")
+    sim.charge(_bulk_rounds(config.epsilon), 2 * graph.m, "adjacency-sort")
 
     status = [UNKNOWN] * n
     q_per_iteration: list[dict[int, int]] = []

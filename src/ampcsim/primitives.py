@@ -5,13 +5,16 @@ The primitives compute centrally and charge their documented round and
 communication costs; distributing a sort across simulated machines would not
 change anything this artifact measures. Charge them into a simulator with
 ``sim.charge(result.rounds_charged, result.communication_charged, label)``.
+Callers charge contraction and RMQ queries themselves: ``contract_graph``
+returns its graph alone, and a batch of ``RMQIndex.query`` ranges is one
+round whose communication is the batch size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, Optional, Sequence, TypeVar
+from typing import Callable, Generic, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -31,25 +34,15 @@ def _bulk_rounds(epsilon: float) -> int:
     return max(1, math.ceil(1.0 / epsilon))
 
 
-def mpc_sort(
-    items: Sequence[T],
-    key: Optional[Callable[[T], Any]] = None,
-    *,
-    epsilon: float,
-) -> ChargedResult[list[T]]:
-    """Stable sort of N tuples, charged ceil(1/epsilon) rounds."""
-    out = sorted(items, key=key)
-    return ChargedResult(out, _bulk_rounds(epsilon), 2 * len(items))
-
-
 def mpc_argsort(keys: np.ndarray, *, epsilon: float) -> ChargedResult[np.ndarray]:
-    """Stable sort order of an array of keys, charged as ``mpc_sort``."""
+    """Stable sort order of an array of N keys, charged ceil(1/epsilon)
+    rounds and communication 2N."""
     return ChargedResult(np.argsort(keys, kind="stable"), _bulk_rounds(epsilon), 2 * len(keys))
 
 
 def mpc_cumsum(values: np.ndarray, *, epsilon: float) -> ChargedResult[np.ndarray]:
-    """Exclusive prefix sums of an integer or boolean array, as int64;
-    the array form of ``mpc_prefix_sum`` under ``+``, charged the same."""
+    """Exclusive prefix sums of an integer or boolean array of N values, as
+    int64, charged ceil(1/epsilon) rounds and communication 2N."""
     prefix = np.zeros(len(values), dtype=np.int64)
     np.cumsum(values[:-1], out=prefix[1:])
     return ChargedResult(prefix, _bulk_rounds(epsilon), 2 * len(values))
@@ -64,22 +57,6 @@ def mpc_filter(
     """Order-preserving subsequence where the predicate holds."""
     out = [x for x in items if predicate(x)]
     return ChargedResult(out, _bulk_rounds(epsilon), len(items) + len(out))
-
-
-def mpc_prefix_sum(
-    items: Sequence[T],
-    op: Callable[[Any, Any], Any],
-    identity: Any,
-    *,
-    epsilon: float,
-) -> ChargedResult[list[tuple[T, Any]]]:
-    """Each tuple paired with the exclusive prefix under an associative op."""
-    out = []
-    acc = identity
-    for x in items:
-        out.append((x, acc))
-        acc = op(acc, x)
-    return ChargedResult(out, _bulk_rounds(epsilon), 2 * len(items))
 
 
 def mpc_predecessor(
@@ -140,12 +117,6 @@ class RMQIndex:
             np.maximum(self._maxs[depth, i], self._maxs[depth, tail]),
         )
 
-    def query_min(self, i: int, j: int) -> float:
-        return float(self.query(i, j)[0])
-
-    def query_max(self, i: int, j: int) -> float:
-        return float(self.query(i, j)[1])
-
 
 def rmq_build(
     values: Sequence[float], *, epsilon: float, max_values: Optional[Sequence[float]] = None
@@ -155,39 +126,15 @@ def rmq_build(
     return ChargedResult(RMQIndex(values, max_values), _bulk_rounds(epsilon), max(1, len(values)))
 
 
-def rmq_query(index: RMQIndex, i: int, j: int) -> ChargedResult[float]:
-    """Minimum over the inclusive range [i, j]; one round, O(1) communication.
+def contract_graph(graph: Graph, mapping: np.ndarray) -> Graph:
+    """Contract each vertex to its representative, ``mapping[v]``, an int
+    array that covers every vertex.
 
-    Batches of independent queries share the round: charge one round with
-    communication equal to the batch size.
-    """
-    return ChargedResult(index.query_min(i, j), 1, 1)
-
-
-def rmq_query_max(index: RMQIndex, i: int, j: int) -> ChargedResult[float]:
-    return ChargedResult(index.query_max(i, j), 1, 1)
-
-
-def contract_graph(
-    graph: Graph,
-    mapping: Sequence[int] | dict[int, int],
-) -> ChargedResult[Graph]:
-    """Contract each vertex to its representative. One round.
-
-    ``mapping`` must cover every vertex, as a list, an array or a dict.
     The result is ``simple_graph`` of the mapped edges: self-loops are
     dropped and each class of parallel edges keeps one edge, the lightest
     on a weighted graph. Edges come back sorted.
     """
-    n = graph.n
-    if isinstance(mapping, dict):
-        missing = next((v for v in range(n) if v not in mapping), None)
-        if missing is None:
-            mapping = [mapping[v] for v in range(n)]
-    else:
-        missing = len(mapping) if len(mapping) < n else None
-    if missing is not None:
-        raise KeyError(f"contraction mapping undefined on vertex {missing}")
-    rep = np.asarray(mapping, dtype=np.int64)[:n]
-    out = simple_graph(n, rep[graph.src], rep[graph.dst], graph.weight)
-    return ChargedResult(out, 1, graph.n + 2 * graph.m + out.m)
+    if len(mapping) < graph.n:
+        raise KeyError(f"contraction mapping undefined on vertex {len(mapping)}")
+    rep = np.asarray(mapping, dtype=np.int64)[: graph.n]
+    return simple_graph(graph.n, rep[graph.src], rep[graph.dst], graph.weight)

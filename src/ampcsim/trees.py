@@ -33,7 +33,7 @@ import numpy as np
 
 from .contraction import CycleConnResult, label_cycles, rank_lists
 from .errors import StructureError
-from .graphs import ComponentLabeling, Graph, resolve_pointers
+from .graphs import ComponentLabeling, Graph, _darts, resolve_pointers
 from .primitives import mpc_cumsum, rmq_build
 from .runtime import ModelConfig, Simulator
 
@@ -69,34 +69,19 @@ def euler_tour(forest: Graph) -> EulerTour:
     So the input is a forest exactly when (vertices with an edge) - m equals
     the number of tour cycles; otherwise ``StructureError`` is raised.
     """
-    n, size = forest.n, 2 * forest.m
-    src = np.empty(size, dtype=np.int64)
-    dst = np.empty(size, dtype=np.int64)
-    src[0::2], src[1::2] = forest.src, forest.dst
-    dst[0::2], dst[1::2] = forest.dst, forest.src
-    # The rotation groups edges by source, each group by ascending target.
-    # slot[e] is e's place in the rotation of src[e]; the twin of u->v is
-    # v->u, at slot[e ^ 1] in v's.
-    rotation = np.argsort(src * n + dst, kind="stable")
-    degree = np.bincount(src, minlength=n)
-    start = np.cumsum(degree) - degree
-    slot = np.empty(size, dtype=np.int64)
-    slot[rotation] = np.arange(size) - start[src[rotation]]
-    twin = np.arange(size) ^ 1
-    succ = rotation[start[dst] + (slot[twin] + 1) % degree[dst]]
+    src, dst, succ, first = _darts(forest)
+    size = len(src)
     pred = np.empty(size, dtype=np.int64)
     pred[succ] = np.arange(size)
     cycle = resolve_pointers(succ)
     cycles = np.count_nonzero(cycle == np.arange(size))
-    touched = np.count_nonzero(degree)
+    touched = np.count_nonzero(first >= 0)
     if touched - forest.m != cycles:
         raise StructureError(
             f"input is not a forest: {touched} vertices with edges and {forest.m} edges "
             f"leave {cycles} tour cycles, not {touched - forest.m}"
         )
-    first = np.full(n, -1, dtype=np.int64)
-    first[degree > 0] = rotation[start[degree > 0]]
-    return EulerTour(n=n, src=src, dst=dst, succ=succ, pred=pred, cycle=cycle, first=first)
+    return EulerTour(n=forest.n, src=src, dst=dst, succ=succ, pred=pred, cycle=cycle, first=first)
 
 
 def forest_connectivity(

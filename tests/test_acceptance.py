@@ -44,14 +44,12 @@ from ampcsim.oracles import (
 )
 from ampcsim.primitives import (
     contract_graph,
+    mpc_argsort,
+    mpc_cumsum,
     mpc_dedup,
     mpc_filter,
     mpc_predecessor,
-    mpc_prefix_sum,
-    mpc_sort,
     rmq_build,
-    rmq_query,
-    rmq_query_max,
 )
 from ampcsim.runtime import ModelConfig, Simulator
 from ampcsim.trees import (
@@ -337,9 +335,14 @@ def test_criterion_11_primitive_suite():
     def body():
         rng = random.Random(11)
         eps = 0.5
+
+        def sort(xs):
+            keys = np.array(xs, dtype=np.int64)
+            return keys[mpc_argsort(keys, epsilon=eps).value].tolist()
+
         for _ in range(1000):
             xs = [rng.randint(-999, 999) for _ in range(rng.randint(0, 80))]
-            assert mpc_sort(xs, epsilon=eps).value == sorted(xs)
+            assert sort(xs) == sorted(xs)
         for _ in range(1000):
             xs = [rng.randint(-999, 999) for _ in range(rng.randint(0, 80))]
             assert mpc_filter(xs, lambda x: x % 3 == 0, epsilon=eps).value == [
@@ -347,9 +350,10 @@ def test_criterion_11_primitive_suite():
             ]
         for _ in range(1000):
             xs = [rng.randint(-99, 99) for _ in range(rng.randint(0, 60))]
-            got = mpc_prefix_sum(xs, lambda a, b: a + b, 0, epsilon=eps).value
+            got = mpc_cumsum(np.array(xs, dtype=np.int64), epsilon=eps).value.tolist()
+            assert len(got) == len(xs)
             acc = 0
-            for x, prefix in got:
+            for x, prefix in zip(xs, got):
                 assert prefix == acc
                 acc += x
         for _ in range(1000):
@@ -366,8 +370,9 @@ def test_criterion_11_primitive_suite():
             idx = rmq_build(arr, epsilon=eps).value
             i = rng.randrange(len(arr))
             j = rng.randrange(i, len(arr))
-            assert rmq_query(idx, i, j).value == min(arr[i : j + 1])
-            assert rmq_query_max(idx, i, j).value == max(arr[i : j + 1])
+            lo, hi = idx.query(i, j)
+            assert lo == min(arr[i : j + 1])
+            assert hi == max(arr[i : j + 1])
         for _ in range(1000):
             n = rng.randint(1, 24)
             seen = set()
@@ -376,8 +381,8 @@ def test_criterion_11_primitive_suite():
                 if u != v:
                     seen.add((min(u, v), max(u, v)))
             g = Graph(n, sorted(seen))
-            f = {v: rng.randrange(n) for v in range(n)}
-            got = set(contract_graph(g, f).value.edges)
+            f = [rng.randrange(n) for _ in range(n)]
+            got = set(contract_graph(g, np.array(f)).edges)
             want = {
                 (min(f[u], f[v]), max(f[u], f[v]))
                 for u, v in seen
@@ -386,9 +391,9 @@ def test_criterion_11_primitive_suite():
             assert got == want
         # One large case per primitive family.
         big = [rng.randint(-(10**6), 10**6) for _ in range(10**5)]
-        assert mpc_sort(big, epsilon=eps).value == sorted(big)
+        assert sort(big) == sorted(big)
         idx = rmq_build(big, epsilon=eps).value
-        assert rmq_query(idx, 10, 99999).value == min(big[10:100000])
+        assert idx.query(10, 99999)[0] == min(big[10:100000])
 
     _criterion(11, "primitive suite equals sequential oracles", None, body)
 

@@ -281,6 +281,21 @@ def test_rank_lists_multiple_chains():
     assert res.ranks.tolist() == [0, 1, 0, 1, 2, 0]
 
 
+def test_rank_lists_rejects_heads_that_are_not_integers():
+    succ = np.array([1, -1, 3, -1])
+    cfg = ModelConfig(n=4, m=4, epsilon=0.5, seed=0)
+    # Once cast, these would rank from element 0, enter element 1 twice,
+    # or fail inside numpy.
+    for heads in ([0.9], [True], [[0]]):
+        with pytest.raises(TypeError, match="heads must be a 1-d integer array"):
+            rank_lists(succ, heads, cfg)
+    with pytest.raises(TypeError, match="heads must be a 1-d integer array"):
+        list_ranking(np.array([-1, 0]), 1.7, cfg)
+    with pytest.raises(StructureError, match="head 4 is not an element"):
+        rank_lists(succ, [0, 4], cfg)
+    assert rank_lists(succ, np.array([2, 0], dtype=np.int32), cfg).ranks.tolist() == [0, 1, 0, 1]
+
+
 def test_two_cycle_capacity_error_on_many_cycles():
     # Ten disjoint triangles: the per-cycle sampling floor keeps at least
     # one vertex per cycle alive, so a tiny machine budget cannot hold the

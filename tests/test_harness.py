@@ -21,6 +21,17 @@ def test_spec_validation():
         ExperimentSpec(algorithm="nope")
     with pytest.raises(ValueError):
         ExperimentSpec(algorithm="mis", epsilon=1.0)
+    # The generators' rules, checked before any trial runs.
+    with pytest.raises(ValueError, match="even n"):
+        ExperimentSpec(algorithm="two-cycle", n=5, pieces=2)
+    with pytest.raises(ValueError, match="trees"):
+        ExperimentSpec(algorithm="tree-ops", n=5, trees=9)
+    with pytest.raises(ValueError, match="infeasible"):
+        ExperimentSpec(algorithm="msf", n=10, m=46)
+    with pytest.raises(ValueError, match="infeasible"):
+        ExperimentSpec(algorithm="mis", n=10, m=-1)
+    assert ExperimentSpec(algorithm="two-cycle", n=5, pieces=1).n == 5
+    assert ExperimentSpec(algorithm="msf", n=10, m=45).m == 45
 
 
 def test_two_cycle_experiment_records():
@@ -332,6 +343,25 @@ def test_cli_strict_budget_fails_on_violation(capsys):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: budget violation")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["forest-conn", "--n", "10", "--trees", "0"],
+        ["tree-ops", "--n", "5", "--trees", "9"],
+        ["two-cycle", "--n", "5", "--pieces", "2"],
+        ["connectivity", "--n", "10", "--m", "1000"],
+        ["connectivity", "--n", "2"],  # the default m = 3n exceeds n(n-1)/2
+        ["gen", "--kind", "forest", "--n", "5", "--trees", "9", "--out", "f"],
+    ],
+)
+def test_cli_input_error_is_one_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "f").exists()
 
 
 def test_cli_model_error_is_one_line(capsys):
