@@ -24,7 +24,12 @@ operations, each one batch round:
 - unwind: from the top level down, each survivor reads its record at the
   level below and writes a value to every element of the gap it covered.
   The value passes through a step function: adding weights gives ranks,
-  keeping the value spreads a component label.
+  keeping the value spreads a component label. Each level's values are
+  written once, at the end of its round, in ascending key order and each
+  charged to the machine of the walker that reached it, so sealing the
+  level needs no sort. List ranking rejects a cycle that no head enters
+  only after unwinding, by a linear certificate on the ranks (see
+  ``rank_lists``).
 
 The walks run in lockstep: all walkers of a round take their next step
 together, as one gather from the sealed generation they walk, and a walker
@@ -200,6 +205,9 @@ class _Chains:
             upper = self.sim.stores[generation + 1].key_array
             mark = self._marks(upper)
             machines = self.sim.machines(upper)
+            # The machine that writes each element, -1 at an element not
+            # written this round.
+            writer = np.full(self._bound, -1, dtype=np.int64)
             with self.sim.batch_round() as rnd:
                 record = rnd.gather(generation, upper, machines)
                 walking = _unmarked(record[0], mark)
@@ -208,12 +216,14 @@ class _Chains:
                 machines = machines[walking]
                 while len(x):
                     values[x] = value
-                    rnd.write_many(x, [value], machines)
+                    writer[x] = machines
                     record = rnd.gather(generation, x, machines)
                     walking = _unmarked(record[0], mark)
                     x = record[0][walking]
                     value = step(value, record[1])[walking]
                     machines = machines[walking]
+                written = np.flatnonzero(writer >= 0)
+                rnd.write_many(written, [values[written]], writer[written])
         return values
 
 
@@ -363,9 +373,17 @@ class RankedList:
         return [level.columns[1] for level in self.levels]
 
 
+_UNREACHABLE = "successor array has elements unreachable from the heads"
+
+
 def _check_chains(successor: np.ndarray, heads: np.ndarray) -> None:
-    """Raise StructureError unless ``successor`` links elements 0..n-1 into
-    disjoint chains that start at ``heads`` and cover every element."""
+    """Raise StructureError unless every successor and head is an element
+    of 0..n-1 and every element is entered exactly once: from its
+    predecessor, or as a head.
+
+    What these checks let through besides chains from the heads are cycles
+    no head enters. Those ``rank_lists`` rejects after unwinding, by its
+    rank certificate."""
     n = len(successor)
     outside = np.flatnonzero((successor < -1) | (successor >= n))
     if len(outside):
@@ -373,22 +391,11 @@ def _check_chains(successor: np.ndarray, heads: np.ndarray) -> None:
     outside = heads[(heads < 0) | (heads >= n)]
     if len(outside):
         raise StructureError(f"head {outside[0]} is not an element")
-    # Every element is entered once: from its predecessor, or as a head.
     entered = np.bincount(successor[successor >= 0], minlength=n) + np.bincount(heads, minlength=n)
     if (entered > 1).any():
         raise StructureError(f"successor chain revisits element {np.flatnonzero(entered > 1)[0]}")
     if (entered == 0).any():
-        raise StructureError("successor array has elements unreachable from the heads")
-    # What is left besides chains from the heads are cycles no head enters:
-    # jumping to each element's chain end reaches a tail from every element
-    # exactly when there are none.
-    tail = successor < 0
-    end = np.where(tail, np.arange(n), successor)
-    for _ in range(n.bit_length() + 1):
-        if tail[end].all():
-            return
-        end = end[end]
-    raise StructureError("successor array has elements unreachable from the heads")
+        raise StructureError(_UNREACHABLE)
 
 
 def _int64_array(name: str, values) -> np.ndarray:
@@ -409,6 +416,14 @@ def rank_lists(
     tail. The contraction loop keeps heads sampled at every level, absorbs
     each gap's weight into the sample preceding it, solves the residual
     weighted problem on one machine, and unwinds ranks level by level.
+
+    Input is checked in O(n) host time: ``_check_chains`` before the
+    rounds, then a rank certificate after unwinding. Once every element is
+    entered exactly once, the only other shape is a cycle no head enters.
+    The engine still ends on one (a walk stops at the next sample, and a
+    cycle that drew no sample is never walked), but the ranks cannot step
+    by +1 all the way round it, so StructureError is raised unless
+    ``ranks[successor[x]] == ranks[x] + 1`` at every x with a successor.
     """
     successor, heads = _int64_array("successor", successor), _int64_array("heads", heads)
     _check_chains(successor, heads)
@@ -432,6 +447,9 @@ def rank_lists(
     ranks = np.zeros(total, dtype=np.int64)
     ranks[list(residual_ranks)] = list(residual_ranks.values())
     chains.unwind(ranks, operator.add)
+    linked = np.flatnonzero(successor >= 0)
+    if (ranks[successor[linked]] != ranks[linked] + 1).any():
+        raise StructureError(_UNREACHABLE)
     return RankedList(
         ranks=ranks,
         levels=chains.sim.stores[: chains.iterations + 1],

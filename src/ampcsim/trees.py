@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .contraction import CycleConnResult, label_cycles, rank_lists
+from .contraction import CycleConnResult, _int64_array, label_cycles, rank_lists
 from .errors import StructureError
 from .graphs import ComponentLabeling, Graph, _darts, resolve_pointers
 from .primitives import mpc_cumsum, rmq_build
@@ -147,11 +147,9 @@ class RootedTour:
 
 
 def _vertex_ids(ids: Sequence[int], n: int, what: str) -> np.ndarray:
-    """``ids`` as int64, checked to be a 1-d batch of integer ids in 0..n-1."""
-    ids = np.asarray(ids)
-    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
-        raise ValueError(f"{what} ids must form a 1-d integer array, not {ids.dtype} of shape {ids.shape}")
-    ids = ids.astype(np.int64)
+    """``ids`` as int64, checked to be a 1-d batch of integer ids in 0..n-1:
+    TypeError for another shape or dtype, ValueError for an id outside."""
+    ids = _int64_array(f"{what} ids", ids)
     outside = (ids < 0) | (ids >= n)
     if outside.any():
         raise ValueError(f"{what} {ids[outside][0]} not in the forest")

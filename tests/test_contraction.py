@@ -16,7 +16,7 @@ from ampcsim.contraction import (
 from ampcsim.errors import StructureError
 from ampcsim.graphs import Graph, gen_cycles, gen_random_forest
 from ampcsim.oracles import compare_labelings, seq_list_rank, uf_components
-from ampcsim.runtime import MachineContext, ModelConfig
+from ampcsim.runtime import BatchRound, MachineContext, ModelConfig
 from ampcsim.trees import root_forest
 
 
@@ -272,6 +272,88 @@ def test_list_ranking_structure_errors():
         list_ranking(np.array([-1]), head=3, config=cfg)
     with pytest.raises(TypeError):
         list_ranking({0: None}, head=0, config=cfg)
+
+
+def _random_chains(n, k, seed):
+    """A random permutation of 0..n-1 cut into k chains: successor array
+    and heads."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    parts = np.split(perm, np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False)))
+    succ = np.full(n, -1, dtype=np.int64)
+    for part in parts:
+        succ[part[:-1]] = part[1:]
+    return succ, [int(part[0]) for part in parts]
+
+
+def _headless_cycles():
+    rng = np.random.default_rng(5)
+    # A head's 1000-element list beside a 5000-element cycle.
+    order = rng.permutation(6000)
+    long_cycle = np.full(6000, -1, dtype=np.int64)
+    long_cycle[order[:999]] = order[1:1000]
+    long_cycle[order[1000:]] = np.roll(order[1000:], -1)
+    # 500 triangles: 3j -> 3j+1 -> 3j+2 -> 3j.
+    x = np.arange(1500)
+    return {
+        "self-loop": (np.array([0]), []),
+        "2-cycle-beside-list": (np.array([1, -1, 3, 2]), [0]),
+        "5000-cycle-beside-list": (long_cycle, [int(order[0])]),
+        "500-triangles": (x - x % 3 + (x + 1) % 3, []),
+    }
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("case", list(_headless_cycles()))
+def test_rank_lists_rejects_headless_cycles(case, strict):
+    succ, heads = _headless_cycles()[case]
+    cfg = ModelConfig(n=len(succ), m=len(succ), epsilon=0.5, seed=3, strict_budget=strict)
+    with pytest.raises(StructureError, match="^successor array has elements unreachable from the heads$"):
+        rank_lists(succ, heads, cfg)
+
+
+def test_rank_lists_matches_sequential_ranking_per_chain():
+    n = 3000
+    for seed in range(3):
+        for k in (1, 2, 9, 50):
+            succ, heads = _random_chains(n, k, seed)
+            res = rank_lists(succ, heads, ModelConfig(n=n, m=n, epsilon=0.5, seed=seed))
+            covered = np.zeros(n, dtype=bool)
+            for head in heads:
+                want = seq_list_rank(succ, head)
+                on = want >= 0
+                assert np.array_equal(res.ranks[on], want[on])
+                covered |= on
+            assert covered.all()
+
+
+def test_unwind_writes_each_level_gap_once_in_key_order(monkeypatch):
+    # Every round's buffered keys, to see that none needs a sort to seal.
+    buffered = []
+    generation = BatchRound._generation
+
+    def recording(self):
+        buffered.append(np.concatenate(self._keys) if self._keys else np.empty(0, dtype=np.int64))
+        return generation(self)
+
+    monkeypatch.setattr(BatchRound, "_generation", recording)
+    n = 5000
+    succ, heads = _random_chains(n, 1, seed=11)
+    res = list_ranking(succ, heads[0], ModelConfig(n=n, m=n, epsilon=0.5, seed=11))
+    it = res.iterations
+    assert it >= 2
+    stores = res.simulator.stores
+    # Levels 0..it, the residual read, then one unwind round per level from
+    # level it-1 down to level 0.
+    assert len(stores) == 2 * it + 2
+    for level in range(it):
+        unwound = stores[2 * it + 1 - level]
+        keys = np.setdiff1d(res.levels[level].key_array, res.levels[level + 1].key_array)
+        assert np.array_equal(unwound.key_array, keys)
+        assert len(unwound.columns) == 1
+        assert np.array_equal(unwound.columns[0], res.ranks[keys])
+    for keys in buffered:
+        assert (keys[1:] > keys[:-1]).all()
 
 
 def test_rank_lists_multiple_chains():
