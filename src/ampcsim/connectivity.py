@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import LeaderContractionError, NonTerminationError
 from .graphs import ComponentLabeling, Graph, _arcs, _rng, resolve_pointers, simple_graph, slot_keys
-from .primitives import _bulk_rounds, contract_graph, mpc_argsort
+from .primitives import contract_graph
 from .runtime import ModelConfig, Simulator, item_coins, item_hash
 
 _MAIN_LOOP_CAP = 64
@@ -246,13 +246,12 @@ def _shrink(
     target = max(1, math.ceil(n / max(1, math.ceil(math.log2(max(n, 2)))) ** 2))
     steps = 0
     cap = reduction_step_cap(n)
-    rounds = _bulk_rounds(sim.config.epsilon)
     while steps < cap and history[-1] > max(target, _REDUCTION_FLOOR):
         current, f = step(current, item_hash(sim.config.seed, tag, steps))
         mapping = f[mapping]
         steps += 1
         history.append(_non_isolated(current))
-        sim.charge(rounds, history[-2] + 2 * current.m, label)
+        sim.charge(sim.config.bulk_rounds, history[-2] + 2 * current.m, label)
     return ReduceResult(graph=current, mapping=mapping, steps=steps, non_isolated_history=history)
 
 
@@ -472,11 +471,10 @@ def msf(graph: Graph, config: ModelConfig) -> MsfResult:
     if not graph.weighted:
         raise ValueError("msf needs a weighted graph")
     sim = Simulator(config)
-    sort_charge = mpc_argsort(graph.weight, epsilon=config.epsilon)
-    sim.charge(sort_charge.rounds_charged, sort_charge.communication_charged, "weight-sort")
+    by_weight = np.argsort(graph.weight, kind="stable")
+    sim.charge(config.bulk_rounds, 2 * graph.m, "weight-sort")
 
     # Committed edges are named by weight and looked up in weight order.
-    by_weight = sort_charge.value
     sorted_weights = graph.weight[by_weight]
     committed: list[np.ndarray] = []
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -468,10 +469,21 @@ def write_graph(graph: Graph, fileobj) -> None:
         fileobj.write(" ".join(str(x) for x in edge) + "\n")
 
 
+def _weight(text: str) -> int | float:
+    try:
+        return int(text)
+    except ValueError:
+        weight = float(text)
+    if not math.isfinite(weight):
+        raise ValueError(f"weight {text!r} is not finite")
+    return weight
+
+
 def read_graph(fileobj, multigraph: bool = False) -> Graph:
     """Parse the plain-text format: first line "n m [w]", then one edge per
-    line. Self-loops and duplicates are rejected outside multigraph mode;
-    duplicate weights are always rejected."""
+    line. A weight is read as an int when its literal is an integer and as
+    a finite float otherwise. Self-loops and duplicates are rejected outside
+    multigraph mode; duplicate weights are always rejected."""
     lines = [ln.strip() for ln in fileobj if ln.strip()]
     if not lines:
         raise GraphFormatError("empty graph file")
@@ -490,8 +502,11 @@ def read_graph(fileobj, multigraph: bool = False) -> Graph:
         parts = ln.split()
         if len(parts) != (3 if weighted else 2):
             raise GraphFormatError(f"bad edge line {ln!r}")
-        if weighted:
-            edges.append((int(parts[0]), int(parts[1]), int(parts[2])))
-        else:
-            edges.append((int(parts[0]), int(parts[1])))
+        try:
+            edge = (int(parts[0]), int(parts[1]))
+            if weighted:
+                edge += (_weight(parts[2]),)
+        except ValueError as exc:
+            raise GraphFormatError(f"bad edge line {ln!r}") from exc
+        edges.append(edge)
     return Graph(n, edges, weighted=weighted, multigraph=multigraph)

@@ -93,8 +93,8 @@ class ExperimentSpec:
             raise ValueError("trial count must be at least 1")
         if self.n < 1:
             raise ValueError("n must be positive")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must be in (0, 1)")
+        # The model parameters pass ModelConfig's checks before any trial.
+        self.config(trial_seed(self.seed, 0))
         if self.m and self.algorithm not in GRAPH_ALGORITHMS:
             raise ValueError(f"{self.algorithm} takes no edge count m, got m={self.m}")
         # The instance generators' own rules, so that no trial starts on
@@ -454,7 +454,12 @@ def contention_sim(
 ) -> ContentionReport:
     """Throw weighted balls into uniform random bins; report the max bin
     load per trial and the rate at which it exceeds multiples of
-    S = total/bins."""
+    S = total/bins. At least one bin, one trial and as many balls as
+    bins, so that S is at least 1."""
+    if bins < 1 or trials < 1:
+        raise ValueError(f"contention needs at least one bin and one trial, got {bins} and {trials}")
+    if total < bins:
+        raise ValueError(f"{total} balls into {bins} bins leave S = 0; give at least as many balls as bins")
     weights = (
         contention_weights(total, bins, profile)
         if isinstance(profile, str)

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import NonTerminationError
 from .graphs import Graph, _arcs, _split, slot_keys
-from .primitives import _bulk_rounds
 from .runtime import ArrayGeneration, ModelConfig, Simulator, item_coins
 
 UNKNOWN, IN_MIS, NOT_IN_MIS = 0, 1, 2
@@ -219,7 +218,7 @@ def maximal_independent_set(graph: Graph, config: ModelConfig) -> MisResult:
     adj = _split(tails.tolist(), np.bincount(heads, minlength=n))
     keys, _, _ = slot_keys(n, heads)
     sim = Simulator(config, initial=ArrayGeneration(keys, [tails]))
-    sim.charge(_bulk_rounds(config.epsilon), 2 * graph.m, "adjacency-sort")
+    sim.charge(config.bulk_rounds, 2 * graph.m, "adjacency-sort")
 
     status = [UNKNOWN] * n
     q_per_iteration: list[dict[int, int]] = []

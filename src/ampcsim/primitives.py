@@ -1,83 +1,21 @@
-"""Bulk-synchronous primitive suite: sort, filter, prefix sums, predecessor,
-duplicate removal, range min/max queries, and graph contraction.
+"""Two central primitives numpy does not already provide: a range
+minimum/maximum index and graph contraction.
 
-The primitives compute centrally and charge their documented round and
-communication costs; distributing a sort across simulated machines would not
-change anything this artifact measures. Charge them into a simulator with
-``sim.charge(result.rounds_charged, result.communication_charged, label)``.
-Callers charge contraction and RMQ queries themselves: ``contract_graph``
-returns its graph alone, and a batch of ``RMQIndex.query`` ranges is one
-round whose communication is the batch size.
+Both compute centrally, and their callers charge them; distributing the work
+across simulated machines would not change anything this artifact measures.
+Building an ``RMQIndex`` is one bulk-synchronous pass, charged
+``sim.charge(config.bulk_rounds, max(1, len), label)``, and a batch of
+``RMQIndex.query`` ranges is one round whose communication is the batch
+size. ``contract_graph`` returns its graph alone.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, Generic, Optional, Sequence, TypeVar
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .graphs import Graph, simple_graph
-
-T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class ChargedResult(Generic[T]):
-    value: T
-    rounds_charged: int
-    communication_charged: int
-
-
-def _bulk_rounds(epsilon: float) -> int:
-    return max(1, math.ceil(1.0 / epsilon))
-
-
-def mpc_argsort(keys: np.ndarray, *, epsilon: float) -> ChargedResult[np.ndarray]:
-    """Stable sort order of an array of N keys, charged ceil(1/epsilon)
-    rounds and communication 2N."""
-    return ChargedResult(np.argsort(keys, kind="stable"), _bulk_rounds(epsilon), 2 * len(keys))
-
-
-def mpc_cumsum(values: np.ndarray, *, epsilon: float) -> ChargedResult[np.ndarray]:
-    """Exclusive prefix sums of an integer or boolean array of N values, as
-    int64, charged ceil(1/epsilon) rounds and communication 2N."""
-    prefix = np.zeros(len(values), dtype=np.int64)
-    np.cumsum(values[:-1], out=prefix[1:])
-    return ChargedResult(prefix, _bulk_rounds(epsilon), 2 * len(values))
-
-
-def mpc_filter(
-    items: Sequence[T],
-    predicate: Callable[[T], bool],
-    *,
-    epsilon: float,
-) -> ChargedResult[list[T]]:
-    """Order-preserving subsequence where the predicate holds."""
-    out = [x for x in items if predicate(x)]
-    return ChargedResult(out, _bulk_rounds(epsilon), len(items) + len(out))
-
-
-def mpc_predecessor(
-    flags: Sequence[int],
-    *,
-    epsilon: float,
-) -> ChargedResult[list[Optional[int]]]:
-    """For each position, the nearest strictly preceding position with flag 1."""
-    out: list[Optional[int]] = []
-    last: Optional[int] = None
-    for i, flag in enumerate(flags):
-        out.append(last)
-        if flag:
-            last = i
-    return ChargedResult(out, _bulk_rounds(epsilon), 2 * len(flags))
-
-
-def mpc_dedup(items: Sequence[T], *, epsilon: float) -> ChargedResult[list[T]]:
-    """One representative per distinct value, in first-occurrence order."""
-    out = list(dict.fromkeys(items))
-    return ChargedResult(out, _bulk_rounds(epsilon), len(items) + len(out))
 
 
 class RMQIndex:
@@ -116,14 +54,6 @@ class RMQIndex:
             np.minimum(self._mins[depth, i], self._mins[depth, tail]),
             np.maximum(self._maxs[depth, i], self._maxs[depth, tail]),
         )
-
-
-def rmq_build(
-    values: Sequence[float], *, epsilon: float, max_values: Optional[Sequence[float]] = None
-) -> ChargedResult[RMQIndex]:
-    """The ``RMQIndex`` of ``values`` (and ``max_values``), charged
-    ceil(1/epsilon) rounds and communication max(1, len) for both tables."""
-    return ChargedResult(RMQIndex(values, max_values), _bulk_rounds(epsilon), max(1, len(values)))
 
 
 def contract_graph(graph: Graph, mapping: np.ndarray) -> Graph:

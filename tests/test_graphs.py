@@ -113,6 +113,31 @@ def test_file_roundtrip():
     assert back.n == g.n and back.edges == g.edges and back.weighted
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1, 5), (1, 2, -2), (0, 2, 7)],
+        [(0, 1, 1.5), (1, 2, 2.0), (0, 2, -3.25)],
+    ],
+)
+def test_file_roundtrip_keeps_int_and_float_weights(edges):
+    g = Graph(3, edges, weighted=True)
+    buf = io.StringIO()
+    write_graph(g, buf)
+    buf.seek(0)
+    back = read_graph(buf)
+    assert back.edges == g.edges and back.weight.dtype == g.weight.dtype
+
+
+def test_reader_names_a_non_numeric_line():
+    with pytest.raises(GraphFormatError, match="bad edge line '0 x'"):
+        read_graph(io.StringIO("3 1\n0 x\n"))
+    with pytest.raises(GraphFormatError, match="bad edge line '0 1 heavy'"):
+        read_graph(io.StringIO("3 1 w\n0 1 heavy\n"))
+    with pytest.raises(GraphFormatError, match="bad edge line '0 1 nan'"):
+        read_graph(io.StringIO("3 1 w\n0 1 nan\n"))
+
+
 def test_reader_rejections():
     with pytest.raises(GraphFormatError):
         read_graph(io.StringIO("3 1\n1 1\n"))

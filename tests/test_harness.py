@@ -364,6 +364,44 @@ def test_cli_input_error_is_one_line(argv, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "f").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["connectivity", "--n", "64", "--space-multiplier", "0.5"],
+        ["connectivity", "--n", "64", "--space-multiplier", "nan"],
+        ["list-rank", "--budget-slack", "0.5"],
+        ["mis", "--epsilon", "1.5"],
+        ["contention", "--bins", "0"],
+        ["contention", "--trials", "0"],
+        ["contention", "--balls", "10", "--bins", "20"],
+    ],
+)
+def test_cli_bad_parameter_is_one_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "total, bins, trials, message",
+    [
+        (100, 0, 5, "at least one bin"),
+        (100, 10, 0, "one trial"),
+        (10, 20, 5, "S = 0"),
+    ],
+)
+def test_contention_rejects_empty_bins_trials_and_space(total, bins, trials, message):
+    with pytest.raises(ValueError, match=message):
+        contention_sim(total, bins, "uniform", trials=trials, seed=0)
+
+
+def test_spec_checks_the_model_parameters_of_its_first_trial():
+    with pytest.raises(ValueError, match="space_multiplier"):
+        ExperimentSpec(algorithm="connectivity", n=64, space_multiplier=0.5)
+    # Trial seeds are hashed, so any integer spec seed is valid.
+    assert ExperimentSpec(algorithm="list-rank", n=64, seed=-(1 << 70)).seed == -(1 << 70)
+
+
 def test_cli_model_error_is_one_line(capsys):
     rc = main(["2ecc", "--n", "256", "--m", "500", "--budget-slack", "1"])
     assert rc == 2

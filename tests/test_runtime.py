@@ -315,6 +315,15 @@ def test_charge_rejects_no_rounds_and_negative_communication(rounds, communicati
     assert sim.metrics == []
 
 
+def test_charge_needs_a_phase_label():
+    sim = Simulator(small_config())
+    with pytest.raises(ValueError, match="nonempty phase label"):
+        sim.charge(1, 10, "")
+    with pytest.raises(TypeError):
+        sim.charge(1, 10)
+    assert sim.metrics == []
+
+
 def test_metrics_export_schema():
     sim = Simulator(small_config())
     sim.run_round(lambda ctx: None)
@@ -589,6 +598,43 @@ def round_numbering_outside_runtime(package: Path) -> list[str]:
                 if any(isinstance(side, ast.Attribute) and side.attr == "round_index" for side in sides):
                     found.append(f"{where} computes with round_index")
     return found
+
+
+def bulk_charges_outside_one_form(package: Path) -> list[str]:
+    """Where a module of ``package`` divides 1 by an epsilon outside
+    runtime.py, or calls ``.charge`` without exactly rounds, communication
+    and label."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "charge":
+                if len(node.args) + len(node.keywords) != 3 or any(isinstance(a, ast.Starred) for a in node.args):
+                    found.append(f"{where} charges without rounds, communication and label")
+            elif path.name != "runtime.py" and isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                divisor = node.right.attr if isinstance(node.right, ast.Attribute) else getattr(node.right, "id", "")
+                if isinstance(node.left, ast.Constant) and node.left.value == 1 and "eps" in divisor:
+                    found.append(f"{where} divides 1 by {divisor}")
+    return found
+
+
+def test_bulk_charges_have_one_form():
+    # The ceil(1/epsilon) bulk round count is ModelConfig.bulk_rounds, and
+    # every charge names its rounds, its communication and its label.
+    package = Path(__file__).resolve().parents[1] / "src" / "ampcsim"
+    assert (package / "runtime.py").exists()
+    assert bulk_charges_outside_one_form(package) == []
+
+
+def test_bulk_charge_check_flags_both_forms(tmp_path):
+    (tmp_path / "runtime.py").write_text("rounds = 1 / epsilon\n")
+    (tmp_path / "algo.py").write_text(
+        "r = math.ceil(1.0 / config.epsilon)\nsim.charge(r, 5)\nsim.charge(r, 5, 'x')\n"
+    )
+    assert sorted(bulk_charges_outside_one_form(tmp_path)) == [
+        "algo.py:1 divides 1 by epsilon",
+        "algo.py:2 charges without rounds, communication and label",
+    ]
 
 
 def test_round_numbering_stays_in_runtime():
