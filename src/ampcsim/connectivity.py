@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import LeaderContractionError, NonTerminationError
-from .graphs import ComponentLabeling, Graph, _arcs, _rng, resolve_pointers, simple_graph, slot_keys
+from .graphs import ComponentLabeling, Graph, _arcs, _has_edge, _rng, resolve_pointers, simple_graph, slot_keys
 from .primitives import contract_graph
 from .runtime import ModelConfig, Simulator, item_coins, item_hash
 
@@ -146,39 +146,33 @@ def _pointer_map(n: int, us: np.ndarray, vs: np.ndarray, seed: int) -> np.ndarra
     neighbor it merged into along one of the edges. No vertex both merges
     and is merged into, so the map is one level deep.
     """
-    # Line 1: point every vertex at its minimum-id neighbor.
-    out = np.full(n, n, dtype=np.int64)
+    # Line 1: point every vertex at its minimum-id neighbor. Vertex n is
+    # "no vertex": a vertex without one points there, and every per-vertex
+    # array has a slot for it, so any array can be read at ``out``.
+    out = np.full(n + 1, n, dtype=np.int64)
     np.minimum.at(out, us, vs)
     np.minimum.at(out, vs, us)
-    active = out < n
-    has_out = active.copy()
+    has_out = out < n
 
     # Line 2: each mutual pair drops one arrow; the smaller id keeps none.
-    idx = np.arange(n)
-    safe_out = np.where(active, out, 0)
-    mutual = active & (out[safe_out] == idx) & active[safe_out]
-    has_out &= ~(mutual & (idx < out))
+    idx = np.arange(n + 1)
+    has_out &= ~((out[out] == idx) & (idx < out))
 
     # Line 3: vertices with two or more incoming arrows drop their own.
-    indeg = np.bincount(out[has_out], minlength=n + 1)[:n]
-    has_out &= ~(indeg >= 2)
+    has_out &= np.bincount(out[has_out], minlength=n + 1) < 2
 
     # Line 4: those vertices absorb all their arrow neighbors; absorbed
     # vertices lose their other incoming arrows too.
-    indeg3 = np.bincount(out[has_out], minlength=n + 1)[:n]
-    centers = indeg3 >= 2
-    absorbed = has_out & centers[np.where(has_out, out, 0)] & active
-    # Remove arrows into absorbed vertices, and the absorbed vertices' own.
-    points_at_absorbed = has_out & absorbed[np.where(has_out, out, 0)]
-    has_out &= ~points_at_absorbed
-    has_out &= ~absorbed
+    centers = np.bincount(out[has_out], minlength=n + 1) >= 2
+    absorbed = has_out & centers[out]
+    has_out &= ~absorbed[out] & ~absorbed
 
-    # Line 5: drop each surviving arrow with probability 2/3.
-    coins = item_coins(seed, 0xE5, np.arange(n, dtype=np.uint64))
-    has_out &= coins >= 2.0 / 3.0
+    # Line 5: drop each surviving arrow with probability 2/3; a coin is a
+    # pure function of its vertex, so only the arrows' tails draw one.
+    tails = np.flatnonzero(has_out)
+    tails = tails[item_coins(seed, 0xE5, tails.astype(np.uint64)) >= 2.0 / 3.0]
 
     # Line 6: merge the arrows that ended up isolated on both sides.
-    tails = np.flatnonzero(has_out)
     heads = out[tails]
     deg = np.bincount(tails, minlength=n) + np.bincount(heads, minlength=n)
     lonely = (deg[tails] == 1) & (deg[heads] == 1)
@@ -200,12 +194,11 @@ def shrink_vertices_step(graph: Graph, seed: int) -> tuple[Graph, np.ndarray]:
 
 
 def _non_isolated_vertices(graph: Graph) -> np.ndarray:
-    degree = np.bincount(graph.src, minlength=graph.n) + np.bincount(graph.dst, minlength=graph.n)
-    return np.flatnonzero(degree)
+    return np.flatnonzero(_has_edge(graph))
 
 
 def _non_isolated(graph: Graph) -> int:
-    return len(_non_isolated_vertices(graph))
+    return int(np.count_nonzero(_has_edge(graph)))
 
 
 def reduction_step_cap(n: int) -> int:

@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, NonTerminationError, StructureError
-from .graphs import ComponentLabeling, Graph, _darts, resolve_pointers
+from .graphs import ComponentLabeling, Graph, _darts, _int64_array, resolve_pointers
 from .runtime import NONE, ArrayGeneration, ModelConfig, Simulator
 
 
@@ -396,13 +396,6 @@ def _check_chains(successor: np.ndarray, heads: np.ndarray) -> None:
         raise StructureError(f"successor chain revisits element {np.flatnonzero(entered > 1)[0]}")
     if (entered == 0).any():
         raise StructureError(_UNREACHABLE)
-
-
-def _int64_array(name: str, values) -> np.ndarray:
-    values = np.asarray(values)
-    if values.ndim != 1 or (values.size and values.dtype.kind not in "iu"):
-        raise TypeError(f"{name} must be a 1-d integer array, not {values.dtype} of shape {values.shape}")
-    return values.astype(np.int64, copy=False)
 
 
 def rank_lists(

@@ -25,7 +25,9 @@ class Graph:
     outputs need both).
 
     ``Graph(n, edges)`` takes ``(u, v)`` or ``(u, v, w)`` tuples and
-    ``Graph.from_arrays`` takes the columns; both run the same validation.
+    ``Graph.from_arrays`` takes the columns; both run the same validation,
+    and neither keeps an input array. The vertex count is an int or a
+    numpy integer, not a bool.
     ``edges`` is a read-only tuple of ``(u, v[, w])`` Python tuples, built
     on first use and cached; code that works on whole graphs reads the
     arrays instead.
@@ -71,8 +73,20 @@ class Graph:
         return graph
 
     def _store(
-        self, n: int, src: np.ndarray, dst: np.ndarray, weight: Optional[np.ndarray], multigraph: bool
+        self,
+        n: int,
+        src: np.ndarray,
+        dst: np.ndarray,
+        weight: Optional[np.ndarray],
+        multigraph: bool,
+        owned: bool = False,
     ) -> None:
+        """Validate and keep the columns. ``owned`` columns are new arrays
+        with ``src <= dst`` that no caller holds, kept as they are; others
+        are copied. Every check runs either way."""
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise GraphFormatError(f"vertex count must be an integer, not {type(n).__name__}")
+        n = int(n)
         if n < 0:
             raise GraphFormatError("vertex count must be nonnegative")
         if any(column is not None and column.ndim != 1 for column in (src, dst, weight)):
@@ -83,32 +97,34 @@ class Graph:
         src, dst = _vertex_ids(src), _vertex_ids(dst)
         if weight is not None:
             if weight.dtype.kind in "iu" or m == 0:
-                weight = weight.astype(np.int64)
+                weight = weight.astype(np.int64, copy=not owned)
             elif weight.dtype.kind == "f":
-                weight = weight.astype(np.float64)
+                weight = weight.astype(np.float64, copy=not owned)
             else:
                 raise GraphFormatError("edge weights must be numbers")
-        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+        lo, hi = (src, dst) if owned else (np.minimum(src, dst), np.maximum(src, dst))
         # The first offending edge in input order is reported; at one edge
         # the checks rank range, self-loop, duplicate edge, duplicate weight.
+        # The range check is two reductions; the mask naming the edge is
+        # built only when it fails.
         errors: list[tuple[int, int, str]] = []
-        outside = (lo < 0) | (hi >= n)
-        if outside.any():
-            i = int(np.argmax(outside))
+        if m and (lo.min() < 0 or hi.max() >= n):
+            i = int(np.argmax((lo < 0) | (hi >= n)))
             errors.append((i, 0, f"edge ({src[i]}, {dst[i]}) out of range for n={n}"))
         if not multigraph:
             loops = lo == hi
             if loops.any():
                 i = int(np.argmax(loops))
                 errors.append((i, 1, f"self-loop at vertex {lo[i]}"))
-            # Keys strictly ascending in either endpoint order prove every
-            # pair distinct, since equal pairs give equal keys; generated
-            # graphs come sorted by (hi, lo).
-            i = None if _ascending(hi * n + lo) else _first_repeat(pair_keys(n, lo, hi))
+            del loops
+            # Pairs strictly ascending in either endpoint order are distinct;
+            # simple_graph emits (lo, hi) order and the generators (hi, lo), so
+            # only other input pays the sort.
+            i = None if _pairs_ascending(n, lo, hi) else _first_repeat(pair_keys(n, lo, hi))
             if i is not None:
                 errors.append((i, 2, f"duplicate edge ({lo[i]}, {hi[i]})"))
         if weight is not None:
-            i = _first_repeat(weight)
+            i = None if _ascending(weight) else _first_repeat(weight)
             if i is not None:
                 errors.append((i, 3, f"duplicate edge weight {weight[i]}"))
         if errors:
@@ -158,6 +174,14 @@ class Graph:
         return f"<{kind} n={self.n} m={self.m} weighted={self.weighted}>"
 
 
+def _has_edge(graph: Graph) -> np.ndarray:
+    """Mask of the vertices with at least one edge."""
+    mask = np.zeros(graph.n, dtype=bool)
+    mask[graph.src] = True
+    mask[graph.dst] = True
+    return mask
+
+
 def _arcs(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Every edge in both directions, ``heads[i] -> tails[i]``; a self-loop
     once, as ``Graph.adjacency`` lists it."""
@@ -201,10 +225,33 @@ def _vertex_ids(ids: np.ndarray) -> np.ndarray:
     return ids.astype(np.int64, copy=False)
 
 
+def _int64_array(name: str, values) -> np.ndarray:
+    """``values`` as int64, checked to be a 1-d integer array (an empty one
+    of any dtype); TypeError otherwise."""
+    values = np.asarray(values)
+    if values.ndim != 1 or (values.size and values.dtype.kind not in "iu"):
+        raise TypeError(f"{name} must be a 1-d integer array, not {values.dtype} of shape {values.shape}")
+    return values.astype(np.int64, copy=False)
+
+
+def _pair_shift(n: int) -> int:
+    """The bits a vertex id below n takes in a packed pair key."""
+    return int(max(n - 1, 0)).bit_length()
+
+
+def _pack(shift: int, major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """``major << shift | minor``, in a new array of the inputs' dtype."""
+    keys = np.left_shift(major, shift)
+    keys |= minor
+    return keys
+
+
 def pair_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One int64 per unordered vertex pair, ``min * n + max``; the keys
-    sort like the ``(min, max)`` pairs."""
-    return np.minimum(u, v) * n + np.maximum(u, v)
+    """One int64 per unordered pair of vertex ids below n, ``min << s |
+    max`` with s the bit length of n - 1: the keys sort like the ``(min,
+    max)`` pairs, as ``min * n + max`` would, and decode with ``>> s`` and
+    ``& (1 << s) - 1``."""
+    return _pack(_pair_shift(n), np.minimum(u, v), np.maximum(u, v))
 
 
 def slot_keys(n: int, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -222,27 +269,66 @@ def slot_keys(n: int, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 def simple_graph(n: int, src: np.ndarray, dst: np.ndarray, weight: Optional[np.ndarray] = None) -> Graph:
     """The simple graph of the given edges, which may contain self-loops and
     parallel edges: self-loops are dropped and each vertex pair keeps one
-    edge, the lightest on weighted input (one sort of the pair keys, then
-    the minimum weight of each run of equal keys). Edges come back sorted."""
-    proper = src != dst
-    src, dst = src[proper], dst[proper]
-    if weight is not None:
-        weight = weight[proper]
-    outside = (np.minimum(src, dst) < 0) | (np.maximum(src, dst) >= n)
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise GraphFormatError(f"edge ({src[i]}, {dst[i]}) out of range for n={n}")
-    keys = pair_keys(n, src, dst)
+    edge, the lightest on weighted input. Edges come back sorted by
+    ``(min, max)``: one sort of the pair keys (``pair_keys``), then the
+    minimum weight of each run of equal keys."""
+    src, dst = _vertex_ids(np.asarray(src)), _vertex_ids(np.asarray(dst))
+    return _collapse(n, src, dst, weight, None)
+
+
+def _collapse(n: int, u: np.ndarray, v: np.ndarray, weight: Optional[np.ndarray], ids: Optional[np.ndarray]) -> Graph:
+    """``simple_graph`` of the edges ``u[i] -- v[i]`` on n vertices. u and v
+    hold vertex ids when ``ids`` is None; otherwise they hold compact ids,
+    and ``ids[c]`` is the vertex of compact id c, ascending, so pairs of
+    compact ids sort as their vertex pairs do. Keys are packed in the dtype
+    of u and v, which must hold twice the bits of an id and one more.
+    Vertex ids are range-checked; compact ids are checked by the caller.
+    The inputs are left unchanged, and every m-length temporary is reused
+    in place or freed as soon as it is spent."""
+    shift = _pair_shift(n if ids is None else len(ids))
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    loops = lo == hi
+    if ids is None and len(lo) and (lo.min() < 0 or hi.max() >= n):
+        # Only an edge that is not a self-loop is checked.
+        outside = ~loops & ((lo < 0) | (hi >= n))
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise GraphFormatError(f"edge ({u[i]}, {v[i]}) out of range for n={n}")
+        lo[loops] = hi[loops] = 0
+    keys = lo
+    keys <<= shift
+    keys |= hi
+    del lo, hi
+    # Bit 2 * shift, above every pair, marks the self-loops: they sort last
+    # and are cut off with no compaction pass.
+    dropped = int(np.count_nonzero(loops))
+    if dropped:
+        keys |= np.left_shift(loops, 2 * shift, dtype=keys.dtype)
+    del loops
     if weight is None:
-        keys = np.sort(keys)
+        keys.sort()
     else:
         order = np.argsort(keys)
         keys = keys[order]
+    kept = len(keys) - dropped
+    keys = keys[:kept]
     first = _first_of_runs(keys)
-    if weight is not None and len(keys):
-        weight = np.minimum.reduceat(weight[order], np.flatnonzero(first))
-    keys = keys[first]
-    return Graph.from_arrays(n, keys // n, keys % n, weight)
+    if weight is not None:
+        weight = weight[order[:kept]]
+        if kept:
+            weight = np.minimum.reduceat(weight, np.flatnonzero(first))
+        del order
+    if not first.all():
+        keys = keys[first]
+    del first
+    lo = np.right_shift(keys, shift, dtype=np.int64)
+    hi = np.bitwise_and(keys, (1 << shift) - 1, dtype=np.int64)
+    del keys
+    if ids is not None:
+        lo, hi = ids[lo], ids[hi]
+    graph = Graph.__new__(Graph)
+    graph._store(n, lo, hi, weight, False, owned=True)
+    return graph
 
 
 def _first_of_runs(ordered: np.ndarray) -> np.ndarray:
@@ -253,9 +339,33 @@ def _first_of_runs(ordered: np.ndarray) -> np.ndarray:
     return mask
 
 
+# Sorted inputs show their order in their first elements; a proof of
+# strict ascent runs over a longer array only when this many pass.
+_PROBE = 64
+
+
 def _ascending(values: np.ndarray) -> bool:
-    """Whether ``values`` is strictly ascending, so its values are distinct."""
-    return len(values) < 2 or bool((values[1:] > values[:-1]).all())
+    """Whether ``values`` is strictly ascending, so its values are distinct.
+    A long array is tried on its first ``_PROBE`` values first, so that
+    most arrays that do not ascend fail without a full pass."""
+    head = values[:_PROBE]
+    if len(values) > _PROBE and not (head[1:] > head[:-1]).all():
+        return False
+    return bool((values[1:] > values[:-1]).all())
+
+
+def _pairs_ascending(n: int, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether the pairs ``(lo[i], hi[i])`` strictly ascend in ``(lo, hi)``
+    or in ``(hi, lo)`` order, which proves them distinct, since equal pairs
+    give equal keys. An order is packed whole only when the first
+    ``_PROBE`` pairs take it."""
+    shift = _pair_shift(n)
+    for major, minor in ((lo, hi), (hi, lo)):
+        if _ascending(_pack(shift, major[:_PROBE], minor[:_PROBE])) and (
+            len(major) <= _PROBE or _ascending(_pack(shift, major, minor))
+        ):
+            return True
+    return False
 
 
 def _absent(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -275,8 +385,9 @@ def _first_draws(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _first_repeat(values: np.ndarray) -> Optional[int]:
-    """The lowest index whose value occurs at an earlier index, if any."""
-    if _ascending(values) or _first_of_runs(np.sort(values)).all():
+    """The lowest index whose value occurs at an earlier index, if any; one
+    sort, so callers try ``_ascending`` first."""
+    if _first_of_runs(np.sort(values)).all():
         return None
     order = np.argsort(values, kind="stable")
     return int(order[~_first_of_runs(values[order])].min())

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, simple_graph
+from .graphs import Graph, _collapse, _has_edge, _int64_array, _pair_shift, simple_graph
 
 
 class RMQIndex:
@@ -57,14 +57,43 @@ class RMQIndex:
 
 
 def contract_graph(graph: Graph, mapping: np.ndarray) -> Graph:
-    """Contract each vertex to its representative, ``mapping[v]``, an int
-    array that covers every vertex.
+    """Contract each vertex to its representative, ``mapping[v]``, a 1-d
+    int array that covers every vertex.
 
     The result is ``simple_graph`` of the mapped edges: self-loops are
     dropped and each class of parallel edges keeps one edge, the lightest
-    on a weighted graph. Edges come back sorted.
+    on a weighted graph. Edges come back sorted by ``(min, max)``.
+
+    Pair keys of ids below k take 2 * bit_length(k - 1) bits, and int32
+    keys, whose sort takes half the time of int64 ones, hold them when that
+    is at most 31. Vertex ids themselves fit when n does. Otherwise the k
+    representatives are renumbered 0..k-1 in O(n), ascending like their
+    ids, so that the keys still sort as the vertex pairs do; when the
+    representatives of all vertices are too many for int32 keys, only
+    those of vertices with an edge are numbered. A representative outside
+    0..n-1 is an error only where it ends up on an edge that is not a
+    self-loop; ``simple_graph`` then names the first such edge.
     """
-    if len(mapping) < graph.n:
-        raise KeyError(f"contraction mapping undefined on vertex {len(mapping)}")
-    rep = np.asarray(mapping, dtype=np.int64)[: graph.n]
-    return simple_graph(graph.n, rep[graph.src], rep[graph.dst], graph.weight)
+    rep = _int64_array("contraction mapping", mapping)
+    n = graph.n
+    if len(rep) < n:
+        raise KeyError(f"contraction mapping undefined on vertex {len(rep)}")
+    rep = rep[:n]
+    if n and (rep.min() < 0 or rep.max() >= n):
+        return simple_graph(n, rep[graph.src], rep[graph.dst], graph.weight)
+    shift, ids, table = _pair_shift(n), None, rep
+    if 2 * shift > 31:
+        used = np.zeros(n, dtype=bool)
+        used[rep] = True
+        if 2 * _pair_shift(int(np.count_nonzero(used))) > 31:
+            used[:] = False
+            used[rep[_has_edge(graph)]] = True
+        ids = np.flatnonzero(used)
+        shift = _pair_shift(len(ids))
+        # When only vertices with an edge are numbered, a vertex without one
+        # may get a wrong number; no edge reads it.
+        table = (np.cumsum(used) - 1)[rep]
+        del used
+    if 2 * shift <= 31:
+        table = table.astype(np.int32)
+    return _collapse(n, table[graph.src], table[graph.dst], graph.weight, ids)

@@ -31,9 +31,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .contraction import CycleConnResult, _int64_array, label_cycles, rank_lists
+from .contraction import CycleConnResult, label_cycles, rank_lists
 from .errors import StructureError
-from .graphs import ComponentLabeling, Graph, _darts, resolve_pointers
+from .graphs import ComponentLabeling, Graph, _darts, _int64_array, resolve_pointers
 from .primitives import RMQIndex
 from .runtime import ModelConfig, Simulator
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ampcsim.connectivity import (
     BudgetSchedule,
     _hook_to_leaders,
+    _pointer_map,
     connectivity,
     increase_degree,
     msf,
@@ -226,6 +227,46 @@ def test_shrink_vertices_star_collapses():
     out, mapping = shrink_vertices_step(g, seed=11)
     assert all(mapping[v] == 0 for v in range(6))
     assert out.m == 0
+
+
+def _reference_pointer_map(n, us, vs, seed):
+    """The six-line merge round as the procedure states it: every array
+    over the n vertices, every coin drawn."""
+    out = np.full(n, n, dtype=np.int64)
+    np.minimum.at(out, us, vs)
+    np.minimum.at(out, vs, us)
+    active = out < n
+    safe_out = np.where(active, out, 0)
+    idx = np.arange(n)
+    has_out = active & ~(active & (out[safe_out] == idx) & active[safe_out] & (idx < out))
+    indeg = np.bincount(out[has_out], minlength=n + 1)[:n]
+    has_out &= indeg < 2
+    centers = np.bincount(out[has_out], minlength=n + 1)[:n] >= 2
+    absorbed = has_out & centers[np.where(has_out, out, 0)]
+    has_out &= ~(has_out & absorbed[np.where(has_out, out, 0)]) & ~absorbed
+    has_out &= item_coins(seed, 0xE5, np.arange(n, dtype=np.uint64)) >= 2.0 / 3.0
+    tails = np.flatnonzero(has_out)
+    heads = out[tails]
+    deg = np.bincount(tails, minlength=n) + np.bincount(heads, minlength=n)
+    lonely = (deg[tails] == 1) & (deg[heads] == 1)
+    mapping = np.arange(n)
+    merged = np.concatenate((np.flatnonzero(absorbed), tails[lonely]))
+    mapping[merged] = out[merged]
+    return mapping
+
+
+def test_pointer_map_matches_the_reference():
+    rng = np.random.default_rng(8)
+    for trial in range(300):
+        n = int(rng.integers(1, 120)) if trial < 290 else int(rng.integers(1000, 20000))
+        m = int(rng.integers(0, 4 * n + 1))
+        us, vs = rng.integers(0, n, m), rng.integers(0, n, m)
+        if trial % 2:
+            us, vs = np.minimum(us, vs), np.maximum(us, vs)
+        seed = int(rng.integers(0, 2**63))
+        got = _pointer_map(n, us, vs, seed)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _reference_pointer_map(n, us, vs, seed)), trial
 
 
 def test_shrink_vertices_preserves_components():

@@ -11,11 +11,13 @@ from ampcsim.graphs import (
     gen_random_forest,
     gen_random_graph,
     read_graph,
+    simple_graph,
     write_graph,
 )
 from ampcsim.connectivity import connectivity, msf, reduce_small_space, spanning_forest
 from ampcsim.contraction import cycle_conn
 from ampcsim.oracles import uf_components
+from ampcsim.primitives import contract_graph
 from ampcsim.runtime import ModelConfig, Simulator
 from ampcsim.trees import forest_connectivity, root_forest
 
@@ -292,6 +294,68 @@ def test_validator_names_a_duplicate_in_edges_sorted_by_larger_endpoint():
     assert g.src.tolist() == [0, 0, 1, 2] and g.dst.tolist() == [1, 3, 3, 3]
     with pytest.raises(GraphFormatError, match=r"^duplicate edge \(1, 3\)$"):
         Graph.from_arrays(4, [2, 1, 0, 3, 0], [3, 3, 1, 1, 3])
+
+
+def test_validator_names_a_duplicate_in_edges_sorted_by_smaller_endpoint():
+    # Sorted by (lo, hi), as simple_graph emits them: the duplicate (1, 2)
+    # is the fourth edge, and it breaks the strict ascent in that order.
+    src, dst = [0, 0, 1, 1, 2], [1, 2, 2, 2, 3]
+    with pytest.raises(GraphFormatError) as error:
+        Graph.from_arrays(4, src, dst)
+    assert str(error.value) == "duplicate edge (1, 2)"
+    g = Graph.from_arrays(4, src[:3] + src[4:], dst[:3] + dst[4:])
+    assert g.src.tolist() == [0, 0, 1, 2] and g.dst.tolist() == [1, 2, 2, 3]
+    # Ascending (lo, hi) pairs beyond the first ones checked still prove
+    # nothing once a later pair repeats an earlier one out of order.
+    lo = np.arange(200) // 4
+    hi = lo + 1 + np.arange(200) % 4
+    with pytest.raises(GraphFormatError, match=r"^duplicate edge \(0, 1\)$"):
+        Graph.from_arrays(60, np.append(lo, 0), np.append(hi, 1))
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), True, np.bool_(True), "3", None])
+def test_graph_rejects_a_vertex_count_that_is_not_an_integer(n):
+    with pytest.raises(GraphFormatError, match="vertex count must be an integer"):
+        Graph(n, [(0, 1)])
+    with pytest.raises(GraphFormatError, match="vertex count must be an integer"):
+        Graph.from_arrays(n, [], [])
+
+
+def test_graph_takes_numpy_integer_vertex_counts():
+    for n in (np.int64(3), np.int32(3), np.uint8(3)):
+        g = Graph.from_arrays(n, [0, 1], [1, 2])
+        assert g.n == 3 and type(g.n) is int and g.degrees() == [1, 2, 1]
+        assert Graph(n, [(0, 2)]).n == 3
+
+
+def test_builders_leave_their_inputs_alone():
+    # simple_graph and contract_graph work in place on their temporaries;
+    # none of them may be an input, and no output may share an input's
+    # memory.
+    rng = np.random.default_rng(5)
+    n, m = 40, 300
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    weight = rng.permutation(m).astype(np.int64) + 1
+    mapping = rng.integers(0, n // 3, n)
+    inputs = {"src": src, "dst": dst, "weight": weight, "mapping": mapping}
+    before = {name: array.copy() for name, array in inputs.items()}
+    loose = src != dst
+    plain = Graph.from_arrays(n, src[loose][:20], dst[loose][:20], multigraph=True)
+    copied = Graph.from_arrays(n, plain.src, plain.dst, weight[:20], multigraph=True)
+    multi = Graph.from_arrays(n, src, dst, weight, multigraph=True)
+    built = {
+        "from_arrays": (copied, [plain.src, plain.dst, weight]),
+        "simple_graph": (simple_graph(n, src, dst, weight), [src, dst, weight]),
+        "contract_graph": (contract_graph(multi, mapping), [multi.src, multi.dst, multi.weight, mapping]),
+        "contract_graph unweighted": (contract_graph(plain, mapping), [plain.src, plain.dst, mapping]),
+    }
+    for name, array in inputs.items():
+        assert np.array_equal(array, before[name]), name
+    for name, (graph, sources) in built.items():
+        assert graph.m > 0, name
+        for column in (graph.src, graph.dst, graph.weight):
+            if column is not None:
+                assert not any(np.shares_memory(column, source) for source in sources), name
 
 
 def test_results_are_int64_arrays():
