@@ -25,6 +25,7 @@ is the 2-edge-component labeling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -45,6 +46,8 @@ class BCLabeling:
     non-tree edge. ``tree[k]`` is the input index of edge k
     of the rooted forest, whose edges go by endpoint pair; every other input
     edge is a non-tree edge. ``critical`` holds sorted input indices.
+    ``articulation_points`` keeps its answer, so its connectivity pass runs
+    and is counted in ``simulators`` once.
     """
 
     graph: Graph
@@ -56,6 +59,7 @@ class BCLabeling:
     tree: np.ndarray
     critical: np.ndarray
     simulators: list = field(default_factory=list)
+    _articulation: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
 
 def _tree_edges(rooted: RootedTour) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +136,10 @@ def articulation_points(bc: BCLabeling) -> np.ndarray:
     interval. The head of a component is the forest parent of its
     preorder-minimal vertex; a non-root vertex is an articulation point
     when it heads at least one component, the root when it heads two.
+    A repeated call returns the first call's array.
     """
+    if bc._articulation is not None:
+        return bc._articulation
     n = bc.graph.n
     pn, sizes, tree_of = bc.rooted.preorder, bc.rooted.sizes, bc.rooted.tree_of
     is_root = bc.rooted.enter < 0
@@ -159,7 +166,8 @@ def articulation_points(bc: BCLabeling) -> np.ndarray:
     by_block = np.lexsort((pn[child], block_of))
     first = by_block[np.unique(block_of[by_block], return_index=True)[1]]
     head_counts = np.bincount(parent[first], minlength=n)
-    return np.flatnonzero(head_counts >= np.where(is_root, 2, 1))
+    bc._articulation = np.flatnonzero(head_counts >= np.where(is_root, 2, 1))
+    return bc._articulation
 
 
 def two_edge_components(graph: Graph, config: ModelConfig) -> ComponentLabeling:

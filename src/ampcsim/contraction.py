@@ -31,13 +31,13 @@ operations, each one batch round:
   only after unwinding, by a linear certificate on the ranks (see
   ``rank_lists``).
 
-The walks run in lockstep: all walkers of a round take their next step
-together, as one gather from the sealed generation they walk, and a walker
-drops out when it reaches a sample. Each gather charges every walker's read
-to the machine its start element is hashed to, so every machine is charged
-exactly the reads and writes its own sequential walks would make. Sampling
-is hash-based and item-keyed, so it does not depend on machine assignment
-and costs no queries during traversal.
+The walks run in lockstep, as ``BatchRound.walk``: all walkers of a round
+take their next step together, as one gather from the sealed generation
+they walk, and a walker drops out when it reaches a sample. Each gather
+charges every walker's read to the machine its start element is hashed to,
+so every machine is charged exactly the reads and writes its own
+sequential walks would make. Sampling is hash-based and item-keyed, so it
+does not depend on machine assignment and costs no queries during traversal.
 """
 
 from __future__ import annotations
@@ -84,13 +84,6 @@ def orient_cycles(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     return succ, pred
 
 
-def _unmarked(ids: np.ndarray, mark: np.ndarray) -> np.ndarray:
-    """Positions of the ids that are neither NONE nor marked."""
-    keep = ids != NONE
-    keep[keep] = ~mark[ids[keep]]
-    return np.flatnonzero(keep)
-
-
 class _Chains:
     """Disjoint chains contracted level by level (see the module docstring).
 
@@ -130,10 +123,12 @@ class _Chains:
     def top(self) -> ArrayGeneration:
         return self.sim.stores[self.iterations]
 
-    def _marks(self, ids: np.ndarray) -> np.ndarray:
-        mark = np.zeros(self._bound, dtype=bool)
-        mark[ids] = True
-        return mark
+    def _stop_at(self, ids: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """A walk's ``stop``: it holds at the elements ``ids`` and at NONE,
+        which clips to -1 and so reads the marked last slot."""
+        mark = np.zeros(self._bound + 1, dtype=bool)
+        mark[ids] = mark[-1] = True
+        return lambda _walkers, positions: mark[np.maximum(positions, -1)]
 
     def _sample(self, delta: float) -> np.ndarray:
         ids = self.top.key_array
@@ -156,31 +151,32 @@ class _Chains:
 
     def level(self, delta: float, samples: Optional[Iterable[int]] = None) -> None:
         """Contract onto ``samples`` in one round. Unless given, each element
-        is sampled with probability n**(-delta/2), n the input size."""
+        is sampled with probability n**(-delta/2), n the input size. Given
+        samples must be integers alive at this level, at least one on every
+        cycle; ValueError names a sample that is not alive."""
         if samples is None:
             samples = self._sample(delta)
         else:
-            samples = np.unique(np.fromiter(samples, dtype=np.int64))
-        mark = self._marks(samples)
+            samples = np.unique(_int64_array("samples", list(samples)))
+            dead = samples[~np.isin(samples, self.top.key_array)]
+            if len(dead):
+                raise ValueError(f"sample {dead[0]} is not alive at level {self.iterations}")
+        stop = self._stop_at(samples)
         machines = self.sim.machines(samples)
         with self.sim.batch_round() as rnd:
+            # The walks move each sample's pointers on to the next samples
+            # in place, so the record read is the record written.
             record = rnd.gather(None, samples, machines)
-            right, weight = record[0], record[1]
-            walking = _unmarked(right, mark)
-            while len(walking):
-                step = rnd.gather(None, right[walking], machines[walking])
-                right[walking] = step[0]
-                weight[walking] += step[1]
-                walking = walking[_unmarked(step[0], mark)]
-            columns = (right, weight)
+            weight = record[1]
+            for walkers, _, step in rnd.walk(None, record[0], machines, 0, stop):
+                weight[walkers] += step[1]
             if self.closed:
-                left = record[2]
-                walking = np.flatnonzero(~mark[left])
-                while len(walking):
-                    left[walking] = rnd.gather(None, left[walking], machines[walking])[2]
-                    walking = walking[~mark[left[walking]]]
-                columns = (right, weight, left)
-            rnd.write_many(samples, columns, machines)
+                reached, total = int(weight.sum()), len(self.sim.stores[0])
+                if reached != total:
+                    raise ValueError(f"a cycle holds no sample: the samples reach {reached} of {total} elements")
+                for _ in rnd.walk(None, record[2], machines, 2, stop):
+                    pass
+            rnd.write_many(samples, record, machines)
         self.iterations += 1
 
     def residual(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -203,25 +199,18 @@ class _Chains:
         after x gets step(value of x, weight of x)."""
         for generation in range(self.iterations - 1, -1, -1):
             upper = self.sim.stores[generation + 1].key_array
-            mark = self._marks(upper)
             machines = self.sim.machines(upper)
             # The machine that writes each element, -1 at an element not
             # written this round.
             writer = np.full(self._bound, -1, dtype=np.int64)
             with self.sim.batch_round() as rnd:
                 record = rnd.gather(generation, upper, machines)
-                walking = _unmarked(record[0], mark)
-                x = record[0][walking]
-                value = step(values[upper], record[1])[walking]
-                machines = machines[walking]
-                while len(x):
-                    values[x] = value
-                    writer[x] = machines
-                    record = rnd.gather(generation, x, machines)
-                    walking = _unmarked(record[0], mark)
-                    x = record[0][walking]
-                    value = step(value, record[1])[walking]
-                    machines = machines[walking]
+                value = step(values[upper], record[1])
+                for walkers, x, record in rnd.walk(generation, record[0], machines, 0, self._stop_at(upper)):
+                    reached = value[walkers]
+                    values[x] = reached
+                    writer[x] = machines[walkers]
+                    value[walkers] = step(reached, record[1])
                 written = np.flatnonzero(writer >= 0)
                 rnd.write_many(written, [values[written]], writer[written])
         return values
@@ -247,8 +236,11 @@ def shrink(
     Each vertex survives with probability n**(-delta/2) per iteration
     (n = initial vertex count); survivors reconnect to the nearest sampled
     vertex in each direction. ``sample_sets`` overrides the per-iteration
-    samples, which makes hand traces reproducible.
+    samples, which makes hand traces reproducible; it needs a set for each
+    of the t iterations.
     """
+    if sample_sets is not None and len(sample_sets) < t:
+        raise ValueError(f"{len(sample_sets)} sample sets for {t} iterations")
     chains = _Chains.cycles(config, *orient_cycles(graph))
     for i in range(t):
         chains.level(delta, None if sample_sets is None else sample_sets[i])
@@ -339,14 +331,11 @@ def label_cycles(
     rank = np.zeros(len(succ), dtype=np.int64)
     rank[survivors[np.lexsort((survivors, coins))]] = np.arange(len(survivors))
     machines = sim.machines(survivors)
-    stop_at = survivors.copy()
-    steps = np.zeros(len(survivors), dtype=np.int64)
-    searching = np.arange(len(survivors))
+    steps = np.ones(len(survivors), dtype=np.int64)
     with sim.batch_round() as rnd:
-        while len(searching):
-            stop_at[searching] = rnd.gather(None, stop_at[searching], machines[searching])[0]
-            steps[searching] += 1
-            searching = searching[rank[stop_at[searching]] > rank[survivors[searching]]]
+        stop_at = rnd.gather(None, survivors, machines)[0]
+        for walkers, _, _ in rnd.walk(None, stop_at, machines, 0, lambda w, at: rank[at] <= rank[survivors[w]]):
+            steps[walkers] += 1
 
     # Each search stops at a lower rank or at the cycle's rank minimum, which
     # stops at itself, so following stops reaches the representative.

@@ -106,9 +106,9 @@ class ExperimentSpec:
         elif self.algorithm in GRAPH_ALGORITHMS:
             check_random_graph(self.n, self.m)
 
-    def config(self, seed: int, n: Optional[int] = None, m: Optional[int] = None) -> ModelConfig:
+    def config(self, seed: int, m: Optional[int] = None) -> ModelConfig:
         return ModelConfig(
-            n=self.n if n is None else n,
+            n=self.n,
             m=max(1, self.m if m is None else m),
             epsilon=self.epsilon,
             seed=seed,
@@ -135,7 +135,6 @@ def with_leader_retries(fn: Callable[[int], object], seed: int, attempts: int = 
 
 
 def _sim_stats(sims: Sequence[Simulator]) -> tuple[int, int, int, int]:
-    sims = [s for s in sims if s is not None]
     rounds = sum(s.total_rounds() for s in sims)
     max_q = max((s.max_queries_per_machine() for s in sims), default=0)
     comm = sum(s.total_communication() for s in sims)

@@ -8,10 +8,10 @@ does, and the membership test recurses on earlier-ranked neighbors only
 (the random-order query process of Yoshida, Yamamoto and Ito, STOC 2009).
 
 ``maximal_independent_set`` keeps one status list, published between
-rounds. Each machine runs its queries on ``ChainMap({}, status)``: its own
-settlements go into a private dict in front of the shared list, so a round
-holds O(n + m) words however many machines run, and no machine copies the
-list.
+rounds, and runs each iteration as one batch round. Each machine runs its
+queries on ``ChainMap({}, status)``: its own settlements go into a private
+dict in front of the shared list, so a round holds O(n + m) words however
+many machines run, and no machine copies the list.
 """
 
 from __future__ import annotations
@@ -200,14 +200,14 @@ def iteration_budget(epsilon: float) -> int:
 def maximal_independent_set(graph: Graph, config: ModelConfig) -> MisResult:
     """Iterated capacity-truncated queries until every vertex settles.
 
-    Each iteration runs one round: every still-unknown vertex issues a
+    Each iteration runs one batch round: every still-unknown vertex issues a
     truncated query with capacity floor(n**epsilon) on its machine's
     ``ChainMap({}, status)``, the previous iteration's published statuses
-    behind the machine's own settlements. A machine writes its settlements,
-    and each is merged into one ``settled`` dict as it is written: the
-    lowest machine id wins, and two machines that disagree on a vertex
-    raise. Vertices that enter the set knock their neighbors out at the
-    publish boundary.
+    behind the machine's own settlements. Machine by machine in id order,
+    the round charges a machine its queries' counts and writes its
+    settlements, each merged into one ``settled`` dict: the lowest machine
+    id wins, and two machines that disagree on a vertex raise. Vertices that
+    enter the set knock their neighbors out at the publish boundary.
     """
     n = graph.n
     perm = Permutation.random(n, config.seed)
@@ -240,20 +240,19 @@ def maximal_independent_set(graph: Graph, config: ModelConfig) -> MisResult:
         parts = _split(by_machine.tolist(), np.bincount(machines, minlength=config.machines_P))
         settled: dict[int, int] = {}
         q_counts: dict[int, int] = {}
-
-        def program(ctx):
-            local = ChainMap({}, status)
-            for v in parts[ctx.machine_id]:
-                if local[v] == UNKNOWN:
-                    q = truncated_query(graph, v, perm, capacity, local, adj, depth_tracker)
-                    q_counts[v] = q
-                    ctx.query_count += q
-            for v, s in local.maps[0].items():
-                ctx.write(v, s)
-                if settled.setdefault(v, s) != s:
-                    raise AssertionError(f"machines disagree on vertex {v}: {settled[v]} vs {s}")
-
-        sim.run_round(program)
+        with sim.batch_round() as rnd:
+            for machine, part in enumerate(parts):
+                local = ChainMap({}, status)
+                for v in part:
+                    if local[v] == UNKNOWN:
+                        q_counts[v] = truncated_query(graph, v, perm, capacity, local, adj, depth_tracker)
+                        rnd.queries[machine] += q_counts[v]
+                own = local.maps[0]
+                for v, s in own.items():
+                    if settled.setdefault(v, s) != s:
+                        raise AssertionError(f"machines disagree on vertex {v}: {settled[v]} vs {s}")
+                if own:
+                    rnd.write_many(list(own), [list(own.values())], np.full(len(own), machine))
         q_per_iteration.append(q_counts)
         if not settled:
             raise NonTerminationError("iteration settled no vertex")

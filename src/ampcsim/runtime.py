@@ -13,23 +13,21 @@ or a tuple of at most ``MAX_RECORD_WORDS`` fields, each an int or None;
 ``NONE`` stands for None. Structured keys are packed into one int64 by
 their writer, as ``graphs.pair_keys`` packs an edge.
 
-A round runs in one of two ways:
+Algorithms run every round as ``with sim.batch_round() as rnd`` and reach
+the store through three calls, each read or write charged to the machine
+beside it: ``rnd.gather(generation, keys, machines)`` reads every key's
+record; ``rnd.walk(generation, at, machines, column, stop)`` moves walkers
+along pointer records in lockstep, one gather per step (the AMPC reads
+within a round that depend on earlier ones); and
+``rnd.write_many(keys, columns, machines)`` buffers one record per key.
 
-- ``with sim.batch_round() as rnd`` runs the round as array operations:
-  ``rnd.gather(generation, keys, machines)`` reads the record of every key
-  and ``rnd.write_many(keys, columns, machines)`` buffers one record per
-  key, each charged to the machine beside it. A walk in which many machines
-  follow pointers in lockstep is one gather per step.
-- ``run_round(program)`` calls ``program`` once per machine with a
-  ``MachineContext``, whose ``query``/``query_indexed`` read one record and
-  whose ``write`` buffers one. It is a batch round underneath: the
-  machines' buffers go to ``write_many`` under their machine ids and their
-  query counts to the round's. Only MIS still runs its rounds this way;
-  every other algorithm, the budgeted explorations included, runs batch
-  rounds.
+``run_round(program)`` is an adapter that tests and the benchmark tracer
+bind by name: it calls ``program`` once per machine with a
+``MachineContext``, whose ``query``/``query_indexed`` read one record and
+whose ``write`` buffers one, and runs as a batch round underneath.
 
-Either way one query costs one unit of its machine's communication and one
-write costs one, and both are budgeted at ``budget_slack * space_S`` per
+In every round one query costs one unit of its machine's communication and
+one write costs one, and both are budgeted at ``budget_slack * space_S`` per
 machine and round. A round closes by sealing the new generation; then it,
 like a charged round (``Simulator.charge``), is recorded through one path:
 per-machine counts go to ``RoundMetrics``, and violations are recorded (and
@@ -365,6 +363,26 @@ class BatchRound:
         ``machines[i]`` is charged one query for ``keys[i]``."""
         self._charge(self.queries, machines, len(keys))
         return self._sim._read_store(generation).gather(keys)
+
+    def walk(
+        self, generation: Optional[int], at: np.ndarray, machines: np.ndarray, column: int, stop: Callable
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]]:
+        """Walk pointers in lockstep: walker i stands at ``at[i]`` and, until
+        ``stop(walkers, positions)`` holds where it stands, reads that record
+        of ``generation``, charged to ``machines[i]``, and moves to the
+        record's ``column`` field. Each step is one gather and yields
+        ``(walkers, positions, records)``: the walkers that read, the
+        positions they read and what they read. Then ``at`` takes the new
+        positions."""
+        walkers = np.flatnonzero(~stop(np.arange(len(at)), at))
+        positions, charged = at[walkers], machines[walkers]
+        while len(walkers):
+            records = self.gather(generation, positions, charged)
+            yield walkers, positions, records
+            moved = records[column]
+            at[walkers] = moved
+            going = ~stop(walkers, moved)
+            walkers, positions, charged = walkers[going], moved[going], charged[going]
 
     def write_many(self, keys: np.ndarray, columns: Sequence[np.ndarray], machines: np.ndarray) -> None:
         """Buffer the record ``columns[*][i]`` under ``keys[i]``, written by

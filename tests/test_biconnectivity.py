@@ -245,6 +245,16 @@ def test_bc_labeling_runs_no_forest_connectivity():
     assert len(bc.simulators) == 4
 
 
+def test_articulation_points_counts_its_rounds_once():
+    g = gen_random_graph(200, 400, seed=1)
+    bc = bc_labeling(g, cfg_for(g, seed=1))
+    first = articulation_points(bc)
+    rounds = sum(sim.total_rounds() for sim in bc.simulators)
+    assert len(bc.simulators) == 4
+    assert articulation_points(bc) is first
+    assert len(bc.simulators) == 4 and sum(sim.total_rounds() for sim in bc.simulators) == rounds
+
+
 def test_bc_pipeline_never_builds_edge_tuples(monkeypatch):
     g = gen_random_graph(300, 900, seed=3)
 

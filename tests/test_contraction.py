@@ -14,7 +14,8 @@ from ampcsim.contraction import (
     two_cycle,
 )
 from ampcsim.errors import StructureError
-from ampcsim.graphs import Graph, gen_cycles, gen_random_forest
+from ampcsim.graphs import Graph, gen_cycles, gen_random_forest, gen_random_graph
+from ampcsim.mis import maximal_independent_set
 from ampcsim.oracles import compare_labelings, seq_list_rank, uf_components
 from ampcsim.runtime import BatchRound, MachineContext, ModelConfig
 from ampcsim.trees import root_forest
@@ -139,6 +140,39 @@ def test_shrink_all_sampled_is_identity():
     assert res.iteration_sizes == [12, 12]
     got = uf_components(res.graph)
     assert compare_labelings(got, uf_components(g)).match
+
+
+def test_shrink_rejects_a_non_integer_sample():
+    with pytest.raises(TypeError, match="samples must be a 1-d integer array"):
+        shrink(gen_cycles(12, 1, seed=3), delta=0.5, t=1, config=cycle_config(12), sample_sets=[{0, 1.5}])
+
+
+@pytest.mark.parametrize(
+    "sample_sets, named",
+    [
+        ([{0, 40}], "sample 40 is not alive at level 0"),
+        ([{-1, 0}], "sample -1 is not alive at level 0"),
+        # 5 is an element, but the first level kept only 0 and 3.
+        ([{0, 3}, {0, 5}], "sample 5 is not alive at level 1"),
+    ],
+)
+def test_shrink_names_a_sample_that_is_not_alive(sample_sets, named):
+    g = gen_cycles(12, 1, seed=3)
+    with pytest.raises(ValueError, match=named):
+        shrink(g, delta=0.5, t=len(sample_sets), config=cycle_config(12), sample_sets=sample_sets)
+
+
+def test_shrink_needs_a_sample_set_per_iteration():
+    with pytest.raises(ValueError, match="1 sample sets for 3 iterations"):
+        shrink(gen_cycles(12, 1, seed=3), delta=0.5, t=3, config=cycle_config(12), sample_sets=[{0}])
+
+
+@pytest.mark.parametrize("pieces, samples", [(1, set()), (2, {0})])
+def test_shrink_rejects_a_cycle_with_no_sample(pieces, samples):
+    # With two cycles, 0 lies on one of them and the other is left bare.
+    g = gen_cycles(12, pieces, seed=3)
+    with pytest.raises(ValueError, match="a cycle holds no sample"):
+        shrink(g, delta=0.5, t=1, config=cycle_config(12), sample_sets=[samples])
 
 
 def test_shrink_preserves_components_and_cycle_structure():
@@ -408,3 +442,6 @@ def test_chain_engine_runs_no_machine_programs(monkeypatch):
     forest = gen_random_forest(60, 3, seed=1)
     rooted = root_forest(forest, config=ModelConfig(n=forest.n, m=forest.m))  # forest connectivity over the tours, then list ranking
     assert len(rooted.simulators) == 2 and len(rooted.roots) == 3
+    # MIS runs each iteration as one batch round too.
+    g = gen_random_graph(40, 80, seed=2)
+    assert maximal_independent_set(g, ModelConfig(n=g.n, m=g.m)).members

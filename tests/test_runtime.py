@@ -446,6 +446,35 @@ def test_batch_round_reads_writes_and_seals():
     assert seen[0] == ((10, 2), 50)
 
 
+def test_batch_round_walk_hand_trace():
+    # Generation 0 links 0 -> 1 -> 2 -> 3 -> 4 -> 5 -> NONE, weight 10 * key;
+    # generation 1 links every key to 0, weight 1.
+    chain = ArrayGeneration(np.arange(6), [np.array([1, 2, 3, 4, 5, NONE]), np.arange(6) * 10])
+    sim = Simulator(small_config(), initial=chain)
+    with sim.batch_round() as rnd:
+        rnd.write_many(np.arange(6), [np.zeros(6, dtype=np.int64), np.ones(6, dtype=np.int64)], np.zeros(6, dtype=np.int64))
+
+    def stop(walkers, positions):
+        return np.isin(positions, [2, 5])
+
+    # The default generation is the latest sealed one. The walker on the
+    # stop at 5 reads nothing.
+    with sim.batch_round() as rnd:
+        walkers, positions, records = next(rnd.walk(None, np.array([3, 5]), np.array([0, 1]), 0, stop))
+    assert walkers.tolist() == [0] and positions.tolist() == [3] and records[1].tolist() == [1]
+    assert sim.metrics[-1].queries_per_machine[:2] == [1, 0]
+
+    # Walker 1 starts on the stop at 2 and reads nothing.
+    at, machines = np.array([0, 2, 3]), np.array([0, 1, 2])
+    steps = []
+    with sim.batch_round() as rnd:
+        for walkers, positions, records in rnd.walk(0, at, machines, 0, stop):
+            steps.append((walkers.tolist(), at[walkers].tolist(), positions.tolist(), records[1].tolist()))
+    assert steps == [([0, 2], [0, 3], [0, 3], [0, 30]), ([0, 2], [1, 4], [1, 4], [10, 40])]
+    assert at.tolist() == [2, 2, 5]
+    assert sim.metrics[-1].queries_per_machine[:3] == [2, 0, 2]
+
+
 def test_batch_round_seal_orders_only_what_needs_it():
     sim = Simulator(small_config())
     # Strictly ascending keys across writes are sealed as written.
@@ -635,6 +664,87 @@ def test_bulk_charge_check_flags_both_forms(tmp_path):
         "algo.py:1 divides 1 by epsilon",
         "algo.py:2 charges without rounds, communication and label",
     ]
+
+
+def closure_rounds_outside_runtime(package: Path) -> list[str]:
+    """Where a module of ``package`` other than runtime.py calls
+    ``run_round`` or constructs a ``MachineContext``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "runtime.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+                if name in ("run_round", "MachineContext"):
+                    found.append(f"{path.name}:{node.lineno} calls {name}")
+    return found
+
+
+def test_algorithms_run_no_closure_rounds():
+    # Algorithms read and write the store through BatchRound's gather, walk
+    # and write_many; run_round and MachineContext stay for tests and the
+    # benchmark tracer.
+    package = Path(__file__).resolve().parents[1] / "src" / "ampcsim"
+    assert (package / "runtime.py").exists()
+    assert closure_rounds_outside_runtime(package) == []
+
+
+def test_closure_round_check_flags_both_forms(tmp_path):
+    (tmp_path / "runtime.py").write_text("ctx = MachineContext(sim, 0, 1)\n")
+    (tmp_path / "algo.py").write_text("sim.run_round(program)\nctx = runtime.MachineContext(sim, 0, 1)\n")
+    assert closure_rounds_outside_runtime(tmp_path) == ["algo.py:1 calls run_round", "algo.py:2 calls MachineContext"]
+
+
+# Every call of resolve_pointers, a central pointer chase that no round
+# pays for, outside graphs.py and oracles.py: (module, function, role).
+RESOLVE_POINTERS_SITES = [
+    ("connectivity.py", "_leader_contract", "hook chains, unpaid"),
+    ("contraction.py", "_Chains._sample", "forced samples, unpaid"),
+    ("contraction.py", "label_cycles", "representatives, unpaid"),
+    ("contraction.py", "orient_cycles", "orientation before the first round"),
+    ("contraction.py", "two_cycle", "machine-0 residual"),
+    ("trees.py", "euler_tour", "input check, plus the tree ids"),
+]
+
+
+def resolve_pointers_sites(package: Path) -> list[tuple[str, str]]:
+    """The (module, enclosing function) of every ``resolve_pointers`` call
+    in ``package`` outside graphs.py and oracles.py, one entry per call."""
+    found = []
+
+    def visit(node: ast.AST, path: Path, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")) == "resolve_pointers":
+                    found.append((path.name, scope))
+            visit(child, path, scope)
+
+    for path in sorted(package.glob("*.py")):
+        if path.name not in ("graphs.py", "oracles.py"):
+            visit(ast.parse(path.read_text(), filename=str(path)), path, "")
+    return sorted(found)
+
+
+def test_resolve_pointers_sites_are_listed():
+    # A ratchet: adding or removing an unpaid central chase means editing
+    # RESOLVE_POINTERS_SITES and saying what the new site is for.
+    package = Path(__file__).resolve().parents[1] / "src" / "ampcsim"
+    assert (package / "graphs.py").exists()
+    assert resolve_pointers_sites(package) == sorted((module, scope) for module, scope, _ in RESOLVE_POINTERS_SITES)
+
+
+def test_resolve_pointers_site_check_names_the_scope(tmp_path):
+    (tmp_path / "graphs.py").write_text("def resolve_pointers(p):\n    return resolve_pointers(p)\n")
+    (tmp_path / "algo.py").write_text(
+        "class C:\n    def f(self):\n        return graphs.resolve_pointers(x)\n"
+        "def g():\n    a = resolve_pointers(x)\n    return resolve_pointers(a)\n"
+    )
+    assert resolve_pointers_sites(tmp_path) == [("algo.py", "C.f"), ("algo.py", "g"), ("algo.py", "g")]
 
 
 def test_round_numbering_stays_in_runtime():
